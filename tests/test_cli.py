@@ -319,7 +319,64 @@ seed = 17
         assert "mismatched report" in capsys.readouterr().err
 
 
+SMALL_AXES = """
+[rates]
+r1 = 0 0.2 0.5 0.8 1.1
+r2 = 0 0.2 0.3 0.6 1.0
+"""
+
+FULL_SECTIONS = """
+[second_order]
+lambda = 1.0
+epsilon = 0.2
+n = 16
+c_log = 0.5
+kind2 = iid
+
+[moderate]
+theta1 = 1.0
+theta2 = 0.5
+rho_exponent = 0.25
+"""
+
+PSI_SMALL = (
+    BASE
+    + """
+[simulate]
+mode = psi
+kind = iid
+n = 8 12 16
+norm_arg = 1.0
+power = 0.66
+distortion = 0.66
+trials = 3000
+seed = 23
+"""
+)
+
+
 class TestGoldenFiles:
+    # the small axes cover r1 = 0, both SEP branches (r2 below and above
+    # 0.5*log(d1/d2) = 0.347) and all three fixed-split cases i, ii, iii
+    @pytest.mark.parametrize(
+        "command, extra, golden",
+        [
+            ("exponent-grid", SMALL_AXES, "exponent_grid_small.csv"),
+            ("asymptotics", SMALL_AXES + FULL_SECTIONS, "asymptotics_full_small.csv"),
+        ],
+    )
+    def test_small_axes_golden(self, tmp_path, command, extra, golden):
+        cfg = write_config(tmp_path, BASE + extra)
+        out = str(tmp_path / "out.csv")
+        assert main([command, "--config", cfg, "--out", out]) == 0
+        assert Path(out).read_bytes() == (GOLDEN / golden).read_bytes()
+
+    def test_simulate_psi_golden(self, tmp_path):
+        cfg = write_config(tmp_path, PSI_SMALL)
+        out = str(tmp_path / "psi.csv")
+        assert main(["simulate", "--config", cfg, "--out", out]) == 0
+        assert Path(out).read_bytes() == (GOLDEN / "simulate_psi_small.csv").read_bytes()
+
     def test_asymptotics_golden(self, tmp_path):
         cfg = write_config(
             tmp_path,
