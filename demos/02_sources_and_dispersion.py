@@ -8,7 +8,6 @@ import numpy as np
 
 from srgauss import sources
 from srgauss.montecarlo import trial_stream
-from srgauss.sources import moments, sample
 
 FAMILIES = [
     ("gaussian(1)", sources.gaussian(1.0)),
@@ -20,8 +19,7 @@ FAMILIES = [
 
 print(f"{'family':30s} {'sigma2':>9s} {'zeta':>9s} {'dispersion':>11s}")
 for name, spec in FAMILIES:
-    s2, zeta, v = moments(spec)
-    print(f"{name:30s} {s2:9.4f} {zeta:9.4f} {v:11.4f}")
+    print(f"{name:30s} {spec.sigma2:9.4f} {spec.zeta:9.4f} {spec.dispersion:11.4f}")
 
 print()
 print("two-point sources have deterministic X^2, hence zero dispersion:")
@@ -30,15 +28,15 @@ print("they admit no moderate-deviations constants (division by dispersion).")
 print()
 print("sampling is reproducible from (seed, stream index):")
 spec = sources.gaussian(1.0)
-a = sample(spec, 5, trial_stream(7, 0))
-b = sample(spec, 5, trial_stream(7, 0))
+a = spec.sample(5, trial_stream(7, 0))
+b = spec.sample(5, trial_stream(7, 0))
 print("  draw 1:", np.array2string(a, precision=4))
 print("  draw 2:", np.array2string(b, precision=4), " (identical)")
 
 print()
 print("empirical moments over 10^6 draws land on the analytic values:")
 for name, spec in FAMILIES:
-    x = sample(spec, 10**6, trial_stream(11, 0))
+    x = spec.sample(10**6, trial_stream(11, 0))
     x2 = x * x
     print(
         f"  {name:30s} mean(X^2)={float(np.mean(x2)):.4f} (exact {spec.sigma2:.4f})"

@@ -12,14 +12,14 @@ from srgauss.core import (
     log_iid_nonexcess_asymptotic,
     spherical_nonexcess_lower,
 )
-from srgauss.montecarlo import estimate_phi, estimate_psi
+from srgauss.montecarlo import estimate_nonexcess
 
 print("=== spherical second layer vs the cap-area lower bound ===")
 n, p_z, d2, draws = 10, 0.25, 0.25, 100_000
 print(f"n={n}, codeword power {p_z}, distortion {d2}, {draws} draws per point")
 print(f"{'l':>6s} {'estimate':>10s} {'lower bound':>12s}")
 for l in (0.35, 0.5, 0.65, 0.8):
-    est = estimate_phi("spherical", n, l, p_z, d2, trials=draws, seed=5)
+    est = estimate_nonexcess("spherical", n, l, p_z, d2, trials=draws, seed=5)
     bound = spherical_nonexcess_lower(n, l, p_z, d2)
     print(f"{l:6.2f} {est:10.6f} {bound:12.6f}")
 
@@ -30,7 +30,7 @@ rate = iid_nonexcess_exponent(l, p, d)
 print(f"analytic rate for (l={l}, p={p}, d={d}): {rate:.5f}")
 ests = {}
 for n in (10, 20, 30):
-    ests[n] = estimate_phi("iid", n, l, p, d, trials=300_000, seed=6)
+    ests[n] = estimate_nonexcess("iid", n, l, p, d, trials=300_000, seed=6)
     full = math.exp(log_iid_nonexcess_asymptotic(n, l, p, d))
     print(f"  n={n:2d}: estimate={ests[n]:.6f}  finite-n analytic={full:.6f}")
 slope = (math.log(ests[10]) - math.log(ests[30])) / 20.0
@@ -43,5 +43,5 @@ print("=== first-layer covering, same machinery ===")
 w, p, d = 1.0, 0.66, 0.66
 rate = iid_nonexcess_exponent(w, p, d)
 for n in (10, 20, 30):
-    est = estimate_psi("iid", n, w, p, d, trials=300_000, seed=7)
+    est = estimate_nonexcess("iid", n, w, p, d, trials=300_000, seed=7)
     print(f"  n={n:2d}: estimate={est:.6f}  exp(-n*rate)={math.exp(-n * rate):.6f}")

@@ -14,6 +14,7 @@ from .asymptotics import (
     RateQuery,
     RegionResult,
     SecondOrderPlan,
+    exponent_point,
     jep_exponent,
     jep_exponent_lambda1,
     lambda_for_rates,
@@ -46,12 +47,12 @@ from .errors import BudgetError, ConfigError, NumericError
 from .montecarlo import (
     EstimationResult,
     estimate,
-    estimate_phi,
-    estimate_psi,
+    estimate_nonexcess,
+    ops_per_trial,
     trial_stream,
     wilson_interval,
 )
-from .sources import SourceSpec, moments, sample
+from .sources import SourceSpec
 
 __version__ = "0.1.0"
 
@@ -72,8 +73,8 @@ __all__ = [
     "cgf_x2",
     "encode_layer",
     "estimate",
-    "estimate_phi",
-    "estimate_psi",
+    "estimate_nonexcess",
+    "exponent_point",
     "gaussian_rate_function_x2",
     "gen_codeword",
     "iid_nonexcess_exponent",
@@ -86,14 +87,13 @@ __all__ = [
     "log_gamma_ratio",
     "log_iid_nonexcess_asymptotic",
     "moderate_constants",
-    "moments",
+    "ops_per_trial",
     "optimal_tilt",
     "q_func",
     "q_inv",
     "rate_function_x2",
     "region_contains",
     "run_trial",
-    "sample",
     "second_order_plan",
     "sep_exponents",
     "sep_second_order",

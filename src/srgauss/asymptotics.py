@@ -190,6 +190,12 @@ def sep_exponents(source: SourceSpec, q: RateQuery) -> ExponentResult:
     Below the branch rate 0.5*log(d1/d2) the layer-2 exponent coincides
     with the joint exponent; above it the scheme runs at full split and the
     layer-2 radius is chained through the layer-1 covering radius.
+
+    Either way one of the two is the joint exponent, bit for bit:
+    :func:`jep_exponent` equals ``values[1]`` (radius ``alpha2_star``) on
+    the ``low_r2`` branch, and ``values[0]`` (radius ``alpha1_star``) on
+    the ``high_r2`` branch, where lambda = 1 makes the layer-1 radius the
+    joint one.
     """
     if q.r1 <= 0:
         raise ConfigError(f"requires r1 > 0, got {q.r1}")
@@ -219,6 +225,28 @@ def sep_exponents(source: SourceSpec, q: RateQuery) -> ExponentResult:
         positive=(e1 > 0.0, e2 > 0.0),
         case_tag=tag,
     )
+
+
+def exponent_point(source: SourceSpec, q: RateQuery) -> dict:
+    """Every per-point quantity of a rate pair, keyed by report column:
+    region, power split and, for r1 > 0, the joint, fixed-split and
+    separate exponents.  The joint exponent is read off
+    :func:`sep_exponents` (see there), not computed a second time."""
+    reg = region_contains(q)
+    lam = lambda_for_rates(q.r2, q.d1, q.d2).value
+    point = {"r1": q.r1, "r2": q.r2, "region": reg.location, "eta": reg.eta, "lambda": lam}
+    if q.r1 > 0:
+        sep = sep_exponents(source, q)
+        l1 = jep_exponent_lambda1(source, q)
+        k = 1 if sep.case_tag == "low_r2" else 0
+        point.update(
+            alpha_star=sep.auxiliaries["alpha2_star" if k else "alpha1_star"],
+            jep_exponent=sep.values[k], jep_positive=sep.positive[k],
+            l1_case=l1.case_tag, l1_exponent=l1.value, l1_positive=l1.positive[0],
+            sep_case=sep.case_tag, sep_e1=sep.values[0], sep_e2=sep.values[1],
+            sep_e1_positive=sep.positive[0], sep_e2_positive=sep.positive[1],
+        )
+    return point
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,12 @@ Subcommands read a flat INI-style config (one experiment per file, section
 headers with key = value lines) and emit schema-stable CSV or JSON reports;
 every emitted number is reproducible from (config, seed) alone.
 
+``CONFIG_KEYS`` lists every section and every key a command may read;
+``[source]`` keys belong to the family and are checked by
+:func:`srgauss.sources.from_config`.  An unknown section or key, a missing
+required key and a value that will not parse are config errors naming
+``section.key``.
+
 Exit codes: 0 ok, 2 config error, 3 numeric error, 4 budget refusal.
 """
 
@@ -13,24 +19,24 @@ import argparse
 import configparser
 import math
 import sys
+from functools import partial
 
 from . import report, sources
 from .asymptotics import (
     ModerateQuery,
     RateQuery,
+    exponent_point,
     jep_exponent,
-    jep_exponent_lambda1,
     lambda_for_rates,
     moderate_constants,
-    region_contains,
     second_order_plan,
-    sep_exponents,
+    sep_exponents,  # noqa: F401  bench/test_bench.py expects the tracer to patch it here
     sep_second_order,
 )
 from .codec import SchemeConfig
 from .core import iid_nonexcess_exponent, spherical_cap_exponent
 from .errors import BudgetError, ConfigError, NumericError
-from .montecarlo import estimate, estimate_phi, estimate_psi, wilson_interval
+from .montecarlo import estimate, estimate_nonexcess, ops_per_trial, wilson_interval
 from .sources import SourceSpec
 
 DEFAULT_BUDGET = 10**10
@@ -38,18 +44,18 @@ DEFAULT_BUDGET = 10**10
 _KIND_ALIASES = {"sp": "spherical", "spherical": "spherical", "iid": "iid"}
 
 
-def _load(path: str) -> configparser.ConfigParser:
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    read = cp.read(path)
-    if not read:
-        raise ConfigError(f"config file not found: {path}")
-    return cp
+def _kind(raw: str) -> str:
+    k = raw.strip().lower()
+    if k not in _KIND_ALIASES:
+        raise ValueError(f"codebook kind must be spherical|sp|iid, got {raw!r}")
+    return _KIND_ALIASES[k]
 
 
-def _require(cp, section: str) -> configparser.SectionProxy:
-    if not cp.has_section(section):
-        raise ConfigError(f"config requires a [{section}] section")
-    return cp[section]
+def _kind_pairs(raw: str) -> list[tuple[str, str]]:
+    pairs = [tuple(_kind(k) for k in pair.split(",")) for pair in raw.split()]
+    if any(len(pair) != 2 for pair in pairs):
+        raise ValueError("expected kind1,kind2 pairs")
+    return pairs
 
 
 def _floats(raw: str) -> list[float]:
@@ -60,86 +66,100 @@ def _ints(raw: str) -> list[int]:
     return [int(tok) for tok in raw.split()]
 
 
-def _kind(raw: str) -> str:
-    k = raw.strip().lower()
-    if k not in _KIND_ALIASES:
-        raise ConfigError(f"codebook kind must be spherical|sp|iid, got {raw!r}")
-    return _KIND_ALIASES[k]
+def _word(raw: str) -> str:
+    return raw.strip().lower()
 
 
-def build_source(cp) -> SourceSpec:
-    sec = _require(cp, "source")
-    family = sec.get("family", "gaussian").strip().lower()
-    if family == "gaussian":
-        return sources.gaussian(sec.getfloat("sigma2", 1.0))
-    if family == "uniform":
-        return sources.uniform(sec.getfloat("half_width"))
-    if family == "laplace":
-        return sources.laplace(sec.getfloat("scale"))
-    if family == "two_point":
-        return sources.two_point(sec.getfloat("magnitude"))
-    if family == "discrete":
-        return sources.discrete(_floats(sec.get("values")), _floats(sec.get("probs")))
-    raise ConfigError(f"unknown source family {family!r}")
+def _choice(*options: str):
+    def parse(raw: str) -> str:
+        if _word(raw) not in options:
+            raise ValueError(f"must be {'|'.join(options)}")
+        return _word(raw)
+
+    return parse
 
 
-def _distortions(cp) -> tuple[float, float]:
-    sec = _require(cp, "distortion")
-    return sec.getfloat("d1"), sec.getfloat("d2")
+# Every section and the union of the keys any command reads from it,
+# key -> parser.  [source] keys depend on the family: sources.from_config.
+CONFIG_KEYS = {
+    "source": None,
+    "distortion": {"d1": float, "d2": float},
+    "rates": {
+        "r1": _floats, "r2": _floats,
+        "r1_min": float, "r1_max": float, "r1_steps": int,
+        "r2_min": float, "r2_max": float, "r2_steps": int,
+    },
+    "second_order": {
+        "lambda": float, "epsilon": float, "c_log": float, "n": int, "kind2": _kind,
+    },
+    "moderate": {"theta1": float, "theta2": float, "rho_exponent": float},
+    "simulate": {
+        "mode": _choice("scheme", "psi", "phi"), "n": _ints, "trials": int, "seed": int,
+        # scheme mode
+        "kinds": _kind_pairs, "sizing": _choice("plan", "rates", "explicit"),
+        "method": _word, "precision": _word, "m1": int, "m2": int, "lambda": float,
+        # psi/phi mode
+        "kind": _kind, "norm_arg": float, "power": float, "distortion": float,
+    },
+    "compare": {"simulation": str, "quantity": _choice("jep", "sep1", "sep2", "estimate")},
+}
+
+_REQUIRED = object()
+
+
+def _load(path: str) -> configparser.ConfigParser:
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    try:
+        read = cp.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"malformed config: {exc}") from None
+    if not read:
+        raise ConfigError(f"config file not found: {path}")
+    for section in cp.sections():
+        if section not in CONFIG_KEYS:
+            raise ConfigError(f"unknown section [{section}]")
+        for key in cp[section]:
+            if CONFIG_KEYS[section] is not None and key not in CONFIG_KEYS[section]:
+                raise ConfigError(f"unknown key {section}.{key}")
+    return cp
+
+
+def _get(cp, section: str, key: str, default=_REQUIRED):
+    """The config reader: ``section.key`` parsed by its CONFIG_KEYS entry,
+    or ``default`` when absent; absent without a default is an error."""
+    if not cp.has_option(section, key):
+        if default is _REQUIRED:
+            where = "" if cp.has_section(section) else f" (no [{section}] section)"
+            raise ConfigError(f"missing required key {section}.{key}{where}")
+        return default
+    raw = cp.get(section, key)
+    try:
+        return CONFIG_KEYS[section][key](raw)
+    except ValueError as exc:
+        raise ConfigError(f"{section}.{key}: cannot parse {raw!r} ({exc})") from None
+
+
+def _source(cp) -> SourceSpec:
+    if not cp.has_section("source"):
+        raise ConfigError("config requires a [source] section")
+    return sources.from_config(cp["source"])
 
 
 def _rate_axes(cp) -> tuple[list[float], list[float]]:
-    sec = _require(cp, "rates")
-    if "r1" in sec:
-        r1s = _floats(sec.get("r1"))
-        r2s = _floats(sec.get("r2"))
-    else:
-        r1s = _axis(sec, "r1")
-        r2s = _axis(sec, "r2")
-    if not r1s or not r2s:
+    """Each axis is a list (r1 = 0.5 0.7) or a grid (r1_min/r1_max/r1_steps)."""
+    rates = partial(_get, cp, "rates")
+    axes = []
+    for name in ("r1", "r2"):
+        pts = rates(name, None)
+        if pts is None:
+            lo, hi, steps = (rates(f"{name}_{k}") for k in ("min", "max", "steps"))
+            if steps < 1:
+                raise ConfigError(f"rates.{name}_steps: requires >= 1, got {steps}")
+            pts = [lo] if steps == 1 else [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
+        axes.append(pts)
+    if not all(axes):
         raise ConfigError("rate grid is empty")
-    return r1s, r2s
-
-
-def _axis(sec, name: str) -> list[float]:
-    lo = sec.getfloat(f"{name}_min")
-    hi = sec.getfloat(f"{name}_max")
-    steps = sec.getint(f"{name}_steps")
-    if lo is None or hi is None or steps is None:
-        raise ConfigError(f"rates section needs {name} or {name}_min/{name}_max/{name}_steps")
-    if steps < 1:
-        raise ConfigError(f"requires {name}_steps >= 1, got {steps}")
-    if steps == 1:
-        return [lo]
-    return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
-
-
-def _exponent_row(source, q: RateQuery) -> dict:
-    reg = region_contains(q)
-    row = {
-        "r1": q.r1,
-        "r2": q.r2,
-        "region": reg.location,
-        "eta": reg.eta,
-        "lambda": lambda_for_rates(q.r2, q.d1, q.d2).value,
-    }
-    if q.r1 > 0:
-        jep = jep_exponent(source, q)
-        sep = sep_exponents(source, q)
-        row.update(
-            alpha_star=jep.auxiliaries["alpha_star"],
-            jep_exponent=jep.value,
-            jep_positive=jep.positive[0],
-            sep_case=sep.case_tag,
-            sep_e1=sep.values[0],
-            sep_e2=sep.values[1],
-            sep_e1_positive=sep.positive[0],
-            sep_e2_positive=sep.positive[1],
-        )
-    l1 = jep_exponent_lambda1(source, q) if q.r1 > 0 else None
-    if l1 is not None:
-        row.update(l1_case=l1.case_tag, l1_exponent=l1.value, l1_positive=l1.positive[0])
-    return row
+    return axes[0], axes[1]
 
 
 ASYMPTOTICS_COLUMNS = [
@@ -153,41 +173,33 @@ ASYMPTOTICS_COLUMNS = [
 
 
 def cmd_asymptotics(cp, args) -> tuple[list[dict], list[str]]:
-    source = build_source(cp)
-    d1, d2 = _distortions(cp)
+    source = _source(cp)
+    d1, d2 = (_get(cp, "distortion", k) for k in ("d1", "d2"))
     r1s, r2s = _rate_axes(cp)
     extra = {}
     columns = ASYMPTOTICS_COLUMNS[:16]
     if cp.has_section("second_order"):
-        sec = cp["second_order"]
+        so = partial(_get, cp, "second_order")
+        eps = so("epsilon")
         plan = second_order_plan(
-            source, d1, d2,
-            sec.getfloat("lambda", 1.0),
-            sec.getfloat("epsilon"),
-            sec.getint("n"),
-            c_log=sec.getfloat("c_log", 0.0),
-            kind2=_kind(sec.get("kind2", "spherical")),
+            source, d1, d2, so("lambda", 1.0), eps, so("n"),
+            c_log=so("c_log", 0.0), kind2=so("kind2", "spherical"),
         )
-        eps = sec.getfloat("epsilon")
         l1, l2 = sep_second_order(source, d1, d2, eps, eps)
         extra.update(log_m1=plan.log_m1, log_m2=plan.log_m2, so_case=plan.case,
                      sep_l1=l1, sep_l2=l2)
         columns = ASYMPTOTICS_COLUMNS[:21]
     if cp.has_section("moderate"):
-        sec = cp["moderate"]
-        mq = ModerateQuery(
-            sec.getfloat("theta1"), sec.getfloat("theta2", 0.0),
-            sec.getfloat("rho_exponent", 0.25),
-        )
+        mod = partial(_get, cp, "moderate")
+        mq = ModerateQuery(mod("theta1"), mod("theta2", 0.0), mod("rho_exponent", 0.25))
         v_jep, v1, v2 = moderate_constants(source, mq)
         extra.update(v_jep=v_jep, v1=v1, v2=v2)
         columns = ASYMPTOTICS_COLUMNS
     rows = []
     for r1 in r1s:
         for r2 in r2s:
-            row = _exponent_row(source, RateQuery(r1, r2, source.sigma2, d1, d2))
-            row.update(extra)
-            rows.append(row)
+            point = exponent_point(source, RateQuery(r1, r2, source.sigma2, d1, d2))
+            rows.append({**point, **extra})
     return rows, columns
 
 
@@ -206,32 +218,27 @@ PSIPHI_COLUMNS = [
 ]
 
 
-def _scheme_points(cp, source, args):
-    sec = _require(cp, "simulate")
-    ns = _ints(sec.get("n"))
-    d1, d2 = _distortions(cp)
-    kinds = [
-        tuple(_kind(k) for k in pair.split(","))
-        for pair in sec.get("kinds", "spherical,spherical").split()
-    ]
-    sizing = sec.get("sizing", "plan").strip().lower()
+def _scheme_points(cp, source) -> list[tuple[SchemeConfig, dict]]:
+    sim = partial(_get, cp, "simulate")
+    d1, d2 = (_get(cp, "distortion", k) for k in ("d1", "d2"))
+    sizing = sim("sizing", "plan")
     points = []
-    for n in ns:
-        for kind1, kind2 in kinds:
+    for n in sim("n"):
+        for kind1, kind2 in sim("kinds", [("spherical", "spherical")]):
             extra = {"target_eps": None, "pred_jep_exponent": None}
             if sizing == "plan":
-                so = _require(cp, "second_order")
-                lam = so.getfloat("lambda", 1.0)
+                so = partial(_get, cp, "second_order")
+                lam, eps = so("lambda", 1.0), so("epsilon")
                 plan = second_order_plan(
-                    source, d1, d2, lam, so.getfloat("epsilon"), n,
-                    c_log=so.getfloat("c_log", 0.0), kind2=kind2,
+                    source, d1, d2, lam, eps, n, c_log=so("c_log", 0.0), kind2=kind2
                 )
                 m1, m2 = plan.m1, plan.m2
-                extra["target_eps"] = so.getfloat("epsilon")
+                extra["target_eps"] = eps
             elif sizing == "rates":
-                rsec = _require(cp, "rates")
-                r1 = rsec.getfloat("r1")
-                r2 = rsec.getfloat("r2")
+                r1s, r2s = _get(cp, "rates", "r1"), _get(cp, "rates", "r2")
+                if len(r1s) != 1 or len(r2s) != 1:
+                    raise ConfigError("rate-based sizing needs one rates.r1 and one rates.r2")
+                r1, r2 = r1s[0], r2s[0]
                 lam_choice = lambda_for_rates(r2, d1, d2)
                 if lam_choice.degenerate:
                     raise ConfigError(
@@ -243,34 +250,29 @@ def _scheme_points(cp, source, args):
                 m2 = max(1, math.ceil(math.exp(n * r2_eff)))
                 q = RateQuery(r1, r2, source.sigma2, d1, d2)
                 extra["pred_jep_exponent"] = jep_exponent(source, q).value
-            elif sizing == "explicit":
-                lam = sec.getfloat("lambda", 1.0)
-                m1 = sec.getint("m1")
-                m2 = sec.getint("m2")
             else:
-                raise ConfigError(f"sizing must be plan|rates|explicit, got {sizing!r}")
+                lam = sim("lambda", 1.0)
+                m1, m2 = sim("m1"), sim("m2")
             cfg = SchemeConfig(
                 n=n, m1=m1, m2=m2, kind1=kind1, kind2=kind2,
                 d1=d1, d2=d2, lam=lam, sigma2=source.sigma2,
             )
             points.append((cfg, extra))
-    return points, sec
+    return points
 
 
 def cmd_simulate(cp, args) -> tuple[list[dict], list[str]]:
-    source = build_source(cp)
-    sec = _require(cp, "simulate")
-    mode = sec.get("mode", "scheme").strip().lower()
-    seed = args.seed if args.seed is not None else sec.getint("seed", 0)
+    source = _source(cp)
+    sim = partial(_get, cp, "simulate")
+    mode = sim("mode", "scheme")
+    seed = args.seed if args.seed is not None else sim("seed", 0)
     budget = args.budget if args.budget is not None else DEFAULT_BUDGET
+    trials = sim("trials")
 
-    if mode in ("psi", "phi"):
-        ns = _ints(sec.get("n"))
-        kind = _kind(sec.get("kind", "iid"))
-        arg = sec.getfloat("norm_arg")
-        power = sec.getfloat("power")
-        dist = sec.getfloat("distortion")
-        trials = sec.getint("trials")
+    if mode != "scheme":
+        ns = sim("n")
+        kind = sim("kind", "iid")
+        arg, power, dist = sim("norm_arg"), sim("power"), sim("distortion")
         cost = sum(trials * n for n in ns)
         if cost > budget:
             raise BudgetError(
@@ -282,8 +284,7 @@ def cmd_simulate(cp, args) -> tuple[list[dict], list[str]]:
             pred = spherical_cap_exponent(arg, power, dist)
         rows = []
         for i, n in enumerate(ns):
-            fn = estimate_psi if mode == "psi" else estimate_phi
-            est = fn(kind, n, arg, power, dist, trials, seed)
+            est = estimate_nonexcess(kind, n, arg, power, dist, trials, seed)
             lo, hi = wilson_interval(round(est * trials), trials)
             rows.append(
                 {
@@ -295,15 +296,11 @@ def cmd_simulate(cp, args) -> tuple[list[dict], list[str]]:
             )
         return rows, PSIPHI_COLUMNS
 
-    if mode != "scheme":
-        raise ConfigError(f"simulate mode must be scheme|psi|phi, got {mode!r}")
-
-    points, sec = _scheme_points(cp, source, args)
-    trials = sec.getint("trials")
-    method = sec.get("method", "direct").strip().lower()
-    precision = sec.get("precision", "double").strip().lower()
+    points = _scheme_points(cp, source)
+    method = sim("method", "direct")
+    precision = sim("precision", "double")
     workers = args.workers
-    cost = sum(trials * (cfg.m1 + cfg.m2) * cfg.n for cfg, _ in points)
+    cost = sum(trials * ops_per_trial(cfg, method) for cfg, _ in points)
     if cost > budget:
         raise BudgetError(
             f"estimated {cost} distance multiply-adds exceed budget {budget}; "
@@ -343,50 +340,31 @@ EXPONENT_GRID_COLUMNS = [
 ]
 
 
+# exponent-grid reports zero exponents at r1 = 0, where none is computed
+_GRID_AT_R1_ZERO = {
+    "jep_exponent": 0.0, "jep_positive": False, "l1_exponent": 0.0, "l1_case": "iii",
+    "sep_e1": 0.0, "sep_e2": 0.0,
+}
+
+
 def cmd_exponent_grid(cp, args) -> tuple[list[dict], list[str]]:
-    source = build_source(cp)
-    d1, d2 = _distortions(cp)
+    source = _source(cp)
+    d1, d2 = (_get(cp, "distortion", k) for k in ("d1", "d2"))
     r1s, r2s = _rate_axes(cp)
     values = {}
     rows = []
     for i, r1 in enumerate(r1s):
         for j, r2 in enumerate(r2s):
             q = RateQuery(r1, r2, source.sigma2, d1, d2)
-            reg = region_contains(q)
-            if r1 > 0:
-                jep = jep_exponent(source, q).value
-                l1 = jep_exponent_lambda1(source, q)
-                sep = sep_exponents(source, q)
-                row = {
-                    "r1": r1, "r2": r2, "region": reg.location,
-                    "lambda": lambda_for_rates(r2, d1, d2).value,
-                    "jep_exponent": jep, "jep_positive": jep > 0,
-                    "l1_exponent": l1.value, "l1_case": l1.case_tag,
-                    "sep_e1": sep.values[0], "sep_e2": sep.values[1],
-                }
-            else:
-                jep = 0.0
-                row = {
-                    "r1": r1, "r2": r2, "region": reg.location,
-                    "lambda": lambda_for_rates(r2, d1, d2).value,
-                    "jep_exponent": 0.0, "jep_positive": False,
-                    "l1_exponent": 0.0, "l1_case": "iii",
-                    "sep_e1": 0.0, "sep_e2": 0.0,
-                }
-            values[(i, j)] = jep
-            rows.append(row)
+            point = {**_GRID_AT_R1_ZERO, **exponent_point(source, q)}
+            values[(i, j)] = point["jep_exponent"]
+            rows.append({c: point[c] for c in EXPONENT_GRID_COLUMNS[:-1]})
     # mark the edge of the zero set: zero cells adjacent to a positive cell
-    k = 0
-    for i in range(len(r1s)):
-        for j in range(len(r2s)):
-            edge = False
-            if values[(i, j)] == 0.0:
-                for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                    if values.get((i + di, j + dj), 0.0) > 0.0:
-                        edge = True
-                        break
-            rows[k]["zero_edge"] = edge
-            k += 1
+    for (i, j), row in zip(values, rows):
+        row["zero_edge"] = values[(i, j)] == 0.0 and any(
+            values.get((i + di, j + dj), 0.0) > 0.0
+            for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1))
+        )
     return rows, EXPONENT_GRID_COLUMNS
 
 
@@ -398,20 +376,16 @@ COMPARE_COLUMNS = [
 
 
 def cmd_compare(cp, args) -> tuple[list[dict], list[str]]:
-    sec = _require(cp, "compare")
-    sim_path = sec.get("simulation")
+    sim_path = _get(cp, "compare", "simulation")
     if not sim_path:
         raise ConfigError("compare requires simulation = <path to a simulate report>")
     sim_rows = report.read_report(sim_path)
     if not sim_rows:
         raise ConfigError(f"empty simulation input: {sim_path}")
-    quantity = sec.get("quantity", "estimate").strip().lower()
     col = {
         "jep": "jep_hat", "sep1": "sep1_hat", "sep2": "sep2_hat",
         "estimate": "estimate",
-    }.get(quantity)
-    if col is None:
-        raise ConfigError(f"quantity must be jep|sep1|sep2|estimate, got {quantity!r}")
+    }[_get(cp, "compare", "quantity", "estimate")]
     if col not in sim_rows[0] or sim_rows[0].get(col) is None:
         raise ConfigError(
             f"mismatched report: column {col!r} absent from {sim_path}"

@@ -118,6 +118,15 @@ def _radial_trial(config: SchemeConfig, source: SourceSpec, rng) -> tuple[bool, 
     return nl > n * config.d1, nd2 > n * config.d2
 
 
+def ops_per_trial(config: SchemeConfig, method: str) -> int:
+    """The cost model: distance multiply-adds charged per trial.  ``direct``
+    scans every coordinate of every codeword, (m1 + m2) * n; ``radial``
+    draws one scalar distance per codeword, m1 + m2."""
+    if method not in ("direct", "radial"):
+        raise ConfigError(f"method must be 'direct' or 'radial', got {method!r}")
+    return (config.m1 + config.m2) * (config.n if method == "direct" else 1)
+
+
 def estimate(
     config: SchemeConfig,
     source: SourceSpec,
@@ -135,16 +144,15 @@ def estimate(
     iid/iid path.  Neither affects determinism: output depends only on
     (config, source, trials, seed, method, precision).
 
-    If ``max_ops`` (distance multiply-adds) is too small for all requested
-    trials, the run is truncated up front to the count that fits and the
-    result is flagged partial.
+    If ``max_ops`` (distance multiply-adds, charged by :func:`ops_per_trial`)
+    is too small for all requested trials, the run is truncated up front to
+    the count that fits and the result is flagged partial.
     """
     if trials < 1:
         raise ConfigError(f"requires trials >= 1, got {trials}")
     if workers < 1:
         raise ConfigError(f"requires workers >= 1, got {workers}")
-    if method not in ("direct", "radial"):
-        raise ConfigError(f"method must be 'direct' or 'radial', got {method!r}")
+    per_trial = ops_per_trial(config, method)
     if precision not in ("double", "single"):
         raise ConfigError(f"precision must be 'double' or 'single', got {precision!r}")
     if method == "radial" and not (config.kind1 == config.kind2 == "iid"):
@@ -153,7 +161,6 @@ def estimate(
     n_run = trials
     partial = False
     if max_ops is not None:
-        per_trial = (config.m1 + config.m2) * config.n
         n_fit = max_ops // per_trial
         if n_fit < trials:
             n_run = int(n_fit)
@@ -196,16 +203,18 @@ def estimate(
     )
 
 
-def _count_nonexcess(
-    kind: str,
-    n: int,
-    x: np.ndarray,
-    center: np.ndarray,
-    p: float,
-    d: float,
-    trials: int,
-    seed: int,
-) -> int:
+def estimate_nonexcess(
+    kind: str, n: int, w: float, p: float, d: float, trials: int, seed: int
+) -> float:
+    """Non-excess frequency of fresh codewords of power p about the origin
+    against a sequence of per-letter power w, at distortion d.  The
+    probability depends on the sequence only through its norm, so this is
+    psi (layer 1, w the source power) and phi (layer 2, w the layer-1
+    distortion) alike."""
+    if w < 0 or trials < 1:
+        raise ConfigError(f"requires w >= 0 and trials >= 1, got w={w}, trials={trials}")
+    x = np.full(n, math.sqrt(w))
+    center = np.zeros(n)
     rng = trial_stream(seed, 0)
     batch = max(1, min(trials, 4_000_000 // n))
     hits = 0
@@ -217,29 +226,4 @@ def _count_nonexcess(
         dists = np.einsum("ij,ij->i", diff, diff, dtype=np.float64)
         hits += int(np.count_nonzero(dists <= n * d))
         done += m
-    return hits
-
-
-def estimate_psi(
-    kind: str, n: int, w: float, p: float, d: float, trials: int, seed: int
-) -> float:
-    """Non-excess frequency for fresh codewords about the origin against a
-    synthesized sequence of per-letter power w (the probability depends on
-    the sequence only through its norm)."""
-    if w < 0 or trials < 1:
-        raise ConfigError(f"requires w >= 0 and trials >= 1, got w={w}, trials={trials}")
-    x = np.full(n, math.sqrt(w))
-    center = np.zeros(n)
-    return _count_nonexcess(kind, n, x, center, p, d, trials, seed) / trials
-
-
-def estimate_phi(
-    kind: str, n: int, l: float, p_z: float, d2: float, trials: int, seed: int
-) -> float:
-    """Non-excess frequency for fresh second-layer codewords about a center
-    at quadratic distortion l from the target sequence."""
-    if l < 0 or trials < 1:
-        raise ConfigError(f"requires l >= 0 and trials >= 1, got l={l}, trials={trials}")
-    x = np.full(n, math.sqrt(l))
-    center = np.zeros(n)
-    return _count_nonexcess(kind, n, x, center, p_z, d2, trials, seed) / trials
+    return hits / trials

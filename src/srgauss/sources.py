@@ -11,9 +11,10 @@ cares about E[X^2], not the mean.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 from scipy.integrate import quad
@@ -79,16 +80,6 @@ class SourceSpec:
         if n < 1:
             raise ConfigError(f"requires n >= 1, got {n}")
         return self._sampler(n, rng)
-
-
-def moments(spec: SourceSpec) -> tuple[float, float, float]:
-    """(sigma2, zeta, dispersion) of a source."""
-    return spec.sigma2, spec.zeta, spec.dispersion
-
-
-def sample(spec: SourceSpec, n: int, rng: np.random.Generator) -> np.ndarray:
-    """i.i.d. source block of length n from the given stream."""
-    return spec.sample(n, rng)
 
 
 def _log_erfi(z: float) -> float:
@@ -270,17 +261,32 @@ def custom(
     )
 
 
-def from_config(family: str, **kwargs) -> SourceSpec:
-    """Construct a source from config-file style keys."""
-    fam = family.strip().lower()
-    if fam == "gaussian":
-        return gaussian(float(kwargs.get("sigma2", 1.0)))
-    if fam == "uniform":
-        return uniform(float(kwargs["half_width"]))
-    if fam == "laplace":
-        return laplace(float(kwargs["scale"]))
-    if fam == "two_point":
-        return two_point(float(kwargs["magnitude"]))
-    if fam == "discrete":
-        return discrete(kwargs["values"], kwargs["probs"])
-    raise ConfigError(f"unknown source family {family!r}")
+# family -> constructor; its parameters are the family's config keys, and
+# those without a default are required
+_FAMILIES = {f.__name__: f for f in (gaussian, uniform, laplace, two_point, discrete)}
+
+
+def from_config(section: Mapping[str, str]) -> SourceSpec:
+    """Construct a source from the raw key = value strings of a config's
+    ``[source]`` section: ``family`` (default gaussian) plus that family's
+    keys, each one number (discrete: whitespace-separated number lists).
+    An unknown, missing or unparsable key raises ConfigError naming
+    ``source.<key>``."""
+    keys = dict(section)
+    family = keys.pop("family", "gaussian").strip().lower()
+    if family not in _FAMILIES:
+        raise ConfigError(f"source.family: unknown source family {family!r}")
+    params = inspect.signature(_FAMILIES[family]).parameters
+    for key in keys:
+        if key not in params:
+            raise ConfigError(f"unknown key source.{key} (family {family!r})")
+    for key, param in params.items():
+        if key not in keys and param.default is param.empty:
+            raise ConfigError(f"missing required key source.{key} (family {family!r})")
+    kwargs = {}
+    for key, raw in keys.items():
+        try:
+            kwargs[key] = [float(t) for t in raw.split()] if family == "discrete" else float(raw)
+        except ValueError:
+            raise ConfigError(f"source.{key}: cannot parse {raw!r} as numbers") from None
+    return _FAMILIES[family](**kwargs)

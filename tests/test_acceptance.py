@@ -33,7 +33,7 @@ from srgauss.core import (
     rate_function_x2,
     spherical_nonexcess_lower,
 )
-from srgauss.montecarlo import EstimationResult, estimate, estimate_phi, estimate_psi
+from srgauss.montecarlo import EstimationResult, estimate, estimate_nonexcess
 
 GMS = sources.gaussian(1.0)
 HALF_LOG2 = 0.5 * math.log(2.0)
@@ -193,7 +193,7 @@ def test_criterion_05_cap_area_lower_bound():
     t0 = time.perf_counter()
     n, p_z, d2, trials = 10, 0.25, 0.25, 100_000
     for l in (0.35, 0.5, 0.8):
-        est = estimate_phi("spherical", n, l, p_z, d2, trials=trials, seed=2024)
+        est = estimate_nonexcess("spherical", n, l, p_z, d2, trials=trials, seed=2024)
         bound = spherical_nonexcess_lower(n, l, p_z, d2)
         se = math.sqrt(max(est * (1 - est), 1e-12) / trials)
         assert est >= bound - 3 * se, f"l={l}: {est} < {bound} - 3*{se}"
@@ -212,14 +212,16 @@ def test_criterion_06_exponential_rate_slopes():
     ns = (10, 20, 30)
     trials = 1_000_000
     checks = [
-        ("psi", estimate_psi, (1.0, 0.66, 0.66)),
-        ("phi", estimate_phi, (0.5, 0.3, 0.33)),
+        ("psi", (1.0, 0.66, 0.66)),
+        ("phi", (0.5, 0.3, 0.33)),
     ]
     details = []
-    for name, fn, (arg, p, d) in checks:
+    for name, (arg, p, d) in checks:
         rate = iid_nonexcess_exponent(arg, p, d)
         assert max(ns) * rate <= 7.0 + 1e-9  # stay in plain-MC territory
-        ests = [fn("iid", n, arg, p, d, trials=trials, seed=31_000 + n) for n in ns]
+        ests = [
+            estimate_nonexcess("iid", n, arg, p, d, trials=trials, seed=31_000 + n) for n in ns
+        ]
         assert all(e > 0 for e in ests)
         slope = _ols_slope(ns, [-math.log(e) for e in ests])
         rel = abs(slope - rate) / rate
@@ -236,6 +238,7 @@ COMBOS = [
 ]
 
 
+@pytest.mark.slow
 def test_criterion_07_end_to_end_jep_trend():
     t0 = time.perf_counter()
     eps, d1, d2 = 0.2, 0.6, 0.4
@@ -263,6 +266,7 @@ def test_criterion_07_end_to_end_jep_trend():
     _report(7, time.perf_counter() - t0, 600.0, "; ".join(summary))
 
 
+@pytest.mark.slow
 def test_criterion_08_empirical_exponent_trend():
     t0 = time.perf_counter()
     r1, r2, d1, d2 = 0.55, 0.8, 0.5, 0.25

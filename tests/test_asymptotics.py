@@ -10,6 +10,7 @@ from srgauss import sources
 from srgauss.asymptotics import (
     ModerateQuery,
     RateQuery,
+    exponent_point,
     jep_exponent,
     jep_exponent_lambda1,
     lambda_for_rates,
@@ -292,6 +293,7 @@ class TestSepExponents:
                 jep_exponent(GMS, q).value, abs=1e-12
             )
 
+    @pytest.mark.slow
     def test_high_r2_cross_check(self):
         q = rq(0.6, 0.8)
         res = sep_exponents(GMS, q)
@@ -373,3 +375,35 @@ class TestBranchWindowInequalities:
                 p_z = lam * d1 - d2
                 beta1 = math.sqrt(p_z) - math.sqrt(d2)
                 assert beta1**2 <= abs(p_z - d2) + 1e-15
+
+
+# every built-in family at sigma2 = 1 (up to rounding)
+FAMILIES = {
+    "gaussian": sources.gaussian(1.0),
+    "uniform": sources.uniform(math.sqrt(3.0)),
+    "laplace": sources.laplace(math.sqrt(0.5)),
+    "two_point": sources.two_point(1.0),
+    "discrete": sources.discrete([-2.0, -0.5, 0.5, 2.0], [0.1, 0.4, 0.4, 0.1]),
+}
+
+
+class TestExponentPoint:
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_jep_read_off_sep_is_exact(self, family):
+        # exponent_point takes the joint exponent from sep_exponents; the
+        # independent jep_exponent must agree bit for bit on the whole
+        # criterion-3 grid
+        src = FAMILIES[family]
+        axis = np.linspace(0.05, 1.2, 20)
+        for r1 in axis:
+            for r2 in axis:
+                q = rq(float(r1), float(r2), sigma2=src.sigma2)
+                point = exponent_point(src, q)
+                jep = jep_exponent(src, q)
+                assert point["jep_exponent"] == jep.value, (r1, r2)
+                assert point["alpha_star"] == jep.auxiliaries["alpha_star"], (r1, r2)
+                assert point["jep_positive"] == jep.positive[0]
+
+    def test_no_exponents_at_zero_r1(self):
+        point = exponent_point(GMS, rq(0.0, 0.5))
+        assert set(point) == {"r1", "r2", "region", "eta", "lambda"}

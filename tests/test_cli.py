@@ -3,6 +3,7 @@ golden files on fixed seeds."""
 
 import math
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -42,6 +43,42 @@ sizing = explicit
 lambda = 1.0
 m1 = 24
 m2 = 12
+"""
+)
+
+
+SMALL_AXES = """
+[rates]
+r1 = 0 0.2 0.5 0.8 1.1
+r2 = 0 0.2 0.3 0.6 1.0
+"""
+
+FULL_SECTIONS = """
+[second_order]
+lambda = 1.0
+epsilon = 0.2
+n = 16
+c_log = 0.5
+kind2 = iid
+
+[moderate]
+theta1 = 1.0
+theta2 = 0.5
+rho_exponent = 0.25
+"""
+
+PSI_SMALL = (
+    BASE
+    + """
+[simulate]
+mode = psi
+kind = iid
+n = 8 12 16
+norm_arg = 1.0
+power = 0.66
+distortion = 0.66
+trials = 3000
+seed = 23
 """
 )
 
@@ -120,6 +157,64 @@ r2 = 0.5
         assert "numeric error" in capsys.readouterr().err
 
 
+PSI_BASE = BASE + """
+[simulate]
+mode = psi
+n = 8
+power = 0.66
+distortion = 0.66
+trials = 100
+"""
+
+RATES_SIM = BASE + """
+[rates]
+r1 = 0.55
+
+[simulate]
+n = 8
+kinds = iid,iid
+trials = 10
+sizing = rates
+"""
+
+# (command, config, the section.key or [section] the error must name)
+MALFORMED = [
+    ("asymptotics", BASE.replace("d2 = 0.25", "") + "[rates]\nr1 = 0.5\nr2 = 0.5\n",
+     "distortion.d2"),
+    ("simulate", SIM_SMALL.replace("trials =", "trails ="), "simulate.trails"),
+    ("exponent-grid",
+     BASE.replace("family = gaussian\nsigma2 = 1.0", "family = uniform") + SMALL_AXES,
+     "source.half_width"),
+    ("exponent-grid",
+     BASE.replace("family = gaussian\nsigma2 = 1.0", "family = discrete\nvalues = -1 1")
+     + SMALL_AXES,
+     "source.probs"),
+    ("asymptotics", BASE.replace("sigma2 =", "sigma =") + SMALL_AXES, "source.sigma"),
+    ("asymptotics", BASE + SMALL_AXES + "[second_order]\nn = 16\n", "second_order.epsilon"),
+    ("asymptotics", BASE + SMALL_AXES + "[moderate]\ntheta2 = 1.0\n", "moderate.theta1"),
+    ("exponent-grid", BASE + "[rates]\nr1 = 0.5\nr2_min = 0\nr2_max = 1\nr2_steps = 2.5\n",
+     "rates.r2_steps"),
+    ("simulate", PSI_BASE, "simulate.norm_arg"),
+    ("simulate", RATES_SIM, "rates.r2"),
+    ("simulate", SIM_SMALL.replace("trials = 400", "trials = many"), "simulate.trials"),
+    ("asymptotics", BASE.replace("d1 = 0.5", "d1 = half") + SMALL_AXES, "distortion.d1"),
+    ("compare", "[compare]\nquantity = jep\n", "compare.simulation"),
+    ("simulate", SIM_SMALL + "[simulation]\nn = 8\n", "[simulation]"),
+    ("asymptotics", BASE + "d1 = 0.4\n" + SMALL_AXES, "option 'd1' in section 'distortion'"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, text, names", MALFORMED,
+    ids=[re.sub(r"\W+", "-", m[2]).strip("-") for m in MALFORMED],
+)
+def test_malformed_config_names_key(tmp_path, capsys, command, text, names):
+    cfg = write_config(tmp_path, text)
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and names in err
+
+
 class TestSimulateCommand:
     def test_byte_identical_across_workers(self, tmp_path):
         cfg = write_config(tmp_path, SIM_SMALL)
@@ -158,6 +253,15 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", cfg, "--budget", "10"]) == 4
         err = capsys.readouterr().err
         assert "budget" in err and "multiply-adds" in err
+
+    def test_budget_charges_radial_per_codeword(self, tmp_path):
+        # iid/iid at n = 8, m1 + m2 = 36, 400 trials: direct is charged
+        # 400 * 36 * 8 = 115,200 multiply-adds, radial 400 * 36 = 14,400
+        text = SIM_SMALL.replace("spherical,spherical iid,iid", "iid,iid")
+        out = str(tmp_path / "b.csv")
+        for method, code in (("radial", 0), ("direct", 4)):
+            cfg = write_config(tmp_path, text + f"method = {method}\n")
+            assert main(["simulate", "--config", cfg, "--budget", "50000", "--out", out]) == code
 
     def test_plan_sizing_emits_target(self, tmp_path):
         cfg = write_config(
@@ -317,42 +421,6 @@ seed = 17
         )
         assert main(["compare", "--config", cfg]) == 2
         assert "mismatched report" in capsys.readouterr().err
-
-
-SMALL_AXES = """
-[rates]
-r1 = 0 0.2 0.5 0.8 1.1
-r2 = 0 0.2 0.3 0.6 1.0
-"""
-
-FULL_SECTIONS = """
-[second_order]
-lambda = 1.0
-epsilon = 0.2
-n = 16
-c_log = 0.5
-kind2 = iid
-
-[moderate]
-theta1 = 1.0
-theta2 = 0.5
-rho_exponent = 0.25
-"""
-
-PSI_SMALL = (
-    BASE
-    + """
-[simulate]
-mode = psi
-kind = iid
-n = 8 12 16
-norm_arg = 1.0
-power = 0.66
-distortion = 0.66
-trials = 3000
-seed = 23
-"""
-)
 
 
 class TestGoldenFiles:

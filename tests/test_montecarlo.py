@@ -15,8 +15,7 @@ from srgauss.core import (
 from srgauss.errors import ConfigError
 from srgauss.montecarlo import (
     estimate,
-    estimate_phi,
-    estimate_psi,
+    estimate_nonexcess,
     wilson_interval,
 )
 
@@ -157,25 +156,25 @@ class TestPsiPhi:
         # d >= (sqrt(w) + sqrt(p))^2: every codeword is within distortion
         w, p = 1.0, 0.5
         d = (math.sqrt(w) + math.sqrt(p)) ** 2 + 1e-9
-        assert estimate_psi("spherical", 12, w, p, d, trials=2000, seed=0) == 1.0
+        assert estimate_nonexcess("spherical", 12, w, p, d, trials=2000, seed=0) == 1.0
 
     def test_psi_spherical_sphere_unreachable(self):
         w, p = 1.0, 0.25
         d = (math.sqrt(w) - math.sqrt(p)) ** 2 - 1e-9
-        assert estimate_psi("spherical", 12, w, p, d, trials=2000, seed=0) == 0.0
+        assert estimate_nonexcess("spherical", 12, w, p, d, trials=2000, seed=0) == 0.0
 
     def test_phi_spherical_outside_bracket(self):
         # sqrt(l) above beta2 = sqrt(p) + sqrt(d)
         p, d = 0.25, 0.25
         l = ((math.sqrt(p) + math.sqrt(d)) + 0.05) ** 2
-        assert estimate_phi("spherical", 10, l, p, d, trials=2000, seed=1) == 0.0
+        assert estimate_nonexcess("spherical", 10, l, p, d, trials=2000, seed=1) == 0.0
 
     def test_phi_spherical_lower_bound_on_grid(self):
         # cap-area bound holds across a 5-point distortion grid
         n, p, d = 10, 0.25, 0.25
         trials = 20_000
         for l in (0.35, 0.45, 0.55, 0.65, 0.8):
-            est = estimate_phi("spherical", n, l, p, d, trials=trials, seed=7)
+            est = estimate_nonexcess("spherical", n, l, p, d, trials=trials, seed=7)
             se = math.sqrt(max(est * (1 - est), 1e-12) / trials)
             assert est >= spherical_nonexcess_lower(n, l, p, d) - 3 * se
 
@@ -184,11 +183,11 @@ class TestPsiPhi:
         l, p, d = 0.5, 0.25, 0.25
         rate = iid_nonexcess_exponent(l, p, d)
         ns = (12, 24)
-        est = [estimate_phi("iid", n, l, p, d, trials=200_000, seed=9) for n in ns]
+        est = [estimate_nonexcess("iid", n, l, p, d, trials=200_000, seed=9) for n in ns]
         slope = (math.log(est[0]) - math.log(est[1])) / (ns[1] - ns[0])
         assert slope == pytest.approx(rate, rel=0.25)
 
     def test_psi_determinism(self):
-        a = estimate_psi("iid", 10, 1.0, 0.5, 0.5, trials=5000, seed=4)
-        b = estimate_psi("iid", 10, 1.0, 0.5, 0.5, trials=5000, seed=4)
+        a = estimate_nonexcess("iid", 10, 1.0, 0.5, 0.5, trials=5000, seed=4)
+        b = estimate_nonexcess("iid", 10, 1.0, 0.5, 0.5, trials=5000, seed=4)
         assert a == b

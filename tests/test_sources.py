@@ -9,27 +9,30 @@ from scipy.integrate import quad
 from srgauss import sources
 from srgauss.errors import ConfigError
 from srgauss.montecarlo import trial_stream
-from srgauss.sources import moments, sample
+
+
+def _moments(spec):
+    return spec.sigma2, spec.zeta, spec.dispersion
 
 
 class TestMoments:
     def test_gaussian(self):
-        assert moments(sources.gaussian(1.0)) == pytest.approx((1.0, 3.0, 0.5))
+        assert _moments(sources.gaussian(1.0)) == pytest.approx((1.0, 3.0, 0.5))
 
     def test_two_point_degenerate_dispersion(self):
-        s2, zeta, v = moments(sources.two_point(1.0))
+        s2, zeta, v = _moments(sources.two_point(1.0))
         assert (s2, zeta, v) == (1.0, 1.0, 0.0)
 
     def test_uniform_hand_integrals(self):
         a = 1.7
-        s2, zeta, v = moments(sources.uniform(a))
+        s2, zeta, v = _moments(sources.uniform(a))
         assert s2 == pytest.approx(a**2 / 3.0, rel=1e-14)
         assert zeta == pytest.approx(a**4 / 5.0, rel=1e-14)
         assert v == pytest.approx(0.2, rel=1e-12)
 
     def test_laplace_quadrature_oracle(self):
         b = 0.8
-        s2, zeta, _ = moments(sources.laplace(b))
+        s2, zeta, _ = _moments(sources.laplace(b))
         m2, _ = quad(lambda x: x * x * math.exp(-abs(x) / b) / (2 * b), -np.inf, np.inf)
         m4, _ = quad(lambda x: x**4 * math.exp(-abs(x) / b) / (2 * b), -np.inf, np.inf)
         assert s2 == pytest.approx(m2, rel=1e-9)
@@ -62,12 +65,12 @@ class TestMoments:
 class TestSampling:
     def test_two_point_support(self):
         spec = sources.two_point(1.0)
-        x = sample(spec, 4, trial_stream(1, 0))
+        x = spec.sample(4, trial_stream(1, 0))
         assert set(np.unique(x)).issubset({-1.0, 1.0})
 
     def test_gaussian_lln(self):
         spec = sources.gaussian(1.0)
-        x = sample(spec, 10**6, trial_stream(2, 0))
+        x = spec.sample(10**6, trial_stream(2, 0))
         stderr = math.sqrt(2.0 / 10**6)  # Var[X^2] = 2 sigma^4
         assert abs(np.mean(x * x) - 1.0) < 5 * stderr
 
@@ -79,8 +82,8 @@ class TestSampling:
             sources.two_point(1.0),
             sources.discrete([0.0, 1.0], [0.3, 0.7]),
         ]:
-            a = sample(spec, 1000, trial_stream(7, 3))
-            b = sample(spec, 1000, trial_stream(7, 3))
+            a = spec.sample(1000, trial_stream(7, 3))
+            b = spec.sample(1000, trial_stream(7, 3))
             assert np.array_equal(a, b)
 
     def test_empirical_moments_all_families(self):
@@ -94,7 +97,7 @@ class TestSampling:
                 sources.discrete([-1.0, 0.5, 2.0], [0.2, 0.5, 0.3]),
             ]
         ):
-            x = sample(spec, n, trial_stream(100 + i, 0))
+            x = spec.sample(n, trial_stream(100 + i, 0))
             x2 = x * x
             x4 = x2 * x2
             se2 = math.sqrt(max(spec.zeta - spec.sigma2**2, 1e-30) / n)
@@ -106,8 +109,8 @@ class TestSampling:
         spec = sources.custom(
             sigma2=1.0, zeta=1.0, sampler=lambda n, rng: np.ones(n), x2_max=1.0, x2_max_mass=1.0
         )
-        assert np.all(sample(spec, 10, trial_stream(0, 0)) == 1.0)
+        assert np.all(spec.sample(10, trial_stream(0, 0)) == 1.0)
 
     def test_rejects_empty_block(self):
         with pytest.raises(ConfigError):
-            sample(sources.gaussian(1.0), 0, trial_stream(0, 0))
+            sources.gaussian(1.0).sample(0, trial_stream(0, 0))
