@@ -10,7 +10,8 @@ every emitted number is reproducible from (config, seed) alone.
 required key and a value that will not parse are config errors naming
 ``section.key``.
 
-Exit codes: 0 ok, 2 config error, 3 numeric error, 4 budget refusal.
+Exit codes: 0 ok, 2 config error or unreadable/unwritable path, 3 numeric
+error, 4 budget refusal.
 """
 
 from __future__ import annotations
@@ -485,6 +486,9 @@ def main(argv=None) -> int:
     except (NumericError, ArithmeticError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        print(f"file error: {exc.filename}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -9,14 +9,23 @@ Two trial mechanisms are available:
 
 * ``direct`` (default): the literal codec path; codewords are materialized
   and scanned (:func:`srgauss.codec.run_trial`).
-* ``radial``: for iid/iid codebooks only.  Distances from a fixed point to
-  an isotropic Gaussian cloud depend on the point only through its norm, so
-  each codeword distance reduces to one Gaussian and one chi-square scalar:
-  n*dist = n*w - 2*sqrt(n*w)*a + a^2 + q with a ~ N(0, p), q ~ p*chi2(n-1),
-  and the second layer sees the first only through the selected distortion.
-  The joint law of the excess events is exactly that of the direct path
-  (verified by an equivalence test, not assumed); it exists because the
-  direct path is memory-bandwidth-bound at large M1.
+* ``radial``: the exact order-statistic sampler, for any codebook kinds.
+  Given the point a bank is scored against, its codewords' distances to
+  that point are i.i.d., with a law that depends only on the point's
+  squared distance c to the bank centre:
+
+  - spherical bank of power p: ``(1 - cos theta)/2 ~ Beta(a, a)``,
+    a = (n-1)/2 (the cap-area law, Shannon 1959), so the distance is
+    ``(sqrt(c) - sqrt(n*p))^2 + 4*sqrt(c*n*p)*t`` with t that Beta draw;
+  - iid bank of power p: ``distance/p ~`` noncentral chi-square(n, c/p).
+
+  The minimum over M codewords is then one inverse-CDF draw at tail mass
+  ``1 - u**(1/M)`` (David & Nagaraja, *Order Statistics*, 2003, 2.1).
+  Layer 1 scores the source against a bank about the origin; layer 2 sees
+  layer 1 only through ``||x - Y_sel||^2``, the selected layer-1 distance.
+  A trial costs one n-draw of the source and two quantile calls, whatever
+  M1 and M2 are.  The joint law of the excess events is exactly that of
+  the direct path (held to it by equivalence tests, not assumed).
 """
 
 from __future__ import annotations
@@ -27,9 +36,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import betaincinv, chndtr, chndtrix
 
 from .codec import SchemeConfig, gen_codebook, run_trial
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .sources import SourceSpec
 
 _Z95 = 1.959963984540054  # q_inv(0.025)
@@ -105,26 +115,49 @@ class EstimationResult:
         return wilson_interval(self.count2, self.trials)
 
 
+# chndtrix round-trips through chndtr to 1e-13 at tail masses down to
+# e^-200 (n = 100 to 400), but from about e^-300 it can saturate or return
+# inf; a draw that deep is checked and refused rather than returned wrong.
+_CHNDTRIX_CHECKED_BELOW = 1e-100
+
+
+def _min_distance(kind: str, n: int, c: float, p: float, m: int, rng) -> float:
+    """Squared distance from a point at squared distance c of a bank centre
+    to the nearest of m codewords of that bank (power p): one quantile draw
+    of the minimum's law."""
+    tail = -math.expm1(math.log(1.0 - rng.random()) / m)
+    if kind == "iid":
+        q = float(chndtrix(tail, n, c / p))
+        if tail < _CHNDTRIX_CHECKED_BELOW and not math.isclose(
+            chndtr(q, n, c / p), tail, rel_tol=1e-6
+        ):
+            raise NumericError(
+                f"noncentral chi-square quantile inaccurate at tail mass {tail:.3g} "
+                f"(n={n}, M={m:.3g}); use spherical codebooks or method 'direct'"
+            )
+        return p * q
+    t = float(betaincinv(0.5 * (n - 1), 0.5 * (n - 1), tail))
+    r, s = math.sqrt(c), math.sqrt(n * p)
+    return (r - s) ** 2 + 4.0 * r * s * t
+
+
 def _radial_trial(config: SchemeConfig, source: SourceSpec, rng) -> tuple[bool, bool]:
     n = config.n
     x = source.sample(n, rng)
-    nw = float(x @ x)
-    a = rng.normal(0.0, math.sqrt(config.p_y), size=config.m1)
-    q = config.p_y * rng.chisquare(n - 1, size=config.m1)
-    nl = float(np.min(nw - 2.0 * math.sqrt(nw) * a + a * a + q))
-    b = rng.normal(0.0, math.sqrt(config.p_z), size=config.m2)
-    c = config.p_z * rng.chisquare(n - 1, size=config.m2)
-    nd2 = float(np.min(nl - 2.0 * math.sqrt(nl) * b + b * b + c))
+    nl = _min_distance(config.kind1, n, float(x @ x), config.p_y, config.m1, rng)
+    nd2 = _min_distance(config.kind2, n, nl, config.p_z, config.m2, rng)
     return nl > n * config.d1, nd2 > n * config.d2
 
 
 def ops_per_trial(config: SchemeConfig, method: str) -> int:
     """The cost model: distance multiply-adds charged per trial.  ``direct``
     scans every coordinate of every codeword, (m1 + m2) * n; ``radial``
-    draws one scalar distance per codeword, m1 + m2."""
+    takes one n-length source norm plus two quantile draws, n + 2."""
     if method not in ("direct", "radial"):
         raise ConfigError(f"method must be 'direct' or 'radial', got {method!r}")
-    return (config.m1 + config.m2) * (config.n if method == "direct" else 1)
+    if method == "radial":
+        return config.n + 2
+    return (config.m1 + config.m2) * config.n
 
 
 def estimate(
@@ -140,9 +173,9 @@ def estimate(
     """Frequency estimates of JEP and SEP over independent ensemble trials.
 
     ``precision="single"`` stores codebooks in float32 (distances still
-    accumulate in float64); ``method="radial"`` selects the scalar-reduced
-    iid/iid path.  Neither affects determinism: output depends only on
-    (config, source, trials, seed, method, precision).
+    accumulate in float64); ``method="radial"`` selects the exact
+    order-statistic sampler.  Neither affects determinism: output depends
+    only on (config, source, trials, seed, method, precision).
 
     If ``max_ops`` (distance multiply-adds, charged by :func:`ops_per_trial`)
     is too small for all requested trials, the run is truncated up front to
@@ -155,8 +188,6 @@ def estimate(
     per_trial = ops_per_trial(config, method)
     if precision not in ("double", "single"):
         raise ConfigError(f"precision must be 'double' or 'single', got {precision!r}")
-    if method == "radial" and not (config.kind1 == config.kind2 == "iid"):
-        raise ConfigError("radial method is exact only for iid/iid codebooks")
 
     n_run = trials
     partial = False

@@ -266,7 +266,6 @@ def test_criterion_07_end_to_end_jep_trend():
     _report(7, time.perf_counter() - t0, 600.0, "; ".join(summary))
 
 
-@pytest.mark.slow
 def test_criterion_08_empirical_exponent_trend():
     t0 = time.perf_counter()
     r1, r2, d1, d2 = 0.55, 0.8, 0.5, 0.25

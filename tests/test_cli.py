@@ -215,6 +215,20 @@ def test_malformed_config_names_key(tmp_path, capsys, command, text, names):
     assert err.startswith("config error:") and names in err
 
 
+@pytest.mark.parametrize("case", ["out-dir-missing", "compare-simulation-missing"])
+def test_unopenable_path_exits_2(tmp_path, capsys, case):
+    missing = str(tmp_path / "missing" / "x.csv")
+    if case == "out-dir-missing":
+        cfg = write_config(tmp_path, BASE + SMALL_AXES)
+        argv = ["asymptotics", "--config", cfg, "--out", missing]
+    else:
+        cfg = write_config(tmp_path, f"[compare]\nsimulation = {missing}\nquantity = jep\n")
+        argv = ["compare", "--config", cfg]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("file error:") and missing in err
+
+
 class TestSimulateCommand:
     def test_byte_identical_across_workers(self, tmp_path):
         cfg = write_config(tmp_path, SIM_SMALL)
@@ -254,9 +268,10 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert "budget" in err and "multiply-adds" in err
 
-    def test_budget_charges_radial_per_codeword(self, tmp_path):
+    def test_budget_charges_radial_per_quantile_draw(self, tmp_path):
         # iid/iid at n = 8, m1 + m2 = 36, 400 trials: direct is charged
-        # 400 * 36 * 8 = 115,200 multiply-adds, radial 400 * 36 = 14,400
+        # 400 * 36 * 8 = 115,200 multiply-adds, radial 400 * (8 + 2) = 4,000
+        # (one source norm plus two quantile draws, whatever m1 and m2 are)
         text = SIM_SMALL.replace("spherical,spherical iid,iid", "iid,iid")
         out = str(tmp_path / "b.csv")
         for method, code in (("radial", 0), ("direct", 4)):

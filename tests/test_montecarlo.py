@@ -1,23 +1,56 @@
 """Estimator contracts: determinism, counting identity, method equivalence,
 and the analytic bounds on the covering-probability oracles."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.special import betainc, chndtr
+from scipy.stats import chi2
 
 from srgauss import sources
-from srgauss.codec import SchemeConfig
+from srgauss.codec import KINDS, SchemeConfig
 from srgauss.core import (
     iid_nonexcess_exponent,
     spherical_nonexcess_lower,
 )
-from srgauss.errors import ConfigError
+from srgauss.errors import NumericError
 from srgauss.montecarlo import (
     estimate,
     estimate_nonexcess,
     wilson_interval,
 )
+
+
+def _exact_sep1(kind: str, n: int, m: int, p: float, d: float) -> float:
+    """P(excess1) = E_w[(1 - F(n*d | w))^m] for a Gaussian source of unit
+    power, by quadrature over w = ||x||^2 ~ chi2(n); F is the law of one
+    codeword's squared distance to x (noncentral chi-square for iid,
+    the Beta cap-area law for spherical)."""
+
+    def cover(w: float) -> float:
+        if kind == "iid":
+            return chndtr(n * d / p, n, w / p)
+        # (sqrt(w) - sqrt(np))^2 + 4 sqrt(w np) t <= nd, t ~ Beta(a, a)
+        r, s = math.sqrt(w), math.sqrt(n * p)
+        t = (n * d - (r - s) ** 2) / (4.0 * r * s)
+        return betainc(0.5 * (n - 1), 0.5 * (n - 1), min(max(t, 0.0), 1.0))
+
+    def integrand(w: float) -> float:
+        c = cover(w)
+        return 0.0 if c >= 1.0 else math.exp(m * math.log1p(-c)) * chi2.pdf(w, n)
+
+    # the covering probability is zero outside (sqrt(nd) - sqrt(np))^2 <=
+    # w <= (sqrt(nd) + sqrt(np))^2 for spherical; split there for quad
+    cuts = sorted({(math.sqrt(n * d) - math.sqrt(n * p)) ** 2,
+                   (math.sqrt(n * d) + math.sqrt(n * p)) ** 2})
+    edges = [0.0, *cuts, chi2.ppf(1 - 1e-15, n)]
+    return sum(
+        quad(integrand, lo, hi, epsabs=1e-12, epsrel=1e-10, limit=200)[0]
+        for lo, hi in zip(edges[:-1], edges[1:])
+    ) + chi2.sf(edges[-1], n)
 
 
 def small_config(**kw):
@@ -89,9 +122,10 @@ class TestEstimate:
         assert r.jep_hat == 0.0
         assert r.jep_interval[0] == 0.0
 
-    def test_radial_matches_direct(self):
-        # dual route: scalar-reduced iid/iid path vs materialized codewords
-        cfg = small_config(n=6, m1=24, m2=12)
+    @pytest.mark.parametrize("kind1, kind2", itertools.product(KINDS, KINDS))
+    def test_radial_matches_direct(self, kind1, kind2):
+        # dual route: order-statistic quantile draws vs materialized codewords
+        cfg = small_config(n=6, m1=24, m2=12, kind1=kind1, kind2=kind2)
         src = sources.gaussian(1.0)
         trials = 20_000
         a = estimate(cfg, src, trials=trials, seed=101, method="direct", workers=2)
@@ -104,15 +138,29 @@ class TestEstimate:
             se = math.sqrt(pa * (1 - pa) / trials + pb * (1 - pb) / trials)
             assert abs(pa - pb) <= 3.5 * max(se, 1e-4)
 
-    def test_radial_requires_iid_pair(self):
-        with pytest.raises(ConfigError):
-            estimate(
-                small_config(kind1="spherical"),
-                sources.gaussian(1.0),
-                trials=10,
-                seed=0,
-                method="radial",
-            )
+    @pytest.mark.parametrize("kind1", ["spherical", "iid"])
+    def test_radial_sep1_matches_exact_quadrature(self, kind1):
+        # criterion-8 point, far beyond the direct path's reach: the exact
+        # finite-n SEP1 against the radial frequency, within 3.5 SE
+        n, m1, d1 = 20, 59_875, 0.5
+        cfg = small_config(n=n, m1=m1, m2=1, kind1=kind1)
+        exact = _exact_sep1(kind1, n, m1, cfg.p_y, d1)
+        trials = 100_000
+        r = estimate(cfg, sources.gaussian(1.0), trials=trials, seed=303, method="radial")
+        se = math.sqrt(exact * (1 - exact) / trials)
+        assert abs(r.sep1_hat - exact) <= 3.5 * se, (r.sep1_hat, exact)
+
+    def test_radial_refuses_inaccurate_iid_quantile(self):
+        # M1 = 1e150 at n = 100 puts every layer-1 tail mass near 1e-150,
+        # where chndtrix fails for about half the source draws; betaincinv
+        # stays exact there
+        src = sources.gaussian(1.0)
+        with pytest.raises(NumericError):
+            estimate(small_config(n=100, m1=10**150, m2=1), src, trials=20, seed=0,
+                     method="radial")
+        r = estimate(small_config(n=100, m1=10**150, m2=1, kind1="spherical"), src,
+                     trials=5, seed=0, method="radial")
+        assert r.count1 == 0
 
     def test_single_precision_matches_double(self):
         cfg = small_config(n=6, m1=24, m2=12, kind1="spherical", kind2="spherical")
