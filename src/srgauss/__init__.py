@@ -26,7 +26,6 @@ from .asymptotics import (
 )
 from .codec import SchemeConfig, TrialOutcome, encode_layer, gen_codeword, run_trial
 from .core import (
-    cgf_x2,
     gaussian_rate_function_x2,
     iid_nonexcess_exponent,
     iid_nonexcess_exponent_tilted,
@@ -70,7 +69,6 @@ __all__ = [
     "SecondOrderPlan",
     "SourceSpec",
     "TrialOutcome",
-    "cgf_x2",
     "encode_layer",
     "estimate",
     "estimate_nonexcess",

@@ -24,10 +24,20 @@ from .core import (
 from .errors import ConfigError
 from .sources import SourceSpec
 
+_REGION_TOL = 1e-12  # half-width of the band about a region face classed as boundary
+
 
 def _check_distortions(sigma2: float, d1: float, d2: float) -> None:
     if not (sigma2 > d1 > d2 > 0):
         raise ConfigError(f"requires sigma2 > d1 > d2 > 0, got ({sigma2}, {d1}, {d2})")
+
+
+def _dispersion(source: SourceSpec) -> float:
+    """Dispersion for a second-order term, whose Berry-Esseen step needs E[X^6] < inf."""
+    if not source.sixth_moment_finite:
+        raise ConfigError(f"second-order terms need E[X^6] < inf, but source "
+                          f"{source.family!r} has sixth_moment_finite=False")
+    return source.dispersion
 
 
 def _covering_radius(rate: float, p: float, d: float) -> float:
@@ -64,14 +74,14 @@ class RegionResult:
     eta: float | None  # power-split witness from the union form, inside only
 
 
-def region_contains(q: RateQuery, tol: float = 1e-12) -> RegionResult:
+def region_contains(q: RateQuery) -> RegionResult:
     """Classify a rate pair against the two half-planes
     r1 >= 0.5*log(sigma2/d1) and r1 + r2 >= 0.5*log(sigma2/d2)."""
     c1 = q.r1 - 0.5 * math.log(q.sigma2 / q.d1)
     c2 = q.r1 + q.r2 - 0.5 * math.log(q.sigma2 / q.d2)
-    if c1 < -tol or c2 < -tol:
+    if c1 < -_REGION_TOL or c2 < -_REGION_TOL:
         return RegionResult("outside", None)
-    if min(c1, c2) <= tol:
+    if min(c1, c2) <= _REGION_TOL:
         return RegionResult("boundary", None)
     lo = max(q.d2 / q.d1, q.sigma2 * math.exp(-2.0 * q.r1) / q.d1)
     hi = min(q.d2 * math.exp(2.0 * q.r2) / q.d1, 1.0)
@@ -308,7 +318,7 @@ def second_order_plan(
     if n < 8:
         raise ConfigError(f"requires n >= 8 so the layer-2 margin is positive, got {n}")
     sigma2 = source.sigma2
-    v = source.dispersion
+    v = _dispersion(source)
     log_m1 = (
         0.5 * n * math.log(sigma2 / (lam * d1))
         + math.sqrt(n * v) * q_inv(eps)
@@ -337,7 +347,7 @@ def sep_second_order(
     _check_distortions(source.sigma2, d1, d2)
     if not (0.0 < eps1 < 1.0 and 0.0 < eps2 < 1.0):
         raise ConfigError(f"requires eps1, eps2 in (0,1), got ({eps1}, {eps2})")
-    l = math.sqrt(source.dispersion) * q_inv(min(eps1, eps2))
+    l = math.sqrt(_dispersion(source)) * q_inv(min(eps1, eps2))
     return l, l
 
 

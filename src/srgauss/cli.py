@@ -37,10 +37,15 @@ from .asymptotics import (
 from .codec import SchemeConfig
 from .core import iid_nonexcess_exponent, spherical_cap_exponent
 from .errors import BudgetError, ConfigError, NumericError
-from .montecarlo import estimate, estimate_nonexcess, ops_per_trial, wilson_interval
+from .montecarlo import (
+    METHODS,
+    PRECISIONS,
+    estimate,
+    estimate_nonexcess,
+    ops_per_trial,
+    wilson_interval,
+)
 from .sources import SourceSpec
-
-DEFAULT_BUDGET = 10**10
 
 _KIND_ALIASES = {"sp": "spherical", "spherical": "spherical", "iid": "iid"}
 
@@ -67,15 +72,12 @@ def _ints(raw: str) -> list[int]:
     return [int(tok) for tok in raw.split()]
 
 
-def _word(raw: str) -> str:
-    return raw.strip().lower()
-
-
 def _choice(*options: str):
     def parse(raw: str) -> str:
-        if _word(raw) not in options:
+        word = raw.strip().lower()
+        if word not in options:
             raise ValueError(f"must be {'|'.join(options)}")
-        return _word(raw)
+        return word
 
     return parse
 
@@ -98,7 +100,8 @@ CONFIG_KEYS = {
         "mode": _choice("scheme", "psi", "phi"), "n": _ints, "trials": int, "seed": int,
         # scheme mode
         "kinds": _kind_pairs, "sizing": _choice("plan", "rates", "explicit"),
-        "method": _word, "precision": _word, "m1": int, "m2": int, "lambda": float,
+        "method": _choice(*METHODS), "precision": _choice(*PRECISIONS),
+        "m1": int, "m2": int, "lambda": float,
         # psi/phi mode
         "kind": _kind, "norm_arg": float, "power": float, "distortion": float,
     },
@@ -267,70 +270,59 @@ def cmd_simulate(cp, args) -> tuple[list[dict], list[str]]:
     sim = partial(_get, cp, "simulate")
     mode = sim("mode", "scheme")
     seed = args.seed if args.seed is not None else sim("seed", 0)
-    budget = args.budget if args.budget is not None else DEFAULT_BUDGET
     trials = sim("trials")
 
-    if mode != "scheme":
+    if mode == "scheme":
+        points = _scheme_points(cp, source)
+        method = sim("method", "direct")
+        precision = sim("precision", "double")
+        cost = sum(trials * ops_per_trial(cfg, method) for cfg, _ in points)
+    else:
         ns = sim("n")
         kind = sim("kind", "iid")
         arg, power, dist = sim("norm_arg"), sim("power"), sim("distortion")
         cost = sum(trials * n for n in ns)
-        if cost > budget:
-            raise BudgetError(
-                f"estimated {cost} distance multiply-adds exceed budget {budget}"
-            )
-        if kind == "iid":
-            pred = iid_nonexcess_exponent(arg, power, dist)
-        else:
-            pred = spherical_cap_exponent(arg, power, dist)
+    if cost > args.budget:
+        raise BudgetError(
+            f"estimated {cost} distance multiply-adds exceed budget {args.budget}; "
+            "raise --budget to proceed"
+        )
+
+    if mode != "scheme":
+        rate = iid_nonexcess_exponent if kind == "iid" else spherical_cap_exponent
+        pred = rate(arg, power, dist)
         rows = []
         for i, n in enumerate(ns):
             est = estimate_nonexcess(kind, n, arg, power, dist, trials, seed)
             lo, hi = wilson_interval(round(est * trials), trials)
-            rows.append(
-                {
-                    "point": i, "n": n, "kind": kind, "quantity": mode,
-                    "norm_arg": arg, "power": power, "distortion": dist,
-                    "trials": trials, "seed": seed,
-                    "estimate": est, "lo": lo, "hi": hi, "pred_rate": pred,
-                }
-            )
+            rows.append({
+                "point": i, "n": n, "kind": kind, "quantity": mode,
+                "norm_arg": arg, "power": power, "distortion": dist,
+                "trials": trials, "seed": seed,
+                "estimate": est, "lo": lo, "hi": hi, "pred_rate": pred,
+            })
         return rows, PSIPHI_COLUMNS
 
-    points = _scheme_points(cp, source)
-    method = sim("method", "direct")
-    precision = sim("precision", "double")
-    workers = args.workers
-    cost = sum(trials * ops_per_trial(cfg, method) for cfg, _ in points)
-    if cost > budget:
-        raise BudgetError(
-            f"estimated {cost} distance multiply-adds exceed budget {budget}; "
-            "raise --budget to proceed"
-        )
     rows = []
     for i, (cfg, extra) in enumerate(points):
         res = estimate(
-            cfg, source, trials=trials, seed=seed, workers=workers,
+            cfg, source, trials=trials, seed=seed, workers=args.workers,
             method=method, precision=precision,
         )
         jep_lo, jep_hi = res.jep_interval
         s1_lo, s1_hi = res.sep1_interval
         s2_lo, s2_hi = res.sep2_interval
-        rows.append(
-            {
-                "point": i, "n": cfg.n, "kind1": cfg.kind1, "kind2": cfg.kind2,
-                "m1": cfg.m1, "m2": cfg.m2, "trials": res.trials, "seed": seed,
-                "method": method, "precision": precision,
-                "count_joint": res.count_joint, "count1": res.count1,
-                "count2": res.count2,
-                "jep_hat": res.jep_hat, "jep_lo": jep_lo, "jep_hi": jep_hi,
-                "sep1_hat": res.sep1_hat, "sep1_lo": s1_lo, "sep1_hi": s1_hi,
-                "sep2_hat": res.sep2_hat, "sep2_lo": s2_lo, "sep2_hi": s2_hi,
-                "partial": res.partial,
-                "target_eps": extra["target_eps"],
-                "pred_jep_exponent": extra["pred_jep_exponent"],
-            }
-        )
+        rows.append({
+            "point": i, "n": cfg.n, "kind1": cfg.kind1, "kind2": cfg.kind2,
+            "m1": cfg.m1, "m2": cfg.m2, "trials": res.trials, "seed": seed,
+            "method": method, "precision": precision,
+            "count_joint": res.count_joint, "count1": res.count1,
+            "count2": res.count2,
+            "jep_hat": res.jep_hat, "jep_lo": jep_lo, "jep_hi": jep_hi,
+            "sep1_hat": res.sep1_hat, "sep1_lo": s1_lo, "sep1_hi": s1_hi,
+            "sep2_hat": res.sep2_hat, "sep2_lo": s2_lo, "sep2_hi": s2_hi,
+            "partial": res.partial, **extra,
+        })
     return rows, SIMULATE_COLUMNS
 
 
@@ -463,8 +455,8 @@ def main(argv=None) -> int:
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     parser.add_argument("--format", default="csv", choices=["csv", "json"])
-    parser.add_argument("--budget", type=int, default=None,
-                        help="compute budget in distance multiply-adds")
+    parser.add_argument("--budget", type=int, default=10**10,
+                        help="compute budget in distance multiply-adds (default 10^10)")
     args = parser.parse_args(argv)
 
     handlers = {

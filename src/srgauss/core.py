@@ -24,6 +24,7 @@ from scipy.special import ndtr, ndtri
 from .errors import ConfigError, NumericError
 
 _LOG_SQRT_PI = 0.5 * math.log(math.pi)
+_INVERT_RTOL = 1e-12  # relative tolerance of invert_iid_exponent's root
 
 
 def log_gamma_ratio(a: float, b: float) -> float:
@@ -93,15 +94,22 @@ def tilt_curvature(s: float, w: float, p: float) -> float:
 
 
 def spherical_cap_exponent(w: float, p: float, d: float) -> float:
-    """Decay rate -0.5*log(1 - (w+p-d)^2/(4wp)) of a spherical cap fraction."""
+    """Decay rate -0.5*log(1 - (w+p-d)^2/(4wp)) of a spherical cap fraction.
+
+    Zero when w + p <= d: the cap is then at least a hemisphere and its
+    fraction does not decay.  Infeasible (the cap is a point or empty) when
+    d <= (sqrt(w) - sqrt(p))^2.
+    """
     if w <= 0 or p <= 0:
         raise ConfigError(f"requires w > 0 and p > 0, got w={w}, p={p}")
     if d < 0:
         raise ConfigError(f"requires d >= 0, got {d}")
+    if w + p <= d:
+        return 0.0
     ratio = (w + p - d) ** 2 / (4.0 * w * p)
     if ratio >= 1.0:
         raise ConfigError(
-            f"cap is geometrically infeasible: (w+p-d)^2 >= 4wp for (w={w}, p={p}, d={d})"
+            f"cap is geometrically infeasible: d <= (sqrt(w)-sqrt(p))^2 for (w={w}, p={p}, d={d})"
         )
     return -0.5 * math.log1p(-ratio)
 
@@ -145,10 +153,15 @@ def spherical_nonexcess_lower(n: int, l: float, p: float, d: float) -> float:
 def log_spherical_nonexcess_upper(n: int, w: float, p: float, d: float) -> float:
     """Log of the spherical-codeword non-excess upper bound
     (1/sqrt(pi)) * Gamma(n/2)/Gamma((n-1)/2) * exp(-(n-3) * cap exponent).
+
+    Beyond a hemisphere (w + p < d) the formula can fall below the exact
+    probability (for n < 8), so the trivial bound 1 is returned there.
     """
     if n < 4:
         raise ConfigError(f"requires blocklength n >= 4, got {n}")
     rate = spherical_cap_exponent(w, p, d)
+    if w + p < d:
+        return 0.0
     return -_LOG_SQRT_PI + log_gamma_ratio(n / 2, (n - 1) / 2) - (n - 3) * rate
 
 
@@ -194,7 +207,7 @@ def log_iid_nonexcess_asymptotic(n: int, l: float, p: float, d: float) -> float:
     return -n * rate + math.log(prefactor) + 0.5 * math.log(a / (4.0 * math.pi * n))
 
 
-def invert_iid_exponent(target: float, p: float, d: float, rtol: float = 1e-12) -> float:
+def invert_iid_exponent(target: float, p: float, d: float) -> float:
     """Unique w > max(d - p, 0) with iid_nonexcess_exponent(w, p, d) = target.
 
     Bracket expansion relies on strict monotonicity in w above the
@@ -229,26 +242,13 @@ def invert_iid_exponent(target: float, p: float, d: float, rtol: float = 1e-12) 
         # target sits between the infimum and the value a hair above the
         # threshold; the root is squeezed against w_min
         return lo
-    return float(brentq(f, lo, hi, xtol=1e-300, rtol=max(rtol, 8.9e-16)))
-
-
-def cgf_x2(source, theta: float) -> float:
-    """Cumulant generating function of X^2, log E[exp(theta X^2)].
-
-    Delegates to the source family's analytic or quadrature routine;
-    theta at or above the finiteness boundary is a domain error.
-    """
-    theta_max = source.theta_max
-    if theta >= theta_max and theta > 0:
-        raise ConfigError(
-            f"cgf of X^2 is infinite at theta={theta} (finiteness boundary {theta_max})"
-        )
-    return source.log_mgf_x2(theta)
+    return float(brentq(f, lo, hi, xtol=1e-300, rtol=_INVERT_RTOL))
 
 
 def rate_function_x2(source, t: float) -> float:
     """Large-deviations rate function of X^2: sup over theta >= 0 of
-    theta*t - cgf_x2(theta), by 1-D maximization of the concave objective.
+    theta*t - log E[exp(theta X^2)] (``source.log_mgf_x2``), by 1-D
+    maximization of the concave objective.
 
     Zero for t <= E[X^2]; +inf beyond the essential supremum of X^2.
     """

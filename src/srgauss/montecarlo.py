@@ -52,15 +52,15 @@ def trial_stream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, index]))
 
 
-def wilson_interval(k: int, n: int, z: float = _Z95) -> tuple[float, float]:
-    """Wilson score interval for k successes out of n; (0, 1) when n = 0."""
+def wilson_interval(k: int, n: int) -> tuple[float, float]:
+    """Wilson score 95% interval for k successes out of n; (0, 1) when n = 0."""
     if n <= 0:
         return 0.0, 1.0
     phat = k / n
-    z2 = z * z
+    z2 = _Z95 * _Z95
     denom = 1.0 + z2 / n
     center = phat + z2 / (2.0 * n)
-    radius = z * math.sqrt(phat * (1.0 - phat) / n + z2 / (4.0 * n * n))
+    radius = _Z95 * math.sqrt(phat * (1.0 - phat) / n + z2 / (4.0 * n * n))
     lo = 0.0 if k == 0 else max(0.0, (center - radius) / denom)
     hi = 1.0 if k == n else min(1.0, (center + radius) / denom)
     return lo, hi
@@ -149,12 +149,17 @@ def _radial_trial(config: SchemeConfig, source: SourceSpec, rng) -> tuple[bool, 
     return nl > n * config.d1, nd2 > n * config.d2
 
 
+# the two trial mechanisms (module docstring) and codebook storage dtypes
+METHODS = ("direct", "radial")
+PRECISIONS = {"double": np.float64, "single": np.float32}
+
+
 def ops_per_trial(config: SchemeConfig, method: str) -> int:
     """The cost model: distance multiply-adds charged per trial.  ``direct``
     scans every coordinate of every codeword, (m1 + m2) * n; ``radial``
     takes one n-length source norm plus two quantile draws, n + 2."""
-    if method not in ("direct", "radial"):
-        raise ConfigError(f"method must be 'direct' or 'radial', got {method!r}")
+    if method not in METHODS:
+        raise ConfigError(f"method must be one of {'|'.join(METHODS)}, got {method!r}")
     if method == "radial":
         return config.n + 2
     return (config.m1 + config.m2) * config.n
@@ -175,7 +180,9 @@ def estimate(
     ``precision="single"`` stores codebooks in float32 (distances still
     accumulate in float64); ``method="radial"`` selects the exact
     order-statistic sampler.  Neither affects determinism: output depends
-    only on (config, source, trials, seed, method, precision).
+    only on (config, source, trials, seed, method, precision).  Each range
+    of trials returns its three counts and the ranges' counts are summed,
+    so memory does not grow with ``trials``.
 
     If ``max_ops`` (distance multiply-adds, charged by :func:`ops_per_trial`)
     is too small for all requested trials, the run is truncated up front to
@@ -186,51 +193,44 @@ def estimate(
     if workers < 1:
         raise ConfigError(f"requires workers >= 1, got {workers}")
     per_trial = ops_per_trial(config, method)
-    if precision not in ("double", "single"):
-        raise ConfigError(f"precision must be 'double' or 'single', got {precision!r}")
+    if precision not in PRECISIONS:
+        raise ConfigError(f"precision must be one of {'|'.join(PRECISIONS)}, got {precision!r}")
+    dtype = PRECISIONS[precision]
+    n_run = trials if max_ops is None else min(trials, int(max_ops // per_trial))
 
-    n_run = trials
-    partial = False
-    if max_ops is not None:
-        n_fit = max_ops // per_trial
-        if n_fit < trials:
-            n_run = int(n_fit)
-            partial = True
-
-    t0 = time.perf_counter()
-    e1 = np.zeros(n_run, dtype=bool)
-    e2 = np.zeros(n_run, dtype=bool)
-    dtype = np.float32 if precision == "single" else np.float64
-
-    def run_range(lo: int, hi: int) -> None:
+    def count_range(lo: int, hi: int) -> tuple[int, int, int]:
+        # module globals looked up per call, so a patched trial_stream or run_trial is seen
+        count1 = count2 = count_joint = 0
         for i in range(lo, hi):
             rng = trial_stream(seed, i)
             if method == "radial":
-                e1[i], e2[i] = _radial_trial(config, source, rng)
+                e1, e2 = _radial_trial(config, source, rng)
             else:
                 out = run_trial(config, source, rng, dtype=dtype)
-                e1[i], e2[i] = out.excess1, out.excess2
+                e1, e2 = out.excess1, out.excess2
+            count1 += e1
+            count2 += e2
+            count_joint += e1 or e2
+        return count1, count2, count_joint
 
-    if workers == 1 or n_run < 2 * workers:
-        run_range(0, n_run)
+    t0 = time.perf_counter()
+    if workers == 1:
+        ranges = [count_range(0, n_run)]
     else:
-        bounds = np.linspace(0, n_run, 4 * workers + 1).astype(int)
+        # 4 ranges per worker even out trials of uneven cost; ranges may be empty
+        bounds = np.linspace(0, n_run, 4 * workers + 1).astype(int).tolist()
         with ThreadPoolExecutor(max_workers=workers) as ex:
-            futures = [
-                ex.submit(run_range, int(lo), int(hi))
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-            ]
-            for f in futures:
-                f.result()
+            ranges = list(ex.map(count_range, bounds[:-1], bounds[1:]))
+    count1, count2, count_joint = map(sum, zip(*ranges))
 
     return EstimationResult(
         trials=n_run,
-        count_joint=int(np.count_nonzero(e1 | e2)),
-        count1=int(np.count_nonzero(e1)),
-        count2=int(np.count_nonzero(e2)),
+        count_joint=count_joint,
+        count1=count1,
+        count2=count2,
         seed=seed,
         wall_time=time.perf_counter() - t0,
-        partial=partial,
+        partial=n_run < trials,
     )
 
 
@@ -249,12 +249,9 @@ def estimate_nonexcess(
     rng = trial_stream(seed, 0)
     batch = max(1, min(trials, 4_000_000 // n))
     hits = 0
-    done = 0
-    while done < trials:
-        m = min(batch, trials - done)
-        bank = gen_codebook(kind, m, center, p, rng)
+    for done in range(0, trials, batch):
+        bank = gen_codebook(kind, min(batch, trials - done), center, p, rng)
         diff = bank - x
         dists = np.einsum("ij,ij->i", diff, diff, dtype=np.float64)
         hits += int(np.count_nonzero(dists <= n * d))
-        done += m
     return hits / trials

@@ -1,6 +1,7 @@
 """Calculator tests: region geometry, plan sizing, exponent boundary and
 branch behavior, cross-checked by grid-scan inversion oracles."""
 
+import bisect
 import math
 
 import numpy as np
@@ -35,10 +36,14 @@ def rq(r1, r2, sigma2=1.0, d1=0.5, d2=0.25):
 
 
 def grid_invert(target, p, d, lo, hi, step=1e-7):
-    """Independent fine-grid inversion of the covering exponent."""
+    """Independent fine-grid inversion of the covering exponent: the first
+    grid point whose exponent reaches the target, by a left binary search
+    that evaluates the exponent only at the points it visits."""
     ws = np.arange(lo, hi, step)
-    vals = np.array([iid_nonexcess_exponent(w, p, d) for w in ws])
-    return float(ws[int(np.searchsorted(vals, target))])
+    i = bisect.bisect_left(
+        range(len(ws)), target, key=lambda i: iid_nonexcess_exponent(float(ws[i]), p, d)
+    )
+    return float(ws[i])
 
 
 class TestRegion:
@@ -130,6 +135,21 @@ class TestSecondOrderPlan:
     def test_rejects_small_n(self):
         with pytest.raises(ConfigError):
             second_order_plan(GMS, 0.5, 0.25, 1.0, 0.2, 7)
+
+    def test_requires_finite_sixth_moment(self):
+        # the dispersion term's Berry-Esseen step needs E[X^6] < inf
+        heavy = sources.custom(1.0, 3.0, GMS.sample, sixth_moment_finite=False)
+        with pytest.raises(ConfigError, match=r"E\[X\^6\]"):
+            second_order_plan(heavy, 0.5, 0.25, 1.0, 0.2, 16)
+        with pytest.raises(ConfigError, match=r"E\[X\^6\]"):
+            sep_second_order(heavy, 0.5, 0.25, 0.2, 0.2)
+        same = sources.custom(1.0, 3.0, GMS.sample)
+        assert second_order_plan(same, 0.5, 0.25, 1.0, 0.2, 16) == second_order_plan(
+            GMS, 0.5, 0.25, 1.0, 0.2, 16
+        )
+        assert sep_second_order(same, 0.5, 0.25, 0.2, 0.2) == sep_second_order(
+            GMS, 0.5, 0.25, 0.2, 0.2
+        )
 
 
 class TestSepSecondOrder:
@@ -293,7 +313,6 @@ class TestSepExponents:
                 jep_exponent(GMS, q).value, abs=1e-12
             )
 
-    @pytest.mark.slow
     def test_high_r2_cross_check(self):
         q = rq(0.6, 0.8)
         res = sep_exponents(GMS, q)

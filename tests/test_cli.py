@@ -201,6 +201,8 @@ MALFORMED = [
     ("compare", "[compare]\nquantity = jep\n", "compare.simulation"),
     ("simulate", SIM_SMALL + "[simulation]\nn = 8\n", "[simulation]"),
     ("asymptotics", BASE + "d1 = 0.4\n" + SMALL_AXES, "option 'd1' in section 'distortion'"),
+    ("simulate", SIM_SMALL + "method = fast\n", "simulate.method"),
+    ("simulate", SIM_SMALL + "precision = half\n", "simulate.precision"),
 ]
 
 
@@ -267,6 +269,14 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", cfg, "--budget", "10"]) == 4
         err = capsys.readouterr().err
         assert "budget" in err and "multiply-adds" in err
+
+    def test_psi_budget_refusal_exit_4(self, tmp_path, capsys):
+        # psi/phi is charged trials * n per n: 100 * 8 = 800 here
+        cfg = write_config(tmp_path, PSI_BASE + "norm_arg = 1.0\n")
+        assert main(["simulate", "--config", cfg, "--budget", "799"]) == 4
+        err = capsys.readouterr().err
+        assert "budget" in err and "multiply-adds" in err
+        assert main(["simulate", "--config", cfg, "--budget", "800"]) == 0
 
     def test_budget_charges_radial_per_quantile_draw(self, tmp_path):
         # iid/iid at n = 8, m1 + m2 = 36, 400 trials: direct is charged

@@ -11,10 +11,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import betainc
 
 from srgauss import sources
 from srgauss.core import (
-    cgf_x2,
     gaussian_rate_function_x2,
     iid_nonexcess_exponent,
     iid_nonexcess_exponent_tilted,
@@ -251,8 +251,15 @@ class TestSphericalCapExponent:
         )
 
     def test_infeasible_cap(self):
+        # d <= (sqrt(w) - sqrt(p))^2: the cap is a point or empty
         with pytest.raises(ConfigError):
-            spherical_cap_exponent(1.0, 0.5, 3.0)
+            spherical_cap_exponent(1.0, 0.5, 0.05)
+
+    def test_beyond_hemisphere_is_zero(self):
+        # w + p < d: the cap is more than a hemisphere and its fraction
+        # tends to 1 (here d > (sqrt(w) + sqrt(p))^2, the whole sphere)
+        assert spherical_cap_exponent(1.0, 0.5, 3.0) == 0.0
+        assert spherical_cap_exponent(0.1, 0.3, 0.5) == 0.0
 
 
 class TestSphericalNonexcessLower:
@@ -335,6 +342,26 @@ class TestSphericalNonexcessUpper:
     def test_requires_n4(self):
         with pytest.raises(ConfigError):
             spherical_nonexcess_upper(3, 1.0, 0.5, 0.5)
+
+
+@pytest.mark.parametrize("n", [4, 10, 50, 400])
+def test_spherical_bounds_bracket_exact_cap_probability(n):
+    # exact oracle: for a uniform point on the sphere (1 - cos theta)/2 ~
+    # Beta(a, a), a = (n-1)/2, and a codeword covers the target iff
+    # cos theta >= c = (w + p - d) / (2 sqrt(wp))
+    rng = np.random.default_rng(n)
+    a = 0.5 * (n - 1)
+    beyond_hemisphere = 0
+    for _ in range(600):
+        w, p, d = rng.uniform(0.01, 3.0, 3)
+        if d <= (math.sqrt(w) - math.sqrt(p)) ** 2:
+            continue  # the cap is a point or empty; the upper bound refuses it
+        c = (w + p - d) / (2.0 * math.sqrt(w * p))
+        exact = float(betainc(a, a, min(1.0, (1.0 - c) / 2.0)))
+        assert spherical_nonexcess_lower(n, w, p, d) <= exact * (1 + 1e-9), (w, p, d)
+        assert exact <= spherical_nonexcess_upper(n, w, p, d) * (1 + 1e-9), (w, p, d)
+        beyond_hemisphere += w + p < d
+    assert beyond_hemisphere >= 50
 
 
 class TestIidRatePrefactor:
@@ -432,7 +459,7 @@ class TestRateFunction:
         lap = sources.laplace(1.0)
         assert rate_function_x2(lap, 10.0) == 0.0
         with pytest.raises(ConfigError):
-            cgf_x2(lap, 0.1)
+            lap.log_mgf_x2(0.1)
 
     def test_uniform_beyond_support(self):
         uni = sources.uniform(2.0)
@@ -461,16 +488,16 @@ class TestCgf:
     def test_gms_closed_form(self):
         gms = sources.gaussian(2.0)
         for th in [-1.0, 0.0, 0.2]:
-            assert cgf_x2(gms, th) == pytest.approx(-0.5 * math.log1p(-4.0 * th), abs=1e-12)
+            assert gms.log_mgf_x2(th) == pytest.approx(-0.5 * math.log1p(-4.0 * th), abs=1e-12)
         with pytest.raises(ConfigError):
-            cgf_x2(gms, 0.25)
+            gms.log_mgf_x2(0.25)
 
     def test_uniform_vs_quadrature(self):
         a = 1.5
         uni = sources.uniform(a)
         for th in [-2.0, 0.3, 1.0, 4.0]:
             val, _ = quad(lambda x: math.exp(th * x * x) / (2 * a), -a, a, epsabs=1e-13)
-            assert cgf_x2(uni, th) == pytest.approx(math.log(val), abs=1e-10)
+            assert uni.log_mgf_x2(th) == pytest.approx(math.log(val), abs=1e-10)
 
     def test_uniform_asymptotic_branch(self):
         # straddle the log-erfi series switch with an mpmath oracle
@@ -478,7 +505,7 @@ class TestCgf:
         uni = sources.uniform(a)
         for th in [600.0, 626.0, 700.0, 900.0]:
             exact = mp.log(mp.sqrt(mp.pi / th) * mp.erfi(a * mp.sqrt(th)) / (2 * a))
-            assert cgf_x2(uni, th) == pytest.approx(float(exact), rel=1e-10)
+            assert uni.log_mgf_x2(th) == pytest.approx(float(exact), rel=1e-10)
 
     def test_laplace_vs_quadrature(self):
         b = 0.7
@@ -490,5 +517,5 @@ class TestCgf:
                 math.inf,
                 epsabs=1e-13,
             )
-            assert cgf_x2(lap, th) == pytest.approx(math.log(val), abs=1e-9)
-        assert cgf_x2(lap, 0.0) == 0.0
+            assert lap.log_mgf_x2(th) == pytest.approx(math.log(val), abs=1e-9)
+        assert lap.log_mgf_x2(0.0) == 0.0

@@ -3,6 +3,7 @@ and the analytic bounds on the covering-probability oracles."""
 
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from srgauss.core import (
 )
 from srgauss.errors import NumericError
 from srgauss.montecarlo import (
+    METHODS,
     estimate,
     estimate_nonexcess,
     wilson_interval,
@@ -96,18 +98,21 @@ class TestEstimate:
             assert max(r.count1, r.count2) <= r.count_joint <= r.count1 + r.count2
 
     def test_worker_invariance(self):
+        # more workers than cores, switching threads every microsecond: the
+        # summed per-range counts must not depend on how the ranges interleave
         src = sources.gaussian(1.0)
-        results = [
-            estimate(small_config(), src, trials=600, seed=42, workers=w)
-            for w in (1, 2, 4)
-        ]
-        for r in results[1:]:
-            assert (r.count_joint, r.count1, r.count2, r.trials) == (
-                results[0].count_joint,
-                results[0].count1,
-                results[0].count2,
-                results[0].trials,
-            )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for method in METHODS:
+                counts = set()
+                for w in (1, 2, 4, 16):
+                    r = estimate(small_config(), src, trials=600, seed=42, workers=w,
+                                 method=method)
+                    counts.add((r.count_joint, r.count1, r.count2, r.trials))
+                assert len(counts) == 1, (method, counts)
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_loose_targets_never_exceed(self):
         # deterministic source power plus generous code sizes: the excess
