@@ -9,7 +9,6 @@ large-deviations exponents.
 
 from .asymptotics import (
     ExponentResult,
-    LambdaChoice,
     ModerateQuery,
     RateQuery,
     RegionResult,
@@ -24,12 +23,11 @@ from .asymptotics import (
     sep_exponents,
     sep_second_order,
 )
-from .codec import SchemeConfig, TrialOutcome, encode_layer, gen_codeword, run_trial
+from .codec import SchemeConfig, TrialOutcome, encode_layer, run_trial
 from .core import (
     gaussian_rate_function_x2,
     iid_nonexcess_exponent,
     iid_nonexcess_exponent_tilted,
-    iid_nonexcess_rate_prefactor,
     invert_iid_exponent,
     log_gamma_ratio,
     log_iid_nonexcess_asymptotic,
@@ -40,7 +38,6 @@ from .core import (
     spherical_cap_exponent,
     spherical_nonexcess_lower,
     spherical_nonexcess_upper,
-    tilt_curvature,
 )
 from .errors import BudgetError, ConfigError, NumericError
 from .montecarlo import (
@@ -60,7 +57,6 @@ __all__ = [
     "ConfigError",
     "EstimationResult",
     "ExponentResult",
-    "LambdaChoice",
     "ModerateQuery",
     "NumericError",
     "RateQuery",
@@ -74,10 +70,8 @@ __all__ = [
     "estimate_nonexcess",
     "exponent_point",
     "gaussian_rate_function_x2",
-    "gen_codeword",
     "iid_nonexcess_exponent",
     "iid_nonexcess_exponent_tilted",
-    "iid_nonexcess_rate_prefactor",
     "invert_iid_exponent",
     "jep_exponent",
     "jep_exponent_lambda1",
@@ -98,7 +92,6 @@ __all__ = [
     "spherical_cap_exponent",
     "spherical_nonexcess_lower",
     "spherical_nonexcess_upper",
-    "tilt_curvature",
     "trial_stream",
     "wilson_interval",
 ]

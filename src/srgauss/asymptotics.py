@@ -4,8 +4,8 @@ large-deviations exponents for both the rate-adaptive and the fixed
 power-split coding schemes.
 
 All rates are in nats.  Exponent calculators return an
-:class:`ExponentResult` bundling the power-split parameter actually used,
-the root-found auxiliary radii, and per-value positivity flags.
+:class:`ExponentResult` bundling the exponent values, the root-found
+auxiliary radii and the case that produced them.
 """
 
 from __future__ import annotations
@@ -89,41 +89,32 @@ def region_contains(q: RateQuery) -> RegionResult:
     return RegionResult("inside", eta)
 
 
-@dataclass(frozen=True)
-class LambdaChoice:
-    """Rate-adaptive power split min{d2*exp(2*r2)/d1, 1}.
-
-    At r2 = 0 the formula lands exactly on the open endpoint d2/d1 (zero
-    second-layer power); such a choice is flagged degenerate and rejected
-    by the simulator, though the exponent calculators remain well defined.
-    """
-
-    value: float
-    degenerate: bool
-
-
-def lambda_for_rates(r2: float, d1: float, d2: float) -> LambdaChoice:
+def lambda_for_rates(r2: float, d1: float, d2: float) -> float:
+    """Rate-adaptive power split min{d2*exp(2*r2)/d1, 1}.  At r2 = 0 it
+    lands on the open endpoint d2/d1 (zero second-layer power): the
+    exponent calculators stay defined there, the simulator cannot run it."""
     if r2 < 0:
         raise ConfigError(f"requires r2 >= 0, got {r2}")
     if not d1 > d2 > 0:
         raise ConfigError(f"requires d1 > d2 > 0, got ({d1}, {d2})")
-    lam = min(d2 * math.exp(2.0 * r2) / d1, 1.0)
-    return LambdaChoice(value=lam, degenerate=(r2 == 0.0))
+    return min(d2 * math.exp(2.0 * r2) / d1, 1.0)
 
 
 @dataclass(frozen=True)
 class ExponentResult:
     """Exponent value(s) with the auxiliary radii that produced them."""
 
-    lambda_used: float
     auxiliaries: dict = field(compare=False)
     values: tuple[float, ...] = ()
-    positive: tuple[bool, ...] = ()
     case_tag: str = ""
 
     @property
     def value(self) -> float:
         return self.values[0]
+
+    @property
+    def positive(self) -> tuple[bool, ...]:
+        return tuple(v > 0.0 for v in self.values)
 
 
 def jep_exponent(source: SourceSpec, q: RateQuery) -> ExponentResult:
@@ -132,19 +123,13 @@ def jep_exponent(source: SourceSpec, q: RateQuery) -> ExponentResult:
     split distortion stops being exponentially easy."""
     if q.r1 <= 0:
         raise ConfigError(f"requires r1 > 0, got {q.r1}")
-    lam = lambda_for_rates(q.r2, q.d1, q.d2).value
+    lam = lambda_for_rates(q.r2, q.d1, q.d2)
     p_y = q.sigma2 - lam * q.d1
     if p_y <= 0:
         raise ConfigError(f"layer-1 power sigma2 - lam*d1 must be positive, got {p_y}")
     alpha = _covering_radius(q.r1, p_y, lam * q.d1)
     value = rate_function_x2(source, alpha)
-    return ExponentResult(
-        lambda_used=lam,
-        auxiliaries={"alpha_star": alpha},
-        values=(value,),
-        positive=(value > 0.0,),
-        case_tag="adaptive",
-    )
+    return ExponentResult(auxiliaries={"alpha_star": alpha}, values=(value,), case_tag="adaptive")
 
 
 def jep_exponent_lambda1(source: SourceSpec, q: RateQuery) -> ExponentResult:
@@ -162,13 +147,7 @@ def jep_exponent_lambda1(source: SourceSpec, q: RateQuery) -> ExponentResult:
     if q.r1 > half_s2d1 and q.r2 >= half_d1d2:
         alpha1 = _covering_radius(q.r1, p_y, q.d1)
         value = rate_function_x2(source, alpha1)
-        return ExponentResult(
-            lambda_used=1.0,
-            auxiliaries={"alpha1": alpha1},
-            values=(value,),
-            positive=(value > 0.0,),
-            case_tag="i",
-        )
+        return ExponentResult(auxiliaries={"alpha1": alpha1}, values=(value,), case_tag="i")
 
     if r2_edge < q.r2 < half_d1d2:
         gamma2 = _covering_radius(q.r2, p_z, q.d2)
@@ -178,20 +157,10 @@ def jep_exponent_lambda1(source: SourceSpec, q: RateQuery) -> ExponentResult:
             alpha2 = _covering_radius(q.r1, p_y, gamma2)
             value = rate_function_x2(source, alpha2)
             return ExponentResult(
-                lambda_used=1.0,
-                auxiliaries={"gamma2": gamma2, "alpha2": alpha2},
-                values=(value,),
-                positive=(value > 0.0,),
-                case_tag="ii",
+                auxiliaries={"gamma2": gamma2, "alpha2": alpha2}, values=(value,), case_tag="ii"
             )
 
-    return ExponentResult(
-        lambda_used=1.0,
-        auxiliaries={},
-        values=(0.0,),
-        positive=(False,),
-        case_tag="iii",
-    )
+    return ExponentResult(auxiliaries={}, values=(0.0,), case_tag="iii")
 
 
 def sep_exponents(source: SourceSpec, q: RateQuery) -> ExponentResult:
@@ -209,7 +178,7 @@ def sep_exponents(source: SourceSpec, q: RateQuery) -> ExponentResult:
     """
     if q.r1 <= 0:
         raise ConfigError(f"requires r1 > 0, got {q.r1}")
-    lam = lambda_for_rates(q.r2, q.d1, q.d2).value
+    lam = lambda_for_rates(q.r2, q.d1, q.d2)
     p_y = q.sigma2 - lam * q.d1
     alpha1 = _covering_radius(q.r1, p_y, q.d1)
     e1 = rate_function_x2(source, alpha1)
@@ -228,13 +197,7 @@ def sep_exponents(source: SourceSpec, q: RateQuery) -> ExponentResult:
         aux = {"alpha1_star": alpha1, "gamma_star": gamma, "alpha2_star": alpha2}
         tag = "high_r2"
 
-    return ExponentResult(
-        lambda_used=lam,
-        auxiliaries=aux,
-        values=(e1, e2),
-        positive=(e1 > 0.0, e2 > 0.0),
-        case_tag=tag,
-    )
+    return ExponentResult(auxiliaries=aux, values=(e1, e2), case_tag=tag)
 
 
 def exponent_point(source: SourceSpec, q: RateQuery) -> dict:
@@ -243,7 +206,7 @@ def exponent_point(source: SourceSpec, q: RateQuery) -> dict:
     separate exponents.  The joint exponent is read off
     :func:`sep_exponents` (see there), not computed a second time."""
     reg = region_contains(q)
-    lam = lambda_for_rates(q.r2, q.d1, q.d2).value
+    lam = lambda_for_rates(q.r2, q.d1, q.d2)
     point = {"r1": q.r1, "r2": q.r2, "region": reg.location, "eta": reg.eta, "lambda": lam}
     if q.r1 > 0:
         sep = sep_exponents(source, q)
@@ -283,20 +246,21 @@ class SecondOrderPlan:
         lam < 1, corner ('iii') for lam = 1."""
         return "iii" if self.lam == 1.0 else "i"
 
-    def _materialize(self, log_m: float) -> int:
-        if log_m > 700.0:
-            raise ConfigError(
-                f"code size exp({log_m:.1f}) too large to materialize for simulation"
-            )
-        return max(1, math.ceil(math.exp(log_m)))
-
     @property
     def m1(self) -> int:
-        return self._materialize(self.log_m1)
+        return code_size(self.log_m1)
 
     @property
     def m2(self) -> int:
-        return self._materialize(self.log_m2)
+        return code_size(self.log_m2)
+
+
+def code_size(log_m: float) -> int:
+    """Codebook size ceil(exp(log_m)), at least 1; refused beyond e^700,
+    where it would overflow and could never be materialized anyway."""
+    if log_m > 700.0:
+        raise ConfigError(f"code size exp({log_m:.1f}) too large to materialize for simulation")
+    return max(1, math.ceil(math.exp(log_m)))
 
 
 def second_order_plan(

@@ -26,6 +26,7 @@ from . import report, sources
 from .asymptotics import (
     ModerateQuery,
     RateQuery,
+    code_size,
     exponent_point,
     jep_exponent,
     lambda_for_rates,
@@ -34,7 +35,7 @@ from .asymptotics import (
     sep_exponents,  # noqa: F401  bench/test_bench.py expects the tracer to patch it here
     sep_second_order,
 )
-from .codec import SchemeConfig
+from .codec import KINDS, SchemeConfig
 from .core import iid_nonexcess_exponent, spherical_cap_exponent
 from .errors import BudgetError, ConfigError, NumericError
 from .montecarlo import (
@@ -47,14 +48,18 @@ from .montecarlo import (
 )
 from .sources import SourceSpec
 
-_KIND_ALIASES = {"sp": "spherical", "spherical": "spherical", "iid": "iid"}
+
+def _choice(*options: str):
+    def parse(raw: str) -> str:
+        word = raw.strip().lower()
+        if word not in options:
+            raise ValueError(f"must be {'|'.join(options)}")
+        return word
+
+    return parse
 
 
-def _kind(raw: str) -> str:
-    k = raw.strip().lower()
-    if k not in _KIND_ALIASES:
-        raise ValueError(f"codebook kind must be spherical|sp|iid, got {raw!r}")
-    return _KIND_ALIASES[k]
+_kind = _choice(*KINDS)
 
 
 def _kind_pairs(raw: str) -> list[tuple[str, str]]:
@@ -70,16 +75,6 @@ def _floats(raw: str) -> list[float]:
 
 def _ints(raw: str) -> list[int]:
     return [int(tok) for tok in raw.split()]
-
-
-def _choice(*options: str):
-    def parse(raw: str) -> str:
-        word = raw.strip().lower()
-        if word not in options:
-            raise ValueError(f"must be {'|'.join(options)}")
-        return word
-
-    return parse
 
 
 # Every section and the union of the keys any command reads from it,
@@ -243,15 +238,12 @@ def _scheme_points(cp, source) -> list[tuple[SchemeConfig, dict]]:
                 if len(r1s) != 1 or len(r2s) != 1:
                     raise ConfigError("rate-based sizing needs one rates.r1 and one rates.r2")
                 r1, r2 = r1s[0], r2s[0]
-                lam_choice = lambda_for_rates(r2, d1, d2)
-                if lam_choice.degenerate:
-                    raise ConfigError(
-                        "rate-based sizing requires r2 > 0 (degenerate power split)"
-                    )
-                lam = lam_choice.value
-                m1 = max(1, math.ceil(math.exp(n * r1)))
-                r2_eff = min(r2, 0.5 * math.log(lam * d1 / d2))
-                m2 = max(1, math.ceil(math.exp(n * r2_eff)))
+                if not r2 > 0:
+                    # r2 = 0 puts the power split on d2/d1: no second-layer power
+                    raise ConfigError(f"rates.r2: rate-based sizing requires r2 > 0, got {r2}")
+                lam = lambda_for_rates(r2, d1, d2)
+                m1 = code_size(n * r1)
+                m2 = code_size(n * min(r2, 0.5 * math.log(lam * d1 / d2)))
                 q = RateQuery(r1, r2, source.sigma2, d1, d2)
                 extra["pred_jep_exponent"] = jep_exponent(source, q).value
             else:
@@ -321,7 +313,8 @@ def cmd_simulate(cp, args) -> tuple[list[dict], list[str]]:
             "jep_hat": res.jep_hat, "jep_lo": jep_lo, "jep_hi": jep_hi,
             "sep1_hat": res.sep1_hat, "sep1_lo": s1_lo, "sep1_hi": s1_hi,
             "sep2_hat": res.sep2_hat, "sep2_lo": s2_lo, "sep2_hi": s2_hi,
-            "partial": res.partial, **extra,
+            # an over-budget run is refused up front, never truncated
+            "partial": False, **extra,
         })
     return rows, SIMULATE_COLUMNS
 

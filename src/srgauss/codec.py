@@ -112,14 +112,6 @@ def gen_codebook(
     raise ConfigError(f"codebook kind must be in {KINDS}, got {kind!r}")
 
 
-def gen_codeword(
-    kind: str, center: np.ndarray, p: float, rng: np.random.Generator
-) -> np.ndarray:
-    """A single codeword about ``center``; spherical outputs satisfy
-    ||out - center||^2 = n*p to relative 1e-12."""
-    return gen_codebook(kind, 1, np.asarray(center, dtype=np.float64), p, rng)[0]
-
-
 def encode_layer(x: np.ndarray, codebook: np.ndarray) -> tuple[int, float]:
     """Minimum-distance index (ties to the lowest index) and its distortion."""
     if codebook.ndim != 2 or codebook.shape[0] < 1:

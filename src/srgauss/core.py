@@ -83,16 +83,6 @@ def iid_nonexcess_exponent(w: float, p: float, d: float) -> float:
     return iid_nonexcess_exponent_tilted(optimal_tilt(w, p, d), w, p, d)
 
 
-def tilt_curvature(s: float, w: float, p: float) -> float:
-    """Curvature factor (p(1+2s) + 2w)^2 / (p(1+2s)^3) of the tilted measure."""
-    if p <= 0:
-        raise ConfigError(f"requires p > 0, got {p}")
-    one = 1.0 + 2.0 * s
-    if one <= 0.0:
-        raise ConfigError(f"requires 1 + 2s > 0, got s={s}")
-    return (p * one + 2.0 * w) ** 2 / (p * one**3)
-
-
 def spherical_cap_exponent(w: float, p: float, d: float) -> float:
     """Decay rate -0.5*log(1 - (w+p-d)^2/(4wp)) of a spherical cap fraction.
 
@@ -170,13 +160,15 @@ def spherical_nonexcess_upper(n: int, w: float, p: float, d: float) -> float:
     return math.exp(log_spherical_nonexcess_upper(n, w, p, d))
 
 
-def iid_nonexcess_rate_prefactor(n: int, l: float, p: float, d: float) -> tuple[float, float]:
-    """Decay rate and sub-exponential prefactor of the i.i.d. non-excess
-    probability, per the strong-large-deviations expansion.
+def log_iid_nonexcess_asymptotic(n: int, l: float, p: float, d: float) -> float:
+    """Log of the finite-n strong-large-deviations estimate of the i.i.d.
+    non-excess probability at the optimal tilt s*:
 
-    Returns (rate, 1/(s* sqrt(curvature))).  Only the rate is accurate on
-    the exponential scale; the prefactor omits n-dependent factors and is
-    advisory.  Requires l > max(d - p, 0) so the tilt is nondegenerate.
+        exp(-n*rate) / (s* sqrt(curvature)) * sqrt(a / (4 pi n)),
+        a = p(1+2s*) + 2l,  curvature = a^2 / (p(1+2s*)^3)
+
+    the curvature being that of the tilted measure.  Requires
+    l > max(d - p, 0), so that the tilt is nondegenerate.
     """
     if n < 1:
         raise ConfigError(f"requires n >= 1, got {n}")
@@ -186,24 +178,10 @@ def iid_nonexcess_rate_prefactor(n: int, l: float, p: float, d: float) -> tuple[
             f"requires l > max(d - p, 0) for a nondegenerate tilt, got l={l}, p={p}, d={d}"
         )
     s = optimal_tilt(l, p, d)
+    one = 1.0 + 2.0 * s
+    a = p * one + 2.0 * l
+    prefactor = 1.0 / (s * math.sqrt(a**2 / (p * one**3)))
     rate = iid_nonexcess_exponent_tilted(s, l, p, d)
-    prefactor = 1.0 / (s * math.sqrt(tilt_curvature(s, l, p)))
-    return rate, prefactor
-
-
-def log_iid_nonexcess_asymptotic(n: int, l: float, p: float, d: float) -> float:
-    """Log of the full finite-n strong-large-deviations estimate of the
-    i.i.d. non-excess probability, including the 1/sqrt(n) term:
-
-        exp(-n*rate) / (s* sqrt(curvature)) * sqrt((p(1+2s*) + 2l) / (4 pi n))
-
-    Unlike :func:`iid_nonexcess_rate_prefactor` this carries the
-    n-dependent factor of the exact asymptotic expansion, which
-    matters when the value is used to size codebooks at finite n.
-    """
-    rate, prefactor = iid_nonexcess_rate_prefactor(n, l, p, d)
-    s = optimal_tilt(l, p, d)
-    a = p * (1.0 + 2.0 * s) + 2.0 * l
     return -n * rate + math.log(prefactor) + 0.5 * math.log(a / (4.0 * math.pi * n))
 
 

@@ -80,7 +80,6 @@ class EstimationResult:
     count2: int
     seed: int
     wall_time: float
-    partial: bool = False
 
     def __post_init__(self):
         if not (
@@ -154,12 +153,16 @@ METHODS = ("direct", "radial")
 PRECISIONS = {"double": np.float64, "single": np.float32}
 
 
+def _check_choice(name: str, value: str, options) -> None:
+    if value not in options:
+        raise ConfigError(f"{name} must be one of {'|'.join(options)}, got {value!r}")
+
+
 def ops_per_trial(config: SchemeConfig, method: str) -> int:
     """The cost model: distance multiply-adds charged per trial.  ``direct``
     scans every coordinate of every codeword, (m1 + m2) * n; ``radial``
     takes one n-length source norm plus two quantile draws, n + 2."""
-    if method not in METHODS:
-        raise ConfigError(f"method must be one of {'|'.join(METHODS)}, got {method!r}")
+    _check_choice("method", method, METHODS)
     if method == "radial":
         return config.n + 2
     return (config.m1 + config.m2) * config.n
@@ -173,7 +176,6 @@ def estimate(
     workers: int = 1,
     method: str = "direct",
     precision: str = "double",
-    max_ops: int | None = None,
 ) -> EstimationResult:
     """Frequency estimates of JEP and SEP over independent ensemble trials.
 
@@ -183,20 +185,14 @@ def estimate(
     only on (config, source, trials, seed, method, precision).  Each range
     of trials returns its three counts and the ranges' counts are summed,
     so memory does not grow with ``trials``.
-
-    If ``max_ops`` (distance multiply-adds, charged by :func:`ops_per_trial`)
-    is too small for all requested trials, the run is truncated up front to
-    the count that fits and the result is flagged partial.
     """
     if trials < 1:
         raise ConfigError(f"requires trials >= 1, got {trials}")
     if workers < 1:
         raise ConfigError(f"requires workers >= 1, got {workers}")
-    per_trial = ops_per_trial(config, method)
-    if precision not in PRECISIONS:
-        raise ConfigError(f"precision must be one of {'|'.join(PRECISIONS)}, got {precision!r}")
+    _check_choice("method", method, METHODS)
+    _check_choice("precision", precision, PRECISIONS)
     dtype = PRECISIONS[precision]
-    n_run = trials if max_ops is None else min(trials, int(max_ops // per_trial))
 
     def count_range(lo: int, hi: int) -> tuple[int, int, int]:
         # module globals looked up per call, so a patched trial_stream or run_trial is seen
@@ -215,22 +211,21 @@ def estimate(
 
     t0 = time.perf_counter()
     if workers == 1:
-        ranges = [count_range(0, n_run)]
+        ranges = [count_range(0, trials)]
     else:
         # 4 ranges per worker even out trials of uneven cost; ranges may be empty
-        bounds = np.linspace(0, n_run, 4 * workers + 1).astype(int).tolist()
+        bounds = np.linspace(0, trials, 4 * workers + 1).astype(int).tolist()
         with ThreadPoolExecutor(max_workers=workers) as ex:
             ranges = list(ex.map(count_range, bounds[:-1], bounds[1:]))
     count1, count2, count_joint = map(sum, zip(*ranges))
 
     return EstimationResult(
-        trials=n_run,
+        trials=trials,
         count_joint=count_joint,
         count1=count1,
         count2=count2,
         seed=seed,
         wall_time=time.perf_counter() - t0,
-        partial=n_run < trials,
     )
 
 

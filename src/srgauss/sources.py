@@ -17,10 +17,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import erf, erfcx, erfi, logsumexp
 
-from .errors import ConfigError, NumericError
+from .errors import ConfigError
 
 Sampler = Callable[[int, np.random.Generator], np.ndarray]
 LogMgf = Callable[[float], float]
@@ -39,7 +38,6 @@ class SourceSpec:
     """
 
     family: str
-    params: tuple
     sigma2: float
     zeta: float
     sixth_moment_finite: bool = True
@@ -71,7 +69,7 @@ class SourceSpec:
         if self._log_mgf_x2 is None:
             raise ConfigError(
                 f"source family {self.family!r} has no cgf routine; supply "
-                "log_mgf_x2 or a pdf when constructing a custom source"
+                "log_mgf_x2 when constructing a custom source"
             )
         return self._log_mgf_x2(theta)
 
@@ -102,7 +100,6 @@ def gaussian(sigma2: float = 1.0) -> SourceSpec:
 
     return SourceSpec(
         family="gaussian",
-        params=(sigma2,),
         sigma2=sigma2,
         zeta=3.0 * sigma2**2,
         theta_max=1.0 / (2.0 * sigma2),
@@ -128,7 +125,6 @@ def uniform(half_width: float) -> SourceSpec:
 
     return SourceSpec(
         family="uniform",
-        params=(a,),
         sigma2=a * a / 3.0,
         zeta=a**4 / 5.0,
         x2_max=a * a,
@@ -152,7 +148,6 @@ def laplace(scale: float) -> SourceSpec:
 
     return SourceSpec(
         family="laplace",
-        params=(b,),
         sigma2=2.0 * b * b,
         zeta=24.0 * b**4,
         theta_max=0.0,
@@ -170,7 +165,6 @@ def two_point(magnitude: float) -> SourceSpec:
 
     return SourceSpec(
         family="two_point",
-        params=(c,),
         sigma2=c2,
         zeta=c2 * c2,
         x2_max=c2,
@@ -201,7 +195,6 @@ def discrete(values: Sequence[float], probs: Sequence[float]) -> SourceSpec:
 
     return SourceSpec(
         family="discrete",
-        params=(tuple(vals.tolist()), tuple(ps.tolist())),
         sigma2=float(v2 @ ps),
         zeta=float(v2**2 @ ps),
         x2_max=x2_max,
@@ -218,38 +211,16 @@ def custom(
     *,
     sixth_moment_finite: bool = True,
     log_mgf_x2: Optional[LogMgf] = None,
-    pdf: Optional[Callable[[float], float]] = None,
     theta_max: float = math.inf,
     x2_max: float = math.inf,
     x2_max_mass: float = 0.0,
 ) -> SourceSpec:
-    """User-defined source: explicit moments plus a sampler hook.
-
-    A cgf routine is built from ``log_mgf_x2`` if given, else by adaptive
-    quadrature of ``pdf``; with neither, the large-deviations calculators
-    are unavailable for this source.
+    """User-defined source: explicit moments plus a sampler hook.  The
+    large-deviations calculators need ``log_mgf_x2``, log E[exp(theta X^2)];
+    without it they are unavailable for this source.
     """
-    mgf = log_mgf_x2
-    if mgf is None and pdf is not None:
-
-        def mgf(theta: float) -> float:
-            val, err = quad(
-                lambda x: pdf(x) * math.exp(theta * x * x),
-                -math.inf,
-                math.inf,
-                epsabs=1e-12,
-                epsrel=1e-12,
-                limit=400,
-            )
-            if not math.isfinite(val) or err > 1e-8 * max(1.0, abs(val)):
-                raise NumericError(
-                    f"cgf quadrature did not converge at theta={theta}: value={val}, err={err}"
-                )
-            return math.log(val)
-
     return SourceSpec(
         family="custom",
-        params=(sigma2, zeta),
         sigma2=sigma2,
         zeta=zeta,
         sixth_moment_finite=sixth_moment_finite,
@@ -257,7 +228,7 @@ def custom(
         x2_max=x2_max,
         x2_max_mass=x2_max_mass,
         _sampler=sampler,
-        _log_mgf_x2=mgf,
+        _log_mgf_x2=log_mgf_x2,
     )
 
 

@@ -78,19 +78,19 @@ class TestRegion:
 
 class TestLambdaForRates:
     def test_cancellation_point(self):
-        lc = lambda_for_rates(0.5 * math.log(0.5 / 0.25), 0.5, 0.25)
-        assert lc.value == pytest.approx(1.0, abs=1e-12) and not lc.degenerate
+        lam = lambda_for_rates(0.5 * math.log(0.5 / 0.25), 0.5, 0.25)
+        assert lam == pytest.approx(1.0, abs=1e-12)
 
     def test_clamped_to_one(self):
-        assert lambda_for_rates(0.5, 0.5, 0.25).value == 1.0
+        assert lambda_for_rates(0.5, 0.5, 0.25) == 1.0
 
     def test_hand_value(self):
-        lc = lambda_for_rates(0.2, 0.5, 0.25)
-        assert lc.value == pytest.approx(0.5 * math.exp(0.4), abs=1e-12)
+        lam = lambda_for_rates(0.2, 0.5, 0.25)
+        assert lam == pytest.approx(0.5 * math.exp(0.4), abs=1e-12)
 
     def test_degenerate_flag(self):
-        lc = lambda_for_rates(0.0, 0.5, 0.25)
-        assert lc.value == pytest.approx(0.5) and lc.degenerate
+        # r2 = 0 lands on the open endpoint d2/d1: no second-layer power
+        assert lambda_for_rates(0.0, 0.5, 0.25) == 0.25 / 0.5
 
 
 class TestSecondOrderPlan:
@@ -203,7 +203,7 @@ class TestJepExponent:
     def test_zero_on_lambda_boundary(self):
         # r2 large enough for lam = 1; r1 at the layer-1 edge
         res = jep_exponent(GMS, rq(0.5 * math.log(2.0), 0.8))
-        assert res.lambda_used == 1.0
+        assert lambda_for_rates(0.8, 0.5, 0.25) == 1.0
         assert res.auxiliaries["alpha_star"] == pytest.approx(1.0, rel=1e-9)
         assert res.value == pytest.approx(0.0, abs=1e-8)
         assert not res.positive[0]

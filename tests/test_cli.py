@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from srgauss import sources
+from srgauss.asymptotics import RateQuery, jep_exponent
 from srgauss.cli import main
 from srgauss.report import read_report
 
@@ -177,6 +179,44 @@ trials = 10
 sizing = rates
 """
 
+# rate-based sizing: m1 = ceil(e^(n*r1)); at these rates lam < 1, so m2 = ceil(e^(n*r2))
+RATES_RADIAL = BASE + """
+[rates]
+r1 = 0.55
+r2 = 0.3
+
+[simulate]
+n = 8 12 16
+kinds = iid,iid
+trials = 300
+seed = 3
+sizing = rates
+method = radial
+"""
+
+PLAN_SIM = BASE + """
+[second_order]
+lambda = 1.0
+epsilon = 0.2
+c_log = 0.0
+
+[simulate]
+mode = scheme
+n = 12
+kinds = spherical,spherical
+trials = 200
+seed = 5
+sizing = plan
+"""
+
+
+def simulate_report(tmp_path, text, name="sim"):
+    cfg = write_config(tmp_path, text, name=f"{name}.ini")
+    out = str(tmp_path / f"{name}.csv")
+    assert main(["simulate", "--config", cfg, "--out", out]) == 0
+    return out
+
+
 # (command, config, the section.key or [section] the error must name)
 MALFORMED = [
     ("asymptotics", BASE.replace("d2 = 0.25", "") + "[rates]\nr1 = 0.5\nr2 = 0.5\n",
@@ -196,6 +236,8 @@ MALFORMED = [
      "rates.r2_steps"),
     ("simulate", PSI_BASE, "simulate.norm_arg"),
     ("simulate", RATES_SIM, "rates.r2"),
+    ("simulate", RATES_SIM.replace("r1 = 0.55", "r1 = 0.55\nr2 = 0"),
+     "rates.r2: rate-based sizing"),
     ("simulate", SIM_SMALL.replace("trials = 400", "trials = many"), "simulate.trials"),
     ("asymptotics", BASE.replace("d1 = 0.5", "d1 = half") + SMALL_AXES, "distortion.d1"),
     ("compare", "[compare]\nquantity = jep\n", "compare.simulation"),
@@ -289,29 +331,26 @@ class TestSimulateCommand:
             assert main(["simulate", "--config", cfg, "--budget", "50000", "--out", out]) == code
 
     def test_plan_sizing_emits_target(self, tmp_path):
-        cfg = write_config(
-            tmp_path,
-            BASE
-            + """
-[second_order]
-lambda = 1.0
-epsilon = 0.2
-c_log = 0.0
-
-[simulate]
-mode = scheme
-n = 12
-kinds = spherical,spherical
-trials = 200
-seed = 5
-sizing = plan
-""",
-        )
-        out = str(tmp_path / "plan.csv")
-        assert main(["simulate", "--config", cfg, "--out", out]) == 0
-        row = read_report(out)[0]
+        row = read_report(simulate_report(tmp_path, PLAN_SIM))[0]
         assert row["target_eps"] == 0.2
         assert row["m1"] >= 1 and row["m2"] >= 1
+
+    def test_rates_sizing_emits_prediction(self, tmp_path):
+        rows = read_report(simulate_report(tmp_path, RATES_RADIAL))
+        pred = jep_exponent(sources.gaussian(1.0), RateQuery(0.55, 0.3, 1.0, 0.5, 0.25)).value
+        assert [r["n"] for r in rows] == [8, 12, 16]
+        for r in rows:
+            assert r["m1"] == math.ceil(math.exp(r["n"] * 0.55))
+            assert r["m2"] == math.ceil(math.exp(r["n"] * 0.3))
+            assert r["pred_jep_exponent"] == float("%.12g" % pred)  # the report's 12 digits
+            assert r["target_eps"] is None and r["partial"] is False
+
+    def test_rates_sizing_refuses_oversized_code(self, tmp_path, capsys):
+        # n * r1 = 800 overflows exp(); refused like an oversized plan
+        text = RATES_RADIAL.replace("r1 = 0.55", "r1 = 1.0").replace("n = 8 12 16", "n = 800")
+        cfg = write_config(tmp_path, text)
+        assert main(["simulate", "--config", cfg]) == 2
+        assert "too large" in capsys.readouterr().err
 
     def test_json_mirrors_csv(self, tmp_path):
         cfg = write_config(tmp_path, SIM_SMALL)
@@ -429,6 +468,30 @@ seed = 17
         assert abs(s["slope"] - s["slope_target"]) <= 0.2 * s["slope_target"]
         for r in points:
             assert r["gap"] == pytest.approx(r["estimate"] - r["prediction"], abs=1e-12)
+
+    def compare(self, tmp_path, sim, quantity):
+        cfg = write_config(
+            tmp_path, f"[compare]\nsimulation = {sim}\nquantity = {quantity}\n", name="cmp.ini"
+        )
+        out = str(tmp_path / "cmp.csv")
+        assert main(["compare", "--config", cfg, "--out", out]) == 0
+        rows = read_report(out)
+        return rows[:-1], rows[-1]
+
+    def test_rates_report_compared_to_predicted_exponent(self, tmp_path):
+        sim = simulate_report(tmp_path, RATES_RADIAL)
+        target = read_report(sim)[0]["pred_jep_exponent"]
+        points, slope = self.compare(tmp_path, sim, "jep")
+        assert slope["row_kind"] == "slope" and slope["slope_target"] == target
+        for r in points:
+            assert r["prediction"] == pytest.approx(math.exp(-r["n"] * target), rel=1e-11)
+
+    def test_plan_report_compared_to_target_eps(self, tmp_path):
+        sim = simulate_report(tmp_path, PLAN_SIM.replace("n = 12", "n = 10 12"))
+        points, slope = self.compare(tmp_path, sim, "jep")
+        assert [r["prediction"] for r in points] == [0.2, 0.2]
+        assert slope["slope"] is not None
+        assert slope["slope_target"] is None and slope["within_2se"] is None
 
     def test_empty_simulation_rejected(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"

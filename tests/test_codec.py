@@ -7,7 +7,7 @@ import pytest
 from scipy.stats import chi2
 
 from srgauss import codec, sources
-from srgauss.codec import SchemeConfig, encode_layer, gen_codeword, run_trial
+from srgauss.codec import SchemeConfig, encode_layer, run_trial
 from srgauss.errors import ConfigError
 from srgauss.montecarlo import trial_stream
 
@@ -45,19 +45,19 @@ class TestGenCodeword:
     def test_spherical_radius_exact(self):
         rng = trial_stream(0, 0)
         for _ in range(50):
-            y = gen_codeword("spherical", np.zeros(4), 1.0, rng)
+            y = codec.gen_codebook("spherical", 1, np.zeros(4), 1.0, rng)[0]
             assert float(y @ y) == pytest.approx(4.0, rel=1e-12)
 
     def test_spherical_radius_about_center(self):
         rng = trial_stream(0, 1)
         center = np.arange(6, dtype=float)
-        y = gen_codeword("spherical", center, 0.7, rng)
+        y = codec.gen_codebook("spherical", 1, center, 0.7, rng)[0]
         assert float((y - center) @ (y - center)) == pytest.approx(6 * 0.7, rel=1e-12)
 
     def test_iid_variance_lln(self):
         rng = trial_stream(0, 2)
         n = 10**6
-        y = gen_codeword("iid", np.zeros(n), 2.0, rng)
+        y = codec.gen_codebook("iid", 1, np.zeros(n), 2.0, rng)[0]
         stderr = math.sqrt(2.0 * 4.0 / n)  # Var[Y^2] = 2 p^2
         assert abs(float(y @ y) / n - 2.0) < 6 * stderr
 
@@ -73,11 +73,11 @@ class TestGenCodeword:
 
     def test_power_must_be_positive(self):
         with pytest.raises(ConfigError):
-            gen_codeword("iid", np.zeros(4), 0.0, trial_stream(0, 0))
+            codec.gen_codebook("iid", 1, np.zeros(4), 0.0, trial_stream(0, 0))
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
-            gen_codeword("cubic", np.zeros(4), 1.0, trial_stream(0, 0))
+            codec.gen_codebook("cubic", 1, np.zeros(4), 1.0, trial_stream(0, 0))
 
 
 class TestEncodeLayer:

@@ -11,14 +11,13 @@ import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import betainc
+from scipy.special import betainc, logsumexp
 
 from srgauss import sources
 from srgauss.core import (
     gaussian_rate_function_x2,
     iid_nonexcess_exponent,
     iid_nonexcess_exponent_tilted,
-    iid_nonexcess_rate_prefactor,
     invert_iid_exponent,
     log_gamma_ratio,
     log_iid_nonexcess_asymptotic,
@@ -30,7 +29,6 @@ from srgauss.core import (
     spherical_cap_exponent,
     spherical_nonexcess_lower,
     spherical_nonexcess_upper,
-    tilt_curvature,
 )
 from srgauss.errors import ConfigError
 
@@ -222,19 +220,6 @@ class TestIidExponent:
             assert iid_nonexcess_exponent(w, p, d) >= 0.0
 
 
-class TestTiltCurvature:
-    def test_hand_values(self):
-        assert tilt_curvature(0.0, 0.0, 1.0) == pytest.approx(1.0, abs=1e-15)
-        assert tilt_curvature(0.5, 1.0, 0.5) == pytest.approx(2.25, abs=1e-12)
-        assert tilt_curvature(0.0, 1.0, 2.0) == pytest.approx(8.0, abs=1e-12)
-
-    def test_positive(self):
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            s, w, p = rng.uniform(0.01, 4.0, size=3)
-            assert tilt_curvature(s, w, p) > 0.0
-
-
 class TestSphericalCapExponent:
     def test_matched_value(self):
         assert spherical_cap_exponent(1.0, 0.5, 0.5) == pytest.approx(
@@ -365,19 +350,26 @@ def test_spherical_bounds_bracket_exact_cap_probability(n):
 
 
 class TestIidRatePrefactor:
+    """The rate and the curvature prefactor inside log_iid_nonexcess_asymptotic."""
+
     def test_hand_value(self):
-        rate, pref = iid_nonexcess_rate_prefactor(10, 0.5, 0.25, 0.25)
-        assert rate == pytest.approx(0.5 * math.log(2.0), abs=1e-12)
-        # s* = 0.5, curvature = (0.25*2 + 1)^2 / (0.25*8) = 1.125
-        assert pref == pytest.approx(1.0 / (0.5 * math.sqrt(1.125)), rel=1e-12)
+        # s* = 0.5, rate = 0.5*log 2, a = 0.25*2 + 1 = 1.5,
+        # curvature = a^2 / (0.25*8) = 1.125
+        expected = (-10 * 0.5 * math.log(2.0) - math.log(0.5 * math.sqrt(1.125))
+                    + 0.5 * math.log(1.5 / (40.0 * math.pi)))
+        got = log_iid_nonexcess_asymptotic(10, 0.5, 0.25, 0.25)
+        assert got == pytest.approx(expected, rel=1e-12)
 
     def test_boundary_excluded(self):
         with pytest.raises(ConfigError):
-            iid_nonexcess_rate_prefactor(10, 1.0, 1.0, 2.0)  # l == |d-p|+ == 1
+            log_iid_nonexcess_asymptotic(10, 1.0, 1.0, 2.0)  # l == |d-p|+ == 1
 
     def test_rate_composes(self):
-        rate, _ = iid_nonexcess_rate_prefactor(10, 1.0, 0.5, 0.25)
-        assert rate == pytest.approx(iid_nonexcess_exponent(1.0, 0.5, 0.25), abs=1e-14)
+        # one more letter costs the rate plus the 1/sqrt(n) term's step
+        step = (log_iid_nonexcess_asymptotic(10, 1.0, 0.5, 0.25)
+                - log_iid_nonexcess_asymptotic(11, 1.0, 0.5, 0.25))
+        rate = step - 0.5 * math.log(11 / 10)
+        assert rate == pytest.approx(iid_nonexcess_exponent(1.0, 0.5, 0.25), abs=1e-12)
 
     def test_finite_n_estimate_matches_noncentral_chi2(self):
         # d(x, Z) = (p/n) * noncentral_chi2(df=n, nc=n*l/p); exact cdf oracle
@@ -477,10 +469,12 @@ class TestRateFunction:
                 assert vals[i] <= 0.5 * (vals[i - 1] + vals[i + 1]) + 1e-9
 
     def test_discrete_rate_matches_direct_sup(self):
-        spec = sources.discrete([0.0, 1.0, 2.0], [0.25, 0.5, 0.25])
+        v, p = np.array([0.0, 1.0, 2.0]), np.array([0.25, 0.5, 0.25])
+        spec = sources.discrete(v, p)
         t = 2.5
         thetas = np.linspace(0.0, 50.0, 200001)
-        direct = max(th * t - spec.log_mgf_x2(th) for th in thetas)
+        # the cgf log sum p exp(theta v^2) on the whole grid at once
+        direct = np.max(thetas * t - logsumexp(np.log(p) + np.outer(thetas, v**2), axis=1))
         assert rate_function_x2(spec, t) == pytest.approx(direct, abs=1e-5)
 
 

@@ -17,7 +17,7 @@ from srgauss.core import (
     iid_nonexcess_exponent,
     spherical_nonexcess_lower,
 )
-from srgauss.errors import NumericError
+from srgauss.errors import ConfigError, NumericError
 from srgauss.montecarlo import (
     METHODS,
     estimate,
@@ -177,11 +177,11 @@ class TestEstimate:
             se = math.sqrt(pa * (1 - pa) / trials + pb * (1 - pb) / trials)
             assert abs(pa - pb) <= 3.5 * max(se, 1e-4)
 
-    def test_partial_flag_on_budget(self):
-        cfg = small_config()
-        per_trial = (cfg.m1 + cfg.m2) * cfg.n
-        r = estimate(cfg, sources.gaussian(1.0), trials=100, seed=0, max_ops=per_trial * 17)
-        assert r.partial and r.trials == 17
+    @pytest.mark.parametrize("choice", [{"method": "fast"}, {"precision": "half"}],
+                             ids=["method", "precision"])
+    def test_unknown_choice_rejected(self, choice):
+        with pytest.raises(ConfigError, match=next(iter(choice))):
+            estimate(small_config(), sources.gaussian(1.0), trials=10, seed=0, **choice)
 
     def test_small_run_consistent_with_reference(self):
         # self-consistency: a short run agrees with a 10x reference within
