@@ -3,7 +3,9 @@
 Every trial owns a counter-based substream: trial i of a run with master
 seed s uses ``Philox(key=[s, i])``.  Results are therefore bit-identical
 for any worker count, and workers are plain threads (the heavy numpy fills
-release the GIL).
+release the GIL).  Each range of trials builds one generator and re-keys
+it to that state for every trial (:func:`trial_stream`), which gives the
+same draws as a fresh generator without building one per trial.
 
 Two trial mechanisms are available:
 
@@ -23,9 +25,16 @@ Two trial mechanisms are available:
   ``1 - u**(1/M)`` (David & Nagaraja, *Order Statistics*, 2003, 2.1).
   Layer 1 scores the source against a bank about the origin; layer 2 sees
   layer 1 only through ``||x - Y_sel||^2``, the selected layer-1 distance.
-  A trial costs one n-draw of the source and two quantile calls, whatever
-  M1 and M2 are.  The joint law of the excess events is exactly that of
-  the direct path (held to it by equivalence tests, not assumed).
+  Layer 2 needs only whether its minimum exceeds n*d2, and the quantile
+  exceeds n*d2 exactly when the tail mass exceeds one codeword's CDF at
+  n*d2, so layer 2 costs one CDF evaluation instead of a quantile.
+
+  A trial costs one n-draw of the source and its norm, one quantile and
+  one CDF comparison, whatever M1 and M2 are.  A range draws each trial's
+  source norm and two uniforms in the documented order, then makes one
+  vectorized quantile call and one vectorized CDF call per block of
+  ``_BLOCK`` trials.  The joint law of the excess events is exactly that
+  of the direct path (held to it by equivalence tests, not assumed).
 """
 
 from __future__ import annotations
@@ -36,7 +45,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaincinv, chndtr, chndtrix
+from scipy.special import betainc, betaincinv, chndtr, chndtrix
 
 from .codec import SchemeConfig, gen_codebook, run_trial
 from .errors import ConfigError, NumericError
@@ -45,11 +54,34 @@ from .sources import SourceSpec
 _Z95 = 1.959963984540054  # q_inv(0.025)
 
 
-def trial_stream(seed: int, index: int) -> np.random.Generator:
-    """The documented per-trial substream: Philox keyed by (seed, index)."""
+def trial_stream(
+    seed: int, index: int, rng: np.random.Generator | None = None
+) -> np.random.Generator:
+    """The documented per-trial substream: Philox keyed by (seed, index).
+
+    Without ``rng`` this returns a fresh, independent generator.  Given
+    ``rng``, a generator over a ``Philox`` bit generator, it re-keys that
+    generator in place to the state ``Philox(key=[seed, index])`` starts in
+    (counter 0, buffer empty) and returns it: the same draws, without the
+    OS-entropy seed sequence a fresh ``Philox`` builds and the key then
+    overrides.
+    """
     if not 0 <= seed < 2**64:
         raise ConfigError(f"seed must be a u64, got {seed}")
-    return np.random.Generator(np.random.Philox(key=[seed, index]))
+    if rng is None:
+        # a uint64 key: a plain list holding a seed >= 2**63 would pass
+        # through float64 and lose its low bits
+        key = np.array([seed, index], dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(key=key))
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": (seed, index)},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,  # the 4-word buffer is empty
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
 
 
 def wilson_interval(k: int, n: int) -> tuple[float, float]:
@@ -119,33 +151,87 @@ class EstimationResult:
 # inf; a draw that deep is checked and refused rather than returned wrong.
 _CHNDTRIX_CHECKED_BELOW = 1e-100
 
+# trials per block of a range: the block's arrays stay a few hundred kB
+# whatever ``trials`` is
+_BLOCK = 4096
 
-def _min_distance(kind: str, n: int, c: float, p: float, m: int, rng) -> float:
-    """Squared distance from a point at squared distance c of a bank centre
-    to the nearest of m codewords of that bank (power p): one quantile draw
-    of the minimum's law."""
-    tail = -math.expm1(math.log(1.0 - rng.random()) / m)
-    if kind == "iid":
-        q = float(chndtrix(tail, n, c / p))
-        if tail < _CHNDTRIX_CHECKED_BELOW and not math.isclose(
-            chndtr(q, n, c / p), tail, rel_tol=1e-6
-        ):
+
+def _tail(u: np.ndarray, m: int) -> np.ndarray:
+    """Tail mass 1 - (1 - u)**(1/m) of the minimum of m codewords' distances
+    at which uniforms u put it."""
+    return -np.expm1(np.log(1.0 - u) / m)
+
+
+def _checked_chndtrix(tail: np.ndarray, n: int, lam: np.ndarray, m: int) -> np.ndarray:
+    """``chndtrix``, with every tail mass below ``_CHNDTRIX_CHECKED_BELOW``
+    round-tripped through ``chndtr`` and refused if it does not return."""
+    q = chndtrix(tail, n, lam)
+    deep = tail < _CHNDTRIX_CHECKED_BELOW
+    if deep.any():
+        back, t = chndtr(q[deep], n, lam[deep]), tail[deep]
+        bad = ~(np.abs(back - t) <= 1e-6 * np.maximum(back, t))
+        if bad.any():
             raise NumericError(
-                f"noncentral chi-square quantile inaccurate at tail mass {tail:.3g} "
+                f"noncentral chi-square quantile inaccurate at tail mass {t[bad][0]:.3g} "
                 f"(n={n}, M={m:.3g}); use spherical codebooks or method 'direct'"
             )
-        return p * q
-    t = float(betaincinv(0.5 * (n - 1), 0.5 * (n - 1), tail))
-    r, s = math.sqrt(c), math.sqrt(n * p)
+    return q
+
+
+def _min_distance(kind: str, n: int, c: np.ndarray, p: float, m: int,
+                  u: np.ndarray) -> np.ndarray:
+    """Squared distances from points at squared distance c of a bank centre
+    to the nearest of m codewords of that bank (power p): one quantile of
+    the minimum's law per point, at the tail mass its uniform u gives."""
+    tail = _tail(u, m)
+    if kind == "iid":
+        return p * _checked_chndtrix(tail, n, c / p, m)
+    t = betaincinv(0.5 * (n - 1), 0.5 * (n - 1), tail)
+    r, s = np.sqrt(c), math.sqrt(n * p)
     return (r - s) ** 2 + 4.0 * r * s * t
 
 
-def _radial_trial(config: SchemeConfig, source: SourceSpec, rng) -> tuple[bool, bool]:
+def _exceeds(kind: str, n: int, c: np.ndarray, p: float, m: int, u: np.ndarray,
+             limit: float) -> np.ndarray:
+    """Whether the minimum ``_min_distance`` would draw exceeds ``limit``,
+    decided without the quantile: it does exactly when the tail mass
+    exceeds one codeword's CDF at ``limit``.  iid tail masses below
+    ``_CHNDTRIX_CHECKED_BELOW`` take the checked quantile instead."""
+    tail = _tail(u, m)
+    if kind == "iid":
+        lam = c / p
+        out = tail > chndtr(limit / p, n, lam)
+        deep = tail < _CHNDTRIX_CHECKED_BELOW
+        if deep.any():
+            out[deep] = p * _checked_chndtrix(tail[deep], n, lam[deep], m) > limit
+        return out
+    # distance (r - s)^2 + 4 r s t exceeds limit exactly when t exceeds this
+    r, s = np.sqrt(c), math.sqrt(n * p)
+    t = np.clip((limit - (r - s) ** 2) / (4.0 * r * s), 0.0, 1.0)
+    return tail > betainc(0.5 * (n - 1), 0.5 * (n - 1), t)
+
+
+def _radial_draws(source: SourceSpec, n: int, seed: int, block: range,
+                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Each trial's draws in the documented order: the source block, kept
+    as c = ||x||^2, then the layer-1 and layer-2 uniforms, one row of u."""
+    c = np.empty(len(block))
+    u = np.empty((len(block), 2))
+    for j, i in enumerate(block):
+        rng = trial_stream(seed, i, rng)
+        x = source.sample(n, rng)
+        c[j] = x @ x
+        u[j] = rng.random(2)
+    return c, u
+
+
+def _radial_trial(config: SchemeConfig, c: np.ndarray,
+                  u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two excess events of a block of radial trials, as bool arrays."""
     n = config.n
-    x = source.sample(n, rng)
-    nl = _min_distance(config.kind1, n, float(x @ x), config.p_y, config.m1, rng)
-    nd2 = _min_distance(config.kind2, n, nl, config.p_z, config.m2, rng)
-    return nl > n * config.d1, nd2 > n * config.d2
+    nl = _min_distance(config.kind1, n, c, config.p_y, config.m1, u[:, 0])
+    e2 = _exceeds(config.kind2, n, nl, config.p_z, config.m2, u[:, 1], n * config.d2)
+    return nl > n * config.d1, e2
 
 
 # the two trial mechanisms (module docstring) and codebook storage dtypes
@@ -161,7 +247,8 @@ def _check_choice(name: str, value: str, options) -> None:
 def ops_per_trial(config: SchemeConfig, method: str) -> int:
     """The cost model: distance multiply-adds charged per trial.  ``direct``
     scans every coordinate of every codeword, (m1 + m2) * n; ``radial``
-    takes one n-length source norm plus two quantile draws, n + 2."""
+    takes one n-length source norm, one quantile and one CDF comparison
+    (batched per range), n + 2."""
     _check_choice("method", method, METHODS)
     if method == "radial":
         return config.n + 2
@@ -183,8 +270,9 @@ def estimate(
     accumulate in float64); ``method="radial"`` selects the exact
     order-statistic sampler.  Neither affects determinism: output depends
     only on (config, source, trials, seed, method, precision).  Each range
-    of trials returns its three counts and the ranges' counts are summed,
-    so memory does not grow with ``trials``.
+    of trials runs in blocks of ``_BLOCK`` trials and returns its three
+    counts, and the ranges' counts are summed, so memory does not grow with
+    ``trials``.
     """
     if trials < 1:
         raise ConfigError(f"requires trials >= 1, got {trials}")
@@ -194,20 +282,21 @@ def estimate(
     _check_choice("precision", precision, PRECISIONS)
     dtype = PRECISIONS[precision]
 
-    def count_range(lo: int, hi: int) -> tuple[int, int, int]:
-        # module globals looked up per call, so a patched trial_stream or run_trial is seen
-        count1 = count2 = count_joint = 0
-        for i in range(lo, hi):
-            rng = trial_stream(seed, i)
+    def count_range(lo: int, hi: int) -> np.ndarray:
+        # one generator per range, re-keyed for each trial; module globals are
+        # looked up per call, so a patched trial_stream or run_trial is seen
+        rng = np.random.Generator(np.random.Philox(0))
+        counts = np.zeros(3, dtype=np.int64)
+        for start in range(lo, hi, _BLOCK):
+            block = range(start, min(start + _BLOCK, hi))
             if method == "radial":
-                e1, e2 = _radial_trial(config, source, rng)
+                e1, e2 = _radial_trial(config, *_radial_draws(source, config.n, seed, block, rng))
             else:
-                out = run_trial(config, source, rng, dtype=dtype)
-                e1, e2 = out.excess1, out.excess2
-            count1 += e1
-            count2 += e2
-            count_joint += e1 or e2
-        return count1, count2, count_joint
+                outs = [run_trial(config, source, trial_stream(seed, i, rng), dtype=dtype)
+                        for i in block]
+                e1, e2 = np.array([(o.excess1, o.excess2) for o in outs]).T
+            counts += (np.count_nonzero(e1), np.count_nonzero(e2), np.count_nonzero(e1 | e2))
+        return counts
 
     t0 = time.perf_counter()
     if workers == 1:
@@ -217,7 +306,7 @@ def estimate(
         bounds = np.linspace(0, trials, 4 * workers + 1).astype(int).tolist()
         with ThreadPoolExecutor(max_workers=workers) as ex:
             ranges = list(ex.map(count_range, bounds[:-1], bounds[1:]))
-    count1, count2, count_joint = map(sum, zip(*ranges))
+    count1, count2, count_joint = map(int, sum(ranges))
 
     return EstimationResult(
         trials=trials,

@@ -4,11 +4,12 @@ and the analytic bounds on the covering-probability oracles."""
 import itertools
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import betainc, chndtr
+from scipy.special import betainc, betaincinv, chndtr, chndtrix
 from scipy.stats import chi2
 
 from srgauss import sources
@@ -22,6 +23,7 @@ from srgauss.montecarlo import (
     METHODS,
     estimate,
     estimate_nonexcess,
+    trial_stream,
     wilson_interval,
 )
 
@@ -53,6 +55,34 @@ def _exact_sep1(kind: str, n: int, m: int, p: float, d: float) -> float:
         quad(integrand, lo, hi, epsabs=1e-12, epsrel=1e-10, limit=200)[0]
         for lo, hi in zip(edges[:-1], edges[1:])
     ) + chi2.sf(edges[-1], n)
+
+
+def _scalar_radial_counts(cfg: SchemeConfig, source, trials: int, seed: int):
+    """The radial sampler one trial at a time, as documented: a fresh
+    ``Philox(key=[seed, i])`` per trial draws the source block, then u1, then
+    u2, and each layer's nearest codeword is one quantile of the minimum's
+    law at tail mass 1 - (1 - u)**(1/M).  Returns (count1, count2, joint)."""
+    n = cfg.n
+
+    def nearest(kind: str, c: float, p: float, m: int, u: float) -> float:
+        tail = -math.expm1(math.log(1.0 - u) / m)
+        if kind == "iid":
+            return p * float(chndtrix(tail, n, c / p))
+        t = float(betaincinv(0.5 * (n - 1), 0.5 * (n - 1), tail))
+        r, s = math.sqrt(c), math.sqrt(n * p)
+        return (r - s) ** 2 + 4.0 * r * s * t
+
+    count1 = count2 = joint = 0
+    for i in range(trials):
+        rng = np.random.Generator(np.random.Philox(key=[seed, i]))
+        x = source.sample(n, rng)
+        nl = nearest(cfg.kind1, float(x @ x), cfg.p_y, cfg.m1, rng.random())
+        nd2 = nearest(cfg.kind2, nl, cfg.p_z, cfg.m2, rng.random())
+        e1, e2 = nl > n * cfg.d1, nd2 > n * cfg.d2
+        count1 += e1
+        count2 += e2
+        joint += e1 or e2
+    return count1, count2, joint
 
 
 def small_config(**kw):
@@ -90,6 +120,40 @@ class TestWilson:
         assert wilson_interval(0, 0) == (0.0, 1.0)
 
 
+class TestTrialStream:
+    @pytest.mark.parametrize("seed", [0, 2**63 + 5, 2**64 - 1])
+    def test_rekeyed_matches_fresh(self, seed):
+        # one generator re-keyed from whatever state the previous draw left
+        # (a part-used buffer, a cached uint32 half) and a fresh trial_stream,
+        # each against a fresh Philox keyed by the two u64 words (seed, i)
+        def fresh(i):
+            key = np.array([seed, i], dtype=np.uint64)
+            return np.random.Generator(np.random.Philox(key=key))
+
+        draws = [
+            lambda g: g.random(),
+            lambda g: g.random(2),
+            lambda g: g.standard_normal(5),
+            lambda g: g.standard_normal(5, dtype=np.float32),
+            lambda g: g.integers(0, 1000, size=7),
+        ]
+        rng = np.random.Generator(np.random.Philox(0))
+        for i in range(200):
+            for draw in draws:
+                want = draw(fresh(i))
+                assert np.array_equal(draw(trial_stream(seed, i, rng)), want), (i, want)
+                assert np.array_equal(draw(trial_stream(seed, i)), want), (i, want)
+            g = fresh(i)
+            assert trial_stream(seed, i, rng).random(2).tolist() == [g.random(), g.random()]
+
+    def test_fresh_calls_are_independent(self):
+        a, b = trial_stream(3, 9), trial_stream(3, 9)
+        assert a is not b and a.bit_generator is not b.bit_generator
+        first = a.random(4)
+        a.random(100)
+        assert np.array_equal(b.random(4), first)
+
+
 class TestEstimate:
     def test_counting_identity_exact(self):
         src = sources.gaussian(1.0)
@@ -104,13 +168,14 @@ class TestEstimate:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for method in METHODS:
+            # 3 trials over 4 workers: most of the 16 ranges are empty
+            for method, trials in itertools.product(METHODS, (3, 600)):
                 counts = set()
                 for w in (1, 2, 4, 16):
-                    r = estimate(small_config(), src, trials=600, seed=42, workers=w,
+                    r = estimate(small_config(), src, trials=trials, seed=42, workers=w,
                                  method=method)
                     counts.add((r.count_joint, r.count1, r.count2, r.trials))
-                assert len(counts) == 1, (method, counts)
+                assert len(counts) == 1, (method, trials, counts)
         finally:
             sys.setswitchinterval(interval)
 
@@ -143,6 +208,34 @@ class TestEstimate:
             se = math.sqrt(pa * (1 - pa) / trials + pb * (1 - pb) / trials)
             assert abs(pa - pb) <= 3.5 * max(se, 1e-4)
 
+    @pytest.mark.parametrize("kind1, kind2", itertools.product(KINDS, KINDS))
+    @pytest.mark.parametrize("n, m1, m2", [(6, 24, 12), (20, 59_875, 1_024)],
+                             ids=["n6", "criterion8"])
+    def test_radial_counts_equal_scalar_reference(self, kind1, kind2, n, m1, m2):
+        # the batched draws, vectorized quantiles and layer-2 CDF comparison
+        # decide the same events as one quantile per layer per trial; 5,000
+        # trials cross a block boundary
+        cfg = small_config(n=n, m1=m1, m2=m2, kind1=kind1, kind2=kind2)
+        src = sources.gaussian(1.0)
+        r = estimate(cfg, src, trials=5_000, seed=404, method="radial")
+        want = _scalar_radial_counts(cfg, src, 5_000, 404)
+        assert (r.count1, r.count2, r.count_joint) == want
+
+    def test_radial_memory_bounded(self):
+        # trials run in fixed-size blocks, so 200,000 of them allocate no
+        # more than one block's arrays; drawing them all at once would take
+        # 4.8 MB for the norms and uniforms alone
+        cfg = small_config(n=4, m1=1, m2=1, kind1="spherical", kind2="spherical")
+        src = sources.gaussian(1.0)
+        tracemalloc.start()
+        try:
+            r = estimate(cfg, src, trials=200_000, seed=5, method="radial")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert r.trials == 200_000
+        assert peak < 1_000_000, peak
+
     @pytest.mark.parametrize("kind1", ["spherical", "iid"])
     def test_radial_sep1_matches_exact_quadrature(self, kind1):
         # criterion-8 point, far beyond the direct path's reach: the exact
@@ -166,6 +259,18 @@ class TestEstimate:
         r = estimate(small_config(n=100, m1=10**150, m2=1, kind1="spherical"), src,
                      trials=5, seed=0, method="radial")
         assert r.count1 == 0
+
+    def test_radial_refuses_inaccurate_iid_layer2_quantile(self):
+        # M2 = 1e150 at n = 100: every layer-2 tail mass is near 1e-150, so
+        # iid layer-2 draws take the checked quantile, which fails there;
+        # a spherical layer 2 is decided exactly by betainc at that depth
+        src = sources.gaussian(1.0)
+        with pytest.raises(NumericError):
+            estimate(small_config(n=100, m1=1000, m2=10**150), src, trials=20, seed=0,
+                     method="radial")
+        r = estimate(small_config(n=100, m1=1000, m2=10**150, kind2="spherical"), src,
+                     trials=20, seed=0, method="radial")
+        assert 0 < r.count2 < r.trials
 
     def test_single_precision_matches_double(self):
         cfg = small_config(n=6, m1=24, m2=12, kind1="spherical", kind2="spherical")
