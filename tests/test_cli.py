@@ -32,6 +32,11 @@ d1 = 0.5
 d2 = 0.25
 """
 
+DISCRETE_BASE = BASE.replace(
+    "family = gaussian\nsigma2 = 1.0",
+    "family = discrete\nvalues = -2 -0.5 0.5 2\nprobs = 0.1 0.4 0.4 0.1",
+)
+
 SIM_SMALL = (
     BASE
     + """
@@ -526,6 +531,14 @@ class TestGoldenFiles:
         out = str(tmp_path / "out.csv")
         assert main([command, "--config", cfg, "--out", out]) == 0
         assert Path(out).read_bytes() == (GOLDEN / golden).read_bytes()
+
+    def test_discrete_small_axes_golden(self, tmp_path):
+        # the same axes for a pmf source (sigma2 = 1), pinning a non-Gaussian cgf
+        cfg = write_config(tmp_path, DISCRETE_BASE + SMALL_AXES)
+        out = str(tmp_path / "out.csv")
+        assert main(["exponent-grid", "--config", cfg, "--out", out]) == 0
+        golden = GOLDEN / "exponent_grid_discrete_small.csv"
+        assert Path(out).read_bytes() == golden.read_bytes()
 
     def test_simulate_psi_golden(self, tmp_path):
         cfg = write_config(tmp_path, PSI_SMALL)
