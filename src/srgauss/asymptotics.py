@@ -10,6 +10,7 @@ auxiliary radii and the case that produced them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -40,6 +41,11 @@ def _dispersion(source: SourceSpec) -> float:
     return source.dispersion
 
 
+# A grid's rows and columns share covering radii and rate-function
+# arguments, so both are memoized; 1024 entries hold every repeat of a 60x60
+# grid.  typed=True keeps an int argument from being answered by a float's
+# entry, so a hit returns exactly what the call would.
+@functools.lru_cache(maxsize=1024, typed=True)
 def _covering_radius(rate: float, p: float, d: float) -> float:
     """Radius w where covering at codeword power p and distortion d costs
     exactly ``rate``.  When p > d the cost has a positive floor at w = 0;
@@ -50,6 +56,12 @@ def _covering_radius(rate: float, p: float, d: float) -> float:
     if rate <= iid_nonexcess_exponent(w_min, p, d):
         return w_min
     return invert_iid_exponent(rate, p, d)
+
+
+@functools.lru_cache(maxsize=1024, typed=True)
+def _rate(source: SourceSpec, t: float) -> float:
+    """:func:`rate_function_x2`, memoized per source (specs hash by identity)."""
+    return rate_function_x2(source, t)
 
 
 @dataclass(frozen=True)
@@ -63,8 +75,8 @@ class RateQuery:
     d2: float
 
     def __post_init__(self):
-        if self.r1 < 0 or self.r2 < 0:
-            raise ConfigError(f"requires r1, r2 >= 0, got ({self.r1}, {self.r2})")
+        if not (0 <= self.r1 < math.inf and 0 <= self.r2 < math.inf):
+            raise ConfigError(f"requires finite r1, r2 >= 0, got ({self.r1}, {self.r2})")
         _check_distortions(self.sigma2, self.d1, self.d2)
 
 
@@ -128,7 +140,7 @@ def jep_exponent(source: SourceSpec, q: RateQuery) -> ExponentResult:
     if p_y <= 0:
         raise ConfigError(f"layer-1 power sigma2 - lam*d1 must be positive, got {p_y}")
     alpha = _covering_radius(q.r1, p_y, lam * q.d1)
-    value = rate_function_x2(source, alpha)
+    value = _rate(source, alpha)
     return ExponentResult(auxiliaries={"alpha_star": alpha}, values=(value,), case_tag="adaptive")
 
 
@@ -146,7 +158,7 @@ def jep_exponent_lambda1(source: SourceSpec, q: RateQuery) -> ExponentResult:
     # chain has gamma2 == d1 and both branches give the same value
     if q.r1 > half_s2d1 and q.r2 >= half_d1d2:
         alpha1 = _covering_radius(q.r1, p_y, q.d1)
-        value = rate_function_x2(source, alpha1)
+        value = _rate(source, alpha1)
         return ExponentResult(auxiliaries={"alpha1": alpha1}, values=(value,), case_tag="i")
 
     if r2_edge < q.r2 < half_d1d2:
@@ -155,7 +167,7 @@ def jep_exponent_lambda1(source: SourceSpec, q: RateQuery) -> ExponentResult:
         assert r1_needed > half_s2d1, "case-ii rate threshold must exceed the layer-1 edge"
         if q.r1 > r1_needed:
             alpha2 = _covering_radius(q.r1, p_y, gamma2)
-            value = rate_function_x2(source, alpha2)
+            value = _rate(source, alpha2)
             return ExponentResult(
                 auxiliaries={"gamma2": gamma2, "alpha2": alpha2}, values=(value,), case_tag="ii"
             )
@@ -181,19 +193,19 @@ def sep_exponents(source: SourceSpec, q: RateQuery) -> ExponentResult:
     lam = lambda_for_rates(q.r2, q.d1, q.d2)
     p_y = q.sigma2 - lam * q.d1
     alpha1 = _covering_radius(q.r1, p_y, q.d1)
-    e1 = rate_function_x2(source, alpha1)
+    e1 = _rate(source, alpha1)
     half_d1d2 = 0.5 * math.log(q.d1 / q.d2)
 
     if q.r2 <= half_d1d2:
         alpha2 = _covering_radius(q.r1, p_y, lam * q.d1)
-        e2 = rate_function_x2(source, alpha2)
+        e2 = _rate(source, alpha2)
         aux = {"alpha1_star": alpha1, "alpha2_star": alpha2}
         tag = "low_r2"
     else:
         p_z = q.d1 - q.d2
         gamma = _covering_radius(q.r2, p_z, q.d2)
         alpha2 = _covering_radius(q.r1, p_y, gamma)
-        e2 = rate_function_x2(source, alpha2)
+        e2 = _rate(source, alpha2)
         aux = {"alpha1_star": alpha1, "gamma_star": gamma, "alpha2_star": alpha2}
         tag = "high_r2"
 

@@ -69,8 +69,15 @@ def _kind_pairs(raw: str) -> list[tuple[str, str]]:
     return pairs
 
 
-def _floats(raw: str) -> list[float]:
-    return [float(tok) for tok in raw.split()]
+def _rate(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("a rate must be finite")
+    return value
+
+
+def _rates(raw: str) -> list[float]:
+    return [_rate(tok) for tok in raw.split()]
 
 
 def _ints(raw: str) -> list[int]:
@@ -83,9 +90,9 @@ CONFIG_KEYS = {
     "source": None,
     "distortion": {"d1": float, "d2": float},
     "rates": {
-        "r1": _floats, "r2": _floats,
-        "r1_min": float, "r1_max": float, "r1_steps": int,
-        "r2_min": float, "r2_max": float, "r2_steps": int,
+        "r1": _rates, "r2": _rates,
+        "r1_min": _rate, "r1_max": _rate, "r1_steps": int,
+        "r2_min": _rate, "r2_max": _rate, "r2_steps": int,
     },
     "second_order": {
         "lambda": float, "epsilon": float, "c_log": float, "n": int, "kind2": _kind,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
-from scipy.special import erf, erfcx, erfi, logsumexp
+from scipy.special import erf, erfcx, erfi
 
 from .errors import ConfigError
 
@@ -25,9 +25,13 @@ Sampler = Callable[[int, np.random.Generator], np.ndarray]
 LogMgf = Callable[[float], float]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SourceSpec:
     """A memoryless source with exact moments of X^2.
+
+    Specs compare and hash by identity: two sources with equal moments may
+    still differ in their cgf, and the exponent calculators memoize per
+    source.
 
     sigma2:        E[X^2]
     zeta:          E[X^4]
@@ -191,7 +195,17 @@ def discrete(values: Sequence[float], probs: Sequence[float]) -> SourceSpec:
     v2p = v2[keep]
 
     def _mgf(theta: float) -> float:
-        return float(logsumexp(logp + theta * v2p))
+        # scipy.special.logsumexp's formula, bit for bit (the maximal terms
+        # held out of the sum, zeros kept in place so the summation order is
+        # the same), without its array-API dispatch, which costs 8x the sum
+        a = logp + theta * v2p
+        a_max = a.max()
+        top = a == a_max
+        s = np.where(top, 0.0, np.exp(a - a_max)).sum()
+        m = np.count_nonzero(top)
+        if s != 0:
+            s = s / m
+        return float(np.log1p(s) + np.log(m) + a_max)
 
     return SourceSpec(
         family="discrete",

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from srgauss import sources
+from srgauss import asymptotics, sources
 from srgauss.asymptotics import (
     ModerateQuery,
     RateQuery,
@@ -25,6 +25,7 @@ from srgauss.core import (
     gaussian_rate_function_x2,
     iid_nonexcess_exponent,
     q_inv,
+    rate_function_x2,
 )
 from srgauss.errors import ConfigError
 
@@ -74,6 +75,13 @@ class TestRegion:
     def test_degenerate_r2_face_has_no_witness(self):
         res = region_contains(rq(0.5 * math.log(4.0) + 0.2, 0.0))
         assert res.location == "inside" and res.eta is None
+
+
+@pytest.mark.parametrize("r1, r2", [(math.nan, 0.3), (0.3, math.nan), (math.inf, 0.3),
+                                    (0.3, math.inf), (0.3, -math.inf)])
+def test_rate_query_refuses_non_finite_rates(r1, r2):
+    with pytest.raises(ConfigError, match="finite"):
+        rq(r1, r2)
 
 
 class TestLambdaForRates:
@@ -426,3 +434,51 @@ class TestExponentPoint:
     def test_no_exponents_at_zero_r1(self):
         point = exponent_point(GMS, rq(0.0, 0.5))
         assert set(point) == {"r1", "r2", "region", "eta", "lambda"}
+
+
+class TestMemos:
+    """The covering-radius and rate-function memos behind exponent_point
+    return exactly what a fresh call would, per source and within bounds."""
+
+    MEMOS = (asymptotics._covering_radius, asymptotics._rate)
+
+    def test_sources_with_equal_moments_keep_their_own_rates(self):
+        # equal in every compared field, different cgf: a value-keyed memo
+        # would hand the second source the first one's rate
+        gauss_cgf = sources.custom(1.0, 3.0, GMS.sample, theta_max=0.5,
+                                   log_mgf_x2=GMS.log_mgf_x2)
+        point_mass_cgf = sources.custom(1.0, 3.0, GMS.sample, theta_max=0.5,
+                                        log_mgf_x2=lambda theta: theta * 1.0)
+        q = rq(0.8, 0.2)
+        a = jep_exponent(gauss_cgf, q)
+        b = jep_exponent(point_mass_cgf, q)
+        alpha = a.auxiliaries["alpha_star"]
+        assert alpha == b.auxiliaries["alpha_star"] > 1.0
+        assert a.value == rate_function_x2(gauss_cgf, alpha)
+        assert b.value == rate_function_x2(point_mass_cgf, alpha)
+        assert a.value != b.value
+
+    @pytest.mark.parametrize("family", ["gaussian", "discrete"])
+    def test_cleared_memos_give_identical_points(self, family):
+        src = FAMILIES[family]
+        axis = np.linspace(0.05, 1.2, 20)
+
+        def grid():
+            return [exponent_point(src, rq(float(r1), float(r2))) for r1 in axis for r2 in axis]
+
+        for memo in self.MEMOS:
+            memo.cache_clear()
+        cold = grid()
+        misses = [memo.cache_info().misses for memo in self.MEMOS]
+        assert grid() == cold
+        # the second pass was answered from the memos alone
+        assert [memo.cache_info().misses for memo in self.MEMOS] == misses
+
+    def test_memos_stay_bounded_on_a_60x60_grid(self):
+        src = sources.discrete([-2.0, -0.5, 0.5, 2.0], [0.1, 0.4, 0.4, 0.1])
+        for r1 in np.linspace(0.05, 1.2, 60):
+            for r2 in np.linspace(0.0, 1.2, 60):
+                exponent_point(src, rq(float(r1), float(r2)))
+        for memo in self.MEMOS:
+            info = memo.cache_info()
+            assert info.maxsize == 1024 and 0 < info.currsize <= info.maxsize

@@ -250,6 +250,13 @@ MALFORMED = [
     ("asymptotics", BASE + "d1 = 0.4\n" + SMALL_AXES, "option 'd1' in section 'distortion'"),
     ("simulate", SIM_SMALL + "method = fast\n", "simulate.method"),
     ("simulate", SIM_SMALL + "precision = half\n", "simulate.precision"),
+    ("exponent-grid", BASE + "[rates]\nr1 = nan\nr2 = 0.3\n", "rates.r1: cannot parse 'nan'"),
+    ("asymptotics", BASE + "[rates]\nr1 = 0.5\nr2 = 0.2 nan\n", "rates.r2: cannot parse '0.2 nan'"),
+    ("exponent-grid", BASE + "[rates]\nr1 = 0.5\nr2 = inf\n", "rates.r2: cannot parse 'inf'"),
+    ("exponent-grid", BASE + "[rates]\nr1 = 0.5\nr2_min = -inf\nr2_max = 1\nr2_steps = 3\n",
+     "rates.r2_min: cannot parse '-inf'"),
+    ("asymptotics", BASE + "[rates]\nr1_min = 0.1\nr1_max = nan\nr1_steps = 2\nr2 = 0.3\n",
+     "rates.r1_max: cannot parse 'nan'"),
 ]
 
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import logsumexp
 
 from srgauss import sources
 from srgauss.errors import ConfigError
@@ -60,6 +61,29 @@ class TestMoments:
             sources.discrete([1.0, -3.0], [0.9, 0.1]),
         ]:
             assert spec.dispersion >= 0.0
+
+
+PMFS = {
+    "benchmark": ([-2.0, -0.5, 0.5, 2.0], [0.1, 0.4, 0.4, 0.1]),
+    "two_atom_tie": ([-1.0, 1.0], [0.5, 0.5]),
+    "zero_prob": ([0.0, 1.0, 3.0], [0.5, 0.0, 0.5]),
+    "single_atom": ([1.7], [1.0]),
+    "nine_atoms": (list(np.linspace(-2.0, 3.0, 9)), [k / 25.0 for k in (1, 2, 3, 4, 5, 4, 3, 2, 1)]),
+}
+
+
+@pytest.mark.parametrize("pmf", list(PMFS))
+def test_discrete_log_mgf_matches_scipy_logsumexp(pmf):
+    """The discrete cgf is scipy's logsumexp of log p + theta * x^2 over the
+    atoms of positive mass, equal to the last bit, ties at the max included."""
+    values, probs = PMFS[pmf]
+    spec = sources.discrete(values, probs)
+    keep = np.asarray(probs) > 0
+    logp = np.log(np.asarray(probs)[keep])
+    v2p = (np.asarray(values) ** 2)[keep]
+    for theta in [0.0, *np.linspace(-50.0, 50.0, 3001)]:
+        theta = float(theta)
+        assert spec.log_mgf_x2(theta) == float(logsumexp(logp + theta * v2p)), theta
 
 
 class TestSampling:
