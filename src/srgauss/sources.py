@@ -197,7 +197,8 @@ def discrete(values: Sequence[float], probs: Sequence[float]) -> SourceSpec:
     def _mgf(theta: float) -> float:
         # scipy.special.logsumexp's formula, bit for bit (the maximal terms
         # held out of the sum, zeros kept in place so the summation order is
-        # the same), without its array-API dispatch, which costs 8x the sum
+        # the same), without the array-API dispatch that made the scipy call
+        # about ten times slower on a 4-atom table
         a = logp + theta * v2p
         a_max = a.max()
         top = a == a_max
