@@ -4,9 +4,10 @@ Subcommands read a flat INI-style config (one experiment per file, section
 headers with key = value lines) and emit schema-stable CSV or JSON reports;
 every emitted number is reproducible from (config, seed) alone.
 
-``CONFIG_KEYS`` lists every section and every key a command may read;
-``[source]`` keys belong to the family and are checked by
-:func:`srgauss.sources.from_config`.  An unknown section or key, a missing
+``CONFIG_KEYS`` lists every section and every key a command may read, and
+:func:`_get` is the one reader: every key, ``[source]`` included, is parsed
+by its ``CONFIG_KEYS`` entry, and every number must be finite.  An unknown
+section or key (for ``[source]``, also a key of another family), a missing
 required key and a value that will not parse are config errors naming
 ``section.key``.
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import inspect
 import math
 import sys
 from functools import partial
@@ -69,15 +71,15 @@ def _kind_pairs(raw: str) -> list[tuple[str, str]]:
     return pairs
 
 
-def _rate(raw: str) -> float:
+def _number(raw: str) -> float:
     value = float(raw)
     if not math.isfinite(value):
-        raise ValueError("a rate must be finite")
+        raise ValueError("must be finite")
     return value
 
 
-def _rates(raw: str) -> list[float]:
-    return [_rate(tok) for tok in raw.split()]
+def _numbers(raw: str) -> list[float]:
+    return [_number(tok) for tok in raw.split()]
 
 
 def _ints(raw: str) -> list[int]:
@@ -85,27 +87,33 @@ def _ints(raw: str) -> list[int]:
 
 
 # Every section and the union of the keys any command reads from it,
-# key -> parser.  [source] keys depend on the family: sources.from_config.
+# key -> parser.  [source] holds the family and every family constructor's
+# parameters (discrete's are number lists); _source refuses another
+# family's key.
 CONFIG_KEYS = {
-    "source": None,
-    "distortion": {"d1": float, "d2": float},
+    "source": {"family": _choice(*sources.FAMILIES)} | {
+        key: _numbers if family == "discrete" else _number
+        for family, make in sources.FAMILIES.items()
+        for key in inspect.signature(make).parameters
+    },
+    "distortion": {"d1": _number, "d2": _number},
     "rates": {
-        "r1": _rates, "r2": _rates,
-        "r1_min": _rate, "r1_max": _rate, "r1_steps": int,
-        "r2_min": _rate, "r2_max": _rate, "r2_steps": int,
+        "r1": _numbers, "r2": _numbers,
+        "r1_min": _number, "r1_max": _number, "r1_steps": int,
+        "r2_min": _number, "r2_max": _number, "r2_steps": int,
     },
     "second_order": {
-        "lambda": float, "epsilon": float, "c_log": float, "n": int, "kind2": _kind,
+        "lambda": _number, "epsilon": _number, "c_log": _number, "n": int, "kind2": _kind,
     },
-    "moderate": {"theta1": float, "theta2": float, "rho_exponent": float},
+    "moderate": {"theta1": _number, "theta2": _number, "rho_exponent": _number},
     "simulate": {
         "mode": _choice("scheme", "psi", "phi"), "n": _ints, "trials": int, "seed": int,
         # scheme mode
         "kinds": _kind_pairs, "sizing": _choice("plan", "rates", "explicit"),
         "method": _choice(*METHODS), "precision": _choice(*PRECISIONS),
-        "m1": int, "m2": int, "lambda": float,
+        "m1": int, "m2": int, "lambda": _number,
         # psi/phi mode
-        "kind": _kind, "norm_arg": float, "power": float, "distortion": float,
+        "kind": _kind, "norm_arg": _number, "power": _number, "distortion": _number,
     },
     "compare": {"simulation": str, "quantity": _choice("jep", "sep1", "sep2", "estimate")},
 }
@@ -125,7 +133,7 @@ def _load(path: str) -> configparser.ConfigParser:
         if section not in CONFIG_KEYS:
             raise ConfigError(f"unknown section [{section}]")
         for key in cp[section]:
-            if CONFIG_KEYS[section] is not None and key not in CONFIG_KEYS[section]:
+            if key not in CONFIG_KEYS[section]:
                 raise ConfigError(f"unknown key {section}.{key}")
     return cp
 
@@ -148,7 +156,17 @@ def _get(cp, section: str, key: str, default=_REQUIRED):
 def _source(cp) -> SourceSpec:
     if not cp.has_section("source"):
         raise ConfigError("config requires a [source] section")
-    return sources.from_config(cp["source"])
+    family = _get(cp, "source", "family", "gaussian")
+    make = sources.FAMILIES[family]
+    params = inspect.signature(make).parameters
+    for key in cp["source"]:
+        if key != "family" and key not in params:
+            raise ConfigError(f"unknown key source.{key} (family {family!r})")
+    return make(**{
+        key: _get(cp, "source", key)
+        for key, p in params.items()
+        if p.default is p.empty or cp.has_option("source", key)
+    })
 
 
 def _rate_axes(cp) -> tuple[list[float], list[float]]:
@@ -384,10 +402,10 @@ def cmd_compare(cp, args) -> tuple[list[dict], list[str]]:
             f"mismatched report: column {col!r} absent from {sim_path}"
         )
 
-    have_rate = sim_rows[0].get("pred_rate") is not None
-    have_eps = sim_rows[0].get("target_eps") is not None
-    have_exp = sim_rows[0].get("pred_jep_exponent") is not None
-    if not (have_rate or have_eps or have_exp):
+    # a decay rate (psi/phi or rates sizing), else a plan's target_eps
+    rate_col = next((c for c in ("pred_rate", "pred_jep_exponent")
+                     if sim_rows[0].get(c) is not None), None)
+    if rate_col is None and sim_rows[0].get("target_eps") is None:
         raise ConfigError("simulation report carries no prediction columns")
 
     rows = []
@@ -395,12 +413,8 @@ def cmd_compare(cp, args) -> tuple[list[dict], list[str]]:
     for i, r in enumerate(sim_rows):
         n = r["n"]
         est = float(r[col])
-        if have_rate:
-            rate = float(r["pred_rate"])
-            prediction = math.exp(-n * rate)
-            target = rate
-        elif have_exp:
-            target = float(r["pred_jep_exponent"])
+        if rate_col:
+            target = float(r[rate_col])
             prediction = math.exp(-n * target)
         else:
             prediction = float(r["target_eps"])

@@ -59,20 +59,16 @@ def trial_stream(
 ) -> np.random.Generator:
     """The documented per-trial substream: Philox keyed by (seed, index).
 
-    Without ``rng`` this returns a fresh, independent generator.  Given
-    ``rng``, a generator over a ``Philox`` bit generator, it re-keys that
-    generator in place to the state ``Philox(key=[seed, index])`` starts in
-    (counter 0, buffer empty) and returns it: the same draws, without the
-    OS-entropy seed sequence a fresh ``Philox`` builds and the key then
-    overrides.
+    Re-keys ``rng``, a generator over a ``Philox`` bit generator, in place
+    to the state ``Philox(key=[seed, index])`` starts in (counter 0, buffer
+    empty) and returns it: the same draws, without the OS-entropy seed
+    sequence a fresh ``Philox`` builds and the key then overrides.  Without
+    ``rng`` a fresh generator is built and re-keyed.
     """
     if not 0 <= seed < 2**64:
         raise ConfigError(f"seed must be a u64, got {seed}")
     if rng is None:
-        # a uint64 key: a plain list holding a seed >= 2**63 would pass
-        # through float64 and lose its low bits
-        key = np.array([seed, index], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        rng = np.random.Generator(np.random.Philox(0))
     rng.bit_generator.state = {
         "bit_generator": "Philox",
         "state": {"counter": (0, 0, 0, 0), "key": (seed, index)},

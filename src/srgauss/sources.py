@@ -11,10 +11,9 @@ cares about E[X^2], not the mean.
 
 from __future__ import annotations
 
-import inspect
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.special import erf, erfcx, erfi
@@ -52,9 +51,9 @@ class SourceSpec:
     _log_mgf_x2: Optional[LogMgf] = field(repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        if self.sigma2 <= 0:
+        if not self.sigma2 > 0:
             raise ConfigError(f"requires sigma2 > 0, got {self.sigma2}")
-        if self.zeta < self.sigma2**2 - 1e-12 * self.sigma2**2:
+        if not self.zeta >= self.sigma2**2 - 1e-12 * self.sigma2**2:
             raise ConfigError(
                 f"fourth moment must satisfy zeta >= sigma2^2, got zeta={self.zeta}"
             )
@@ -95,8 +94,8 @@ def _log_erfi(z: float) -> float:
 
 def gaussian(sigma2: float = 1.0) -> SourceSpec:
     """Zero-mean Gaussian source with variance sigma2."""
-    if sigma2 <= 0:
-        raise ConfigError(f"requires sigma2 > 0, got {sigma2}")
+    if not 0 < sigma2 < math.inf:
+        raise ConfigError(f"requires finite sigma2 > 0, got {sigma2}")
     sd = math.sqrt(sigma2)
 
     def _mgf(theta: float) -> float:
@@ -115,8 +114,8 @@ def gaussian(sigma2: float = 1.0) -> SourceSpec:
 def uniform(half_width: float) -> SourceSpec:
     """Uniform source on [-half_width, half_width]."""
     a = half_width
-    if a <= 0:
-        raise ConfigError(f"requires half_width > 0, got {a}")
+    if not 0 < a < math.inf:
+        raise ConfigError(f"requires finite half_width > 0, got {a}")
 
     def _mgf(theta: float) -> float:
         if theta == 0.0:
@@ -141,8 +140,8 @@ def laplace(scale: float) -> SourceSpec:
     """Zero-mean Laplace source; E[exp(theta X^2)] diverges for every
     theta > 0, so the rate function of X^2 is identically zero."""
     b = scale
-    if b <= 0:
-        raise ConfigError(f"requires scale > 0, got {b}")
+    if not 0 < b < math.inf:
+        raise ConfigError(f"requires finite scale > 0, got {b}")
 
     def _mgf(theta: float) -> float:
         if theta == 0.0:
@@ -163,8 +162,8 @@ def laplace(scale: float) -> SourceSpec:
 def two_point(magnitude: float) -> SourceSpec:
     """Equiprobable source on {-magnitude, +magnitude}; X^2 is deterministic."""
     c = magnitude
-    if c <= 0:
-        raise ConfigError(f"requires magnitude > 0, got {c}")
+    if not 0 < c < math.inf:
+        raise ConfigError(f"requires finite magnitude > 0, got {c}")
     c2 = c * c
 
     return SourceSpec(
@@ -184,6 +183,8 @@ def discrete(values: Sequence[float], probs: Sequence[float]) -> SourceSpec:
     ps = np.asarray(probs, dtype=np.float64)
     if vals.ndim != 1 or vals.shape != ps.shape or vals.size == 0:
         raise ConfigError("pmf table requires matching nonempty value/prob vectors")
+    if not (np.isfinite(vals).all() and np.isfinite(ps).all()):
+        raise ConfigError("pmf values and probabilities must be finite")
     if np.any(ps < 0):
         raise ConfigError("pmf probabilities must be nonnegative")
     if abs(float(ps.sum()) - 1.0) > 1e-12:
@@ -247,32 +248,6 @@ def custom(
     )
 
 
-# family -> constructor; its parameters are the family's config keys, and
-# those without a default are required
-_FAMILIES = {f.__name__: f for f in (gaussian, uniform, laplace, two_point, discrete)}
-
-
-def from_config(section: Mapping[str, str]) -> SourceSpec:
-    """Construct a source from the raw key = value strings of a config's
-    ``[source]`` section: ``family`` (default gaussian) plus that family's
-    keys, each one number (discrete: whitespace-separated number lists).
-    An unknown, missing or unparsable key raises ConfigError naming
-    ``source.<key>``."""
-    keys = dict(section)
-    family = keys.pop("family", "gaussian").strip().lower()
-    if family not in _FAMILIES:
-        raise ConfigError(f"source.family: unknown source family {family!r}")
-    params = inspect.signature(_FAMILIES[family]).parameters
-    for key in keys:
-        if key not in params:
-            raise ConfigError(f"unknown key source.{key} (family {family!r})")
-    for key, param in params.items():
-        if key not in keys and param.default is param.empty:
-            raise ConfigError(f"missing required key source.{key} (family {family!r})")
-    kwargs = {}
-    for key, raw in keys.items():
-        try:
-            kwargs[key] = [float(t) for t in raw.split()] if family == "discrete" else float(raw)
-        except ValueError:
-            raise ConfigError(f"source.{key}: cannot parse {raw!r} as numbers") from None
-    return _FAMILIES[family](**kwargs)
+# family -> constructor; its parameters are the family's [source] config
+# keys, and those without a default are required
+FAMILIES = {f.__name__: f for f in (gaussian, uniform, laplace, two_point, discrete)}

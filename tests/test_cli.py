@@ -10,7 +10,7 @@ import pytest
 
 from srgauss import sources
 from srgauss.asymptotics import RateQuery, jep_exponent
-from srgauss.cli import main
+from srgauss.cli import CONFIG_KEYS, main
 from srgauss.report import read_report
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -257,6 +257,43 @@ MALFORMED = [
      "rates.r2_min: cannot parse '-inf'"),
     ("asymptotics", BASE + "[rates]\nr1_min = 0.1\nr1_max = nan\nr1_steps = 2\nr2 = 0.3\n",
      "rates.r1_max: cannot parse 'nan'"),
+    # every number in every section must be finite
+    ("asymptotics", BASE.replace("d1 = 0.5", "d1 = nan") + SMALL_AXES,
+     "distortion.d1: cannot parse 'nan' (must be finite)"),
+    ("asymptotics", BASE + SMALL_AXES + FULL_SECTIONS.replace("c_log = 0.5", "c_log = nan"),
+     "second_order.c_log: cannot parse 'nan'"),
+    ("asymptotics", BASE + SMALL_AXES + "[moderate]\ntheta1 = inf\n",
+     "moderate.theta1: cannot parse 'inf'"),
+    ("simulate", PSI_BASE + "norm_arg = nan\n", "simulate.norm_arg: cannot parse 'nan'"),
+    ("simulate", PSI_BASE.replace("power = 0.66", "power = inf") + "norm_arg = 1.0\n",
+     "simulate.power: cannot parse 'inf'"),
+    ("simulate", SIM_SMALL.replace("lambda = 1.0", "lambda = nan"),
+     "simulate.lambda: cannot parse 'nan'"),
+    ("exponent-grid", BASE.replace("sigma2 = 1.0", "sigma2 = inf") + SMALL_AXES,
+     "source.sigma2: cannot parse 'inf'"),
+    ("exponent-grid",
+     BASE.replace("family = gaussian\nsigma2 = 1.0", "family = uniform\nhalf_width = inf")
+     + SMALL_AXES,
+     "source.half_width: cannot parse 'inf'"),
+    ("exponent-grid",
+     DISCRETE_BASE.replace("values = -2 -0.5 0.5 2", "values = -1 nan 0.5 2") + SMALL_AXES,
+     "source.values: cannot parse '-1 nan 0.5 2'"),
+    # [source] is read through CONFIG_KEYS like every other section
+    ("asymptotics", BASE.replace("[source]\nfamily = gaussian\nsigma2 = 1.0", "") + SMALL_AXES,
+     "config requires a [source] section"),
+    ("asymptotics", BASE.replace("sigma2 = 1.0", "sigma2 = 1.0\nscale = 1.0") + SMALL_AXES,
+     "unknown key source.scale (family 'gaussian')"),
+    ("exponent-grid", BASE.replace("family = gaussian", "family = cauchy") + SMALL_AXES,
+     "source.family: cannot parse 'cauchy'"),
+    ("exponent-grid", BASE + "[rates]\nr1_min = 0.1\nr1_max = 1\nr1_steps = 0\nr2 = 0.3\n",
+     "rates.r1_steps: requires >= 1"),
+    ("simulate", SIM_SMALL.replace("kinds = spherical,spherical iid,iid", "kinds = spherical"),
+     "simulate.kinds: cannot parse 'spherical'"),
+    ("simulate", RATES_SIM.replace("r1 = 0.55", "r1 = 0.55 0.6\nr2 = 0.3"),
+     "needs one rates.r1 and one rates.r2"),
+    # an explicit-sizing report carries neither a decay rate nor a target
+    ("compare", f"[compare]\nsimulation = {GOLDEN / 'simulate_small.csv'}\nquantity = jep\n",
+     "carries no prediction columns"),
 ]
 
 
@@ -269,6 +306,24 @@ def test_malformed_config_names_key(tmp_path, capsys, command, text, names):
     assert main([command, "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and names in err
+
+
+def test_readme_lists_every_config_key():
+    # the README's ini block claims to list every accepted key: each
+    # CONFIG_KEYS key is named in its section, and each key = line is one
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    sections = {}
+    for line in block.splitlines():
+        if header := re.match(r"\[(\w+)\]", line):
+            current = sections.setdefault(header.group(1), [])
+        current.append(line)
+    assert sections.keys() == CONFIG_KEYS.keys()
+    for name, lines in sections.items():
+        listed = {m.group(1) for line in lines if (m := re.match(r"(\w+)\s*=", line))}
+        assert listed <= CONFIG_KEYS[name].keys(), (name, listed - CONFIG_KEYS[name].keys())
+        for key in CONFIG_KEYS[name]:
+            assert re.search(rf"\b{key}\b", "\n".join(lines)), f"{name}.{key} not in README"
 
 
 @pytest.mark.parametrize("case", ["out-dir-missing", "compare-simulation-missing"])

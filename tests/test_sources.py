@@ -63,6 +63,30 @@ class TestMoments:
             assert spec.dispersion >= 0.0
 
 
+NON_FINITE = {
+    "gaussian-nan": lambda: sources.gaussian(math.nan),
+    "gaussian-inf": lambda: sources.gaussian(math.inf),
+    "uniform-nan": lambda: sources.uniform(math.nan),
+    "uniform-inf": lambda: sources.uniform(math.inf),
+    "laplace-nan": lambda: sources.laplace(math.nan),
+    "laplace-inf": lambda: sources.laplace(math.inf),
+    "two_point-nan": lambda: sources.two_point(math.nan),
+    "two_point-inf": lambda: sources.two_point(math.inf),
+    "discrete-nan-value": lambda: sources.discrete([-1.0, math.nan], [0.5, 0.5]),
+    "discrete-inf-value": lambda: sources.discrete([-1.0, math.inf], [0.5, 0.5]),
+    "discrete-nan-prob": lambda: sources.discrete([-1.0, 1.0], [math.nan, 0.5]),
+    "spec-nan-sigma2": lambda: sources.custom(math.nan, 3.0, lambda n, rng: np.zeros(n)),
+    "spec-nan-zeta": lambda: sources.custom(1.0, math.nan, lambda n, rng: np.zeros(n)),
+}
+
+
+@pytest.mark.parametrize("case", list(NON_FINITE))
+def test_non_finite_parameter_refused(case):
+    # NaN slips past a plain "a <= 0" guard; each family refuses it, and inf
+    with pytest.raises(ConfigError):
+        NON_FINITE[case]()
+
+
 PMFS = {
     "benchmark": ([-2.0, -0.5, 0.5, 2.0], [0.1, 0.4, 0.4, 0.1]),
     "two_atom_tie": ([-1.0, 1.0], [0.5, 0.5]),
