@@ -23,7 +23,7 @@ from .asymptotics import (
     sep_exponents,
     sep_second_order,
 )
-from .codec import SchemeConfig, TrialOutcome, encode_layer, run_trial
+from .codec import SchemeConfig, encode_layer, run_trial
 from .core import (
     gaussian_rate_function_x2,
     iid_nonexcess_exponent,
@@ -64,7 +64,6 @@ __all__ = [
     "SchemeConfig",
     "SecondOrderPlan",
     "SourceSpec",
-    "TrialOutcome",
     "encode_layer",
     "estimate",
     "estimate_nonexcess",

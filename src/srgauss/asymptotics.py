@@ -136,10 +136,8 @@ def jep_exponent(source: SourceSpec, q: RateQuery) -> ExponentResult:
     if q.r1 <= 0:
         raise ConfigError(f"requires r1 > 0, got {q.r1}")
     lam = lambda_for_rates(q.r2, q.d1, q.d2)
-    p_y = q.sigma2 - lam * q.d1
-    if p_y <= 0:
-        raise ConfigError(f"layer-1 power sigma2 - lam*d1 must be positive, got {p_y}")
-    alpha = _covering_radius(q.r1, p_y, lam * q.d1)
+    # RateQuery keeps sigma2 > d1 and lam <= 1, so p_y >= sigma2 - d1 > 0
+    alpha = _covering_radius(q.r1, q.sigma2 - lam * q.d1, lam * q.d1)
     value = _rate(source, alpha)
     return ExponentResult(auxiliaries={"alpha_star": alpha}, values=(value,), case_tag="adaptive")
 
@@ -244,13 +242,9 @@ class SecondOrderPlan:
     log(log(sqrt(n))) margin.
     """
 
-    n: int
     lam: float
-    eps: float
     log_m1: float
     log_m2: float
-    c_log: float
-    kind2: str
 
     @property
     def case(self) -> str:
@@ -309,9 +303,7 @@ def second_order_plan(
     else:
         raise ConfigError(f"kind2 must be 'spherical' or 'iid', got {kind2!r}")
     log_m2 = -log_phi + math.log(math.log(math.sqrt(n)))
-    return SecondOrderPlan(
-        n=n, lam=lam, eps=eps, log_m1=log_m1, log_m2=log_m2, c_log=c_log, kind2=kind2
-    )
+    return SecondOrderPlan(lam=lam, log_m1=log_m1, log_m2=log_m2)
 
 
 def sep_second_order(

@@ -64,8 +64,15 @@ def _choice(*options: str):
 _kind = _choice(*KINDS)
 
 
+def _items(raw: str) -> list[str]:
+    items = raw.split()
+    if not items:
+        raise ValueError("empty list")
+    return items
+
+
 def _kind_pairs(raw: str) -> list[tuple[str, str]]:
-    pairs = [tuple(_kind(k) for k in pair.split(",")) for pair in raw.split()]
+    pairs = [tuple(_kind(k) for k in pair.split(",")) for pair in _items(raw)]
     if any(len(pair) != 2 for pair in pairs):
         raise ValueError("expected kind1,kind2 pairs")
     return pairs
@@ -79,11 +86,11 @@ def _number(raw: str) -> float:
 
 
 def _numbers(raw: str) -> list[float]:
-    return [_number(tok) for tok in raw.split()]
+    return [_number(tok) for tok in _items(raw)]
 
 
 def _ints(raw: str) -> list[int]:
-    return [int(tok) for tok in raw.split()]
+    return [int(tok) for tok in _items(raw)]
 
 
 # Every section and the union of the keys any command reads from it,
@@ -181,8 +188,6 @@ def _rate_axes(cp) -> tuple[list[float], list[float]]:
                 raise ConfigError(f"rates.{name}_steps: requires >= 1, got {steps}")
             pts = [lo] if steps == 1 else [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
         axes.append(pts)
-    if not all(axes):
-        raise ConfigError("rate grid is empty")
     return axes[0], axes[1]
 
 
@@ -463,7 +468,13 @@ def main(argv=None) -> int:
         prog="srgauss",
         description="Mismatched successive refinement: simulators and calculators",
     )
-    parser.add_argument("command", choices=["asymptotics", "simulate", "exponent-grid", "compare"])
+    handlers = {
+        "asymptotics": cmd_asymptotics,
+        "simulate": cmd_simulate,
+        "exponent-grid": cmd_exponent_grid,
+        "compare": cmd_compare,
+    }
+    parser.add_argument("command", choices=handlers)
     parser.add_argument("--config", required=True, help="experiment config file")
     parser.add_argument("--seed", type=int, default=None, help="master seed (u64)")
     parser.add_argument("--workers", type=int, default=1)
@@ -473,12 +484,6 @@ def main(argv=None) -> int:
                         help="compute budget in distance multiply-adds (default 10^10)")
     args = parser.parse_args(argv)
 
-    handlers = {
-        "asymptotics": cmd_asymptotics,
-        "simulate": cmd_simulate,
-        "exponent-grid": cmd_exponent_grid,
-        "compare": cmd_compare,
-    }
     try:
         cp = _load(args.config)
         rows, columns = handlers[args.command](cp, args)

@@ -63,18 +63,6 @@ class SchemeConfig:
         return self.lam * self.d1 - self.d2
 
 
-@dataclass(frozen=True)
-class TrialOutcome:
-    d1: float
-    d2: float
-    excess1: bool
-    excess2: bool
-
-    @property
-    def joint(self) -> bool:
-        return self.excess1 or self.excess2
-
-
 def distortion(x: np.ndarray, y: np.ndarray) -> float:
     """Quadratic distortion (1/n) * ||x - y||^2."""
     if x.shape != y.shape:
@@ -131,8 +119,9 @@ def run_trial(
     source: SourceSpec,
     rng: np.random.Generator,
     dtype=np.float64,
-) -> TrialOutcome:
+) -> tuple[float, float]:
     """One ensemble draw: source block, fresh codebooks, successive encoding.
+    Returns the two layers' per-letter distortions d(X, Y) and d(X, Y+Z).
 
     Draw order is fixed (source, layer-1 bank, selected layer-2 bank) so a
     trial is a pure function of the generator state.
@@ -145,9 +134,4 @@ def run_trial(
     i1, dist1 = encode_layer(xs, bank1)
     bank2 = gen_codebook(config.kind2, config.m2, bank1[i1], config.p_z, rng, dtype)
     _, dist2 = encode_layer(xs, bank2)
-    return TrialOutcome(
-        d1=dist1,
-        d2=dist2,
-        excess1=dist1 > config.d1,
-        excess2=dist2 > config.d2,
-    )
+    return dist1, dist2

@@ -106,7 +106,6 @@ class EstimationResult:
     count_joint: int
     count1: int
     count2: int
-    seed: int
     wall_time: float
 
     def __post_init__(self):
@@ -288,9 +287,9 @@ def estimate(
             if method == "radial":
                 e1, e2 = _radial_trial(config, *_radial_draws(source, config.n, seed, block, rng))
             else:
-                outs = [run_trial(config, source, trial_stream(seed, i, rng), dtype=dtype)
-                        for i in block]
-                e1, e2 = np.array([(o.excess1, o.excess2) for o in outs]).T
+                d = np.array([run_trial(config, source, trial_stream(seed, i, rng), dtype=dtype)
+                              for i in block])
+                e1, e2 = d[:, 0] > config.d1, d[:, 1] > config.d2
             counts += (np.count_nonzero(e1), np.count_nonzero(e2), np.count_nonzero(e1 | e2))
         return counts
 
@@ -309,7 +308,6 @@ def estimate(
         count_joint=count_joint,
         count1=count1,
         count2=count2,
-        seed=seed,
         wall_time=time.perf_counter() - t0,
     )
 
@@ -322,8 +320,10 @@ def estimate_nonexcess(
     probability depends on the sequence only through its norm, so this is
     psi (layer 1, w the source power) and phi (layer 2, w the layer-1
     distortion) alike."""
-    if w < 0 or trials < 1:
-        raise ConfigError(f"requires w >= 0 and trials >= 1, got w={w}, trials={trials}")
+    if n < 1 or w < 0 or trials < 1:
+        raise ConfigError(
+            f"requires n >= 1, w >= 0 and trials >= 1, got n={n}, w={w}, trials={trials}"
+        )
     x = np.full(n, math.sqrt(w))
     center = np.zeros(n)
     rng = trial_stream(seed, 0)

@@ -351,6 +351,6 @@ def test_criterion_10_counting_identity():
     # the result type itself enforces the identity on construction
     with pytest.raises(AssertionError):
         EstimationResult(
-            trials=10, count_joint=1, count1=3, count2=0, seed=0, wall_time=0.0
+            trials=10, count_joint=1, count1=3, count2=0, wall_time=0.0
         )
     _report(10, time.perf_counter() - t0, 60.0)

@@ -1,6 +1,7 @@
 """Command-line contracts: exit codes, schema stability, byte determinism,
 golden files on fixed seeds."""
 
+import json
 import math
 import os
 import re
@@ -8,9 +9,17 @@ from pathlib import Path
 
 import pytest
 
-from srgauss import sources
+from srgauss import report, sources
 from srgauss.asymptotics import RateQuery, jep_exponent
-from srgauss.cli import CONFIG_KEYS, main
+from srgauss.cli import (
+    ASYMPTOTICS_COLUMNS,
+    COMPARE_COLUMNS,
+    CONFIG_KEYS,
+    EXPONENT_GRID_COLUMNS,
+    PSIPHI_COLUMNS,
+    SIMULATE_COLUMNS,
+    main,
+)
 from srgauss.report import read_report
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -291,6 +300,19 @@ MALFORMED = [
      "simulate.kinds: cannot parse 'spherical'"),
     ("simulate", RATES_SIM.replace("r1 = 0.55", "r1 = 0.55 0.6\nr2 = 0.3"),
      "needs one rates.r1 and one rates.r2"),
+    # psi/phi blocklengths below 1 and empty list values
+    ("simulate", PSI_BASE.replace("n = 8", "n = 0") + "norm_arg = 1.0\n",
+     "n >= 1, w >= 0 and trials >= 1, got n=0"),
+    ("simulate", PSI_BASE.replace("n = 8", "n = -3") + "norm_arg = 1.0\n",
+     "n >= 1, w >= 0 and trials >= 1, got n=-3"),
+    ("simulate", SIM_SMALL.replace("\nn = 8\n", "\nn =\n"),
+     "simulate.n: cannot parse '' (empty list)"),
+    ("simulate", SIM_SMALL.replace("kinds = spherical,spherical iid,iid", "kinds ="),
+     "simulate.kinds: cannot parse '' (empty list)"),
+    ("exponent-grid", BASE + "[rates]\nr1 =\nr2 = 0.3\n",
+     "rates.r1: cannot parse '' (empty list)"),
+    ("exponent-grid", DISCRETE_BASE.replace("values = -2 -0.5 0.5 2", "values =") + SMALL_AXES,
+     "source.values: cannot parse '' (empty list)"),
     # an explicit-sizing report carries neither a decay rate nor a target
     ("compare", f"[compare]\nsimulation = {GOLDEN / 'simulate_small.csv'}\nquantity = jep\n",
      "carries no prediction columns"),
@@ -324,6 +346,32 @@ def test_readme_lists_every_config_key():
         assert listed <= CONFIG_KEYS[name].keys(), (name, listed - CONFIG_KEYS[name].keys())
         for key in CONFIG_KEYS[name]:
             assert re.search(rf"\b{key}\b", "\n".join(lines)), f"{name}.{key} not in README"
+
+
+def test_readme_report_schemas_match_columns():
+    # each "Report schemas" bullet lists its report's columns in order, one
+    # comma-separated code span per column group
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"### Report schemas[^\n]*\n\n(.*?)\n\n", readme, re.S).group(1)
+    listed = {}
+    for bullet in re.split(r"^\* ", block, flags=re.M)[1:]:
+        label, body = " ".join(bullet.split()).split(": ", 1)
+        spans = re.findall(r"`([^`]*,[^`]*)`", body)
+        listed[label.replace("`", "")] = [[c.split("=")[0] for c in s.split(", ")] for s in spans]
+    assert listed == {
+        "asymptotics": [ASYMPTOTICS_COLUMNS[:16], ASYMPTOTICS_COLUMNS[16:21],
+                        ASYMPTOTICS_COLUMNS[21:]],
+        "simulate (scheme mode)": [SIMULATE_COLUMNS],
+        "simulate (psi/phi mode)": [PSIPHI_COLUMNS],
+        "exponent-grid": [EXPONENT_GRID_COLUMNS],
+        "compare": [COMPARE_COLUMNS[:9], COMPARE_COLUMNS[9:]],
+    }
+
+
+def test_report_writes_infinities():
+    rows, columns = [{"a": math.inf, "b": -math.inf}], ["a", "b"]
+    assert report.render(rows, columns, "csv") == "a,b\ninf,-inf\n"
+    assert json.loads(report.render(rows, columns, "json"))["rows"] == [{"a": "inf", "b": "-inf"}]
 
 
 @pytest.mark.parametrize("case", ["out-dir-missing", "compare-simulation-missing"])

@@ -281,6 +281,10 @@ class TestSphericalNonexcessLower:
         assert math.isfinite(v) and v < -1e4
         assert spherical_nonexcess_lower(100000, 0.5, 0.25, 0.25) == 0.0  # underflow at linear scale
 
+    def test_center_on_target_is_minus_inf(self):
+        # l = 0 is inside the bracket when p < d, but the bound degenerates there
+        assert log_spherical_nonexcess_lower(10, 0.0, 0.5, 1.0) == -math.inf
+
     def test_nonincreasing_in_l(self):
         p, d = 0.25, 0.25
         lo = abs(p - d)
@@ -422,6 +426,11 @@ class TestInvertIidExponent:
         with pytest.raises(ConfigError):
             invert_iid_exponent(0.5 * floor, 2.0, 1.0)
 
+    def test_target_an_ulp_above_infimum_squeezed(self):
+        # the root lies below the lower bracket end w_min + 1e-12, which is returned
+        floor = iid_nonexcess_exponent(0.0, 2.0, 1.0)
+        assert invert_iid_exponent(math.nextafter(floor, math.inf), 2.0, 1.0) == 1e-12
+
 
 class TestRateFunction:
     def test_gms_zero_at_mean(self):
@@ -460,6 +469,12 @@ class TestRateFunction:
         assert rate_function_x2(uni, uni.sigma2) == 0.0
         assert 0.0 < rate_function_x2(uni, 2.0) < math.inf
 
+    def test_unbounded_objective_is_inf(self):
+        # cgf theta -> theta (X^2 = 1 surely) declared without x2_max: at t = 2
+        # the objective theta*t - theta grows without bound
+        spec = sources.custom(1.0, 1.0, lambda n, rng: np.ones(n), log_mgf_x2=lambda th: th)
+        assert rate_function_x2(spec, 2.0) == math.inf
+
     def test_convexity_midpoint(self):
         for spec in [sources.gaussian(1.0), sources.uniform(2.0)]:
             hi = min(spec.x2_max * 0.98 if math.isfinite(spec.x2_max) else 8.0, 8.0)
@@ -492,6 +507,9 @@ class TestCgf:
         for th in [-2.0, 0.3, 1.0, 4.0]:
             val, _ = quad(lambda x: math.exp(th * x * x) / (2 * a), -a, a, epsabs=1e-13)
             assert uni.log_mgf_x2(th) == pytest.approx(math.log(val), abs=1e-10)
+
+    def test_uniform_at_zero(self):
+        assert sources.uniform(1.0).log_mgf_x2(0.0) == 0.0
 
     def test_uniform_asymptotic_branch(self):
         # straddle the log-erfi series switch with an mpmath oracle
