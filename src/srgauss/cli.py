@@ -303,6 +303,19 @@ def cmd_simulate(cp, args) -> tuple[list[dict], list[str]]:
         ns = sim("n")
         kind = sim("kind", "iid")
         arg, power, dist = sim("norm_arg"), sim("power"), sim("distortion")
+        spherical = kind == "spherical"
+        # refused here by key: core and estimate_nonexcess would name no key
+        for key, value, ok, need in (
+            # the wording estimate_nonexcess refused n < 1 with
+            ("n", min(ns), min(ns) >= 1, "n >= 1, w >= 0 and trials >= 1"),
+            ("trials", trials, trials >= 1, "trials >= 1"),
+            ("power", power, power > 0, "power > 0"),
+            ("distortion", dist, dist > 0, "distortion > 0"),
+            ("norm_arg", arg, arg > 0 if spherical else arg >= 0,
+             "norm_arg > 0 for kind = spherical" if spherical else "norm_arg >= 0"),
+        ):
+            if not ok:
+                raise ConfigError(f"simulate.{key}: requires {need}, got {key}={value}")
         cost = sum(trials * n for n in ns)
     if cost > args.budget:
         raise BudgetError(

@@ -18,13 +18,15 @@ from __future__ import annotations
 
 import math
 
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
 from .errors import ConfigError, NumericError
 
 _LOG_SQRT_PI = 0.5 * math.log(math.pi)
 _INVERT_RTOL = 1e-12  # relative tolerance of invert_iid_exponent's root
+_SQRT_EPS = math.sqrt(2.2e-16)  # Brent's relative x tolerance, as scipy sets it
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 
 
 def log_gamma_ratio(a: float, b: float) -> float:
@@ -80,7 +82,16 @@ def iid_nonexcess_exponent(w: float, p: float, d: float) -> float:
     Nonnegative; zero exactly when w <= d - p (possible only for d >= p),
     and strictly increasing in w beyond max(d - p, 0).
     """
-    return iid_nonexcess_exponent_tilted(optimal_tilt(w, p, d), w, p, d)
+    _check_wpd(w, p, d)
+    return _iid_exponent(w, p, d)
+
+
+def _iid_exponent(w: float, p: float, d: float) -> float:
+    """:func:`iid_nonexcess_exponent` without the argument checks: the tilt of
+    :func:`optimal_tilt` and the value of :func:`iid_nonexcess_exponent_tilted`,
+    the same expressions in the same order, so the same float."""
+    s = max(0.0, (p - 2.0 * d + math.sqrt(p * p + 4.0 * w * d)) / (4.0 * d))
+    return 0.5 * math.log1p(2.0 * s) + s * w / ((1.0 + 2.0 * s) * p) - s * d / p
 
 
 def spherical_cap_exponent(w: float, p: float, d: float) -> float:
@@ -207,7 +218,7 @@ def invert_iid_exponent(target: float, p: float, d: float) -> float:
     lo = w_min * (1.0 + 1e-9) + 1e-12
 
     def f(w: float) -> float:
-        return iid_nonexcess_exponent(w, p, d) - target
+        return _iid_exponent(w, p, d) - target
 
     hi = max(2.0 * lo, d + p, 1.0)
     for _ in range(200):
@@ -223,10 +234,92 @@ def invert_iid_exponent(target: float, p: float, d: float) -> float:
     return float(brentq(f, lo, hi, xtol=1e-300, rtol=_INVERT_RTOL))
 
 
+def _bounded_brent_max(g, b: float, xatol: float, maxfun: int) -> tuple[float, str | None]:
+    """Maximum of g over [0, b] by Brent's bounded method (golden-section
+    steps, parabolic where acceptable; Brent 1973), minimizing -g.
+
+    The loop of scipy's ``minimize_scalar(method="bounded")`` transcribed
+    into plain floats, step for step: the same tolerances, iterates and
+    result, bit for bit, without numpy's scalar calls and the per-call
+    option checks that cost more than the few evaluations themselves.
+    Returns (maximum found, None), or (maximum so far, why it failed) after
+    maxfun evaluations or on a NaN.
+    """
+    a, fulc = 0.0, _GOLDEN * b
+    nfc = xf = x = fulc
+    rat = e = 0.0
+    fx = -g(x)
+    num = 1
+    fu = math.inf
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    failure = None
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabolic fit
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    # numpy's sign with a tie to +1, as scipy writes it
+                    rat = -tol1 if xm - xf < 0.0 else tol1
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = _GOLDEN * e
+        step = max(abs(rat), tol1)
+        x = xf - step if rat < 0.0 else xf + step
+        fu = -g(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxfun:
+            failure = "maximum number of function calls reached"
+            break
+    if math.isnan(xf) or math.isnan(fx) or math.isnan(fu):
+        failure = "NaN result encountered"
+    return -fx, failure
+
+
 def rate_function_x2(source, t: float) -> float:
     """Large-deviations rate function of X^2: sup over theta >= 0 of
-    theta*t - log E[exp(theta X^2)] (``source.log_mgf_x2``), by 1-D
-    maximization of the concave objective.
+    theta*t - log E[exp(theta X^2)] (``source.log_mgf_x2``), by Brent's
+    bounded maximization of the concave objective over [0, hi].
+
+    The maximizer is scipy's bounded Brent loop transcribed into plain
+    floats (:func:`_bounded_brent_max`): it returns scipy's value bit for
+    bit in about a quarter of the time, and this call is the largest cost
+    of an exponent-grid point.
 
     Zero for t <= E[X^2]; +inf beyond the essential supremum of X^2.
     """
@@ -253,22 +346,17 @@ def rate_function_x2(source, t: float) -> float:
     if math.isfinite(theta_max):
         hi = theta_max * (1.0 - 1e-9)
     else:
-        hi = 1.0
-        while objective(2.0 * hi) > objective(hi):
-            hi *= 2.0
+        hi, g_hi = 1.0, objective(1.0)
+        while (g_next := objective(2.0 * hi)) > g_hi:
+            hi, g_hi = 2.0 * hi, g_next
             if hi > 1e15:
                 # Objective grows without bound: t beyond the support.
                 return math.inf
         hi *= 2.0
-    res = minimize_scalar(
-        lambda th: -objective(th),
-        bounds=(0.0, hi),
-        method="bounded",
-        options={"xatol": max(1e-14, 1e-12 * hi), "maxiter": 500},
-    )
-    if not res.success:
-        raise NumericError(f"rate function maximization failed at t={t}: {res.message}")
-    return max(0.0, -float(res.fun))
+    best, failure = _bounded_brent_max(objective, hi, max(1e-14, 1e-12 * hi), 500)
+    if failure:
+        raise NumericError(f"rate function maximization failed at t={t}: {failure}")
+    return max(0.0, best)
 
 
 def gaussian_rate_function_x2(t: float, sigma2: float) -> float:

@@ -182,6 +182,8 @@ distortion = 0.66
 trials = 100
 """
 
+PHI_SPHERICAL = PSI_BASE.replace("mode = psi", "mode = phi\nkind = spherical")
+
 RATES_SIM = BASE + """
 [rates]
 r1 = 0.55
@@ -305,6 +307,17 @@ MALFORMED = [
      "n >= 1, w >= 0 and trials >= 1, got n=0"),
     ("simulate", PSI_BASE.replace("n = 8", "n = -3") + "norm_arg = 1.0\n",
      "n >= 1, w >= 0 and trials >= 1, got n=-3"),
+    # psi/phi values core would refuse are refused first, by key
+    ("simulate", PHI_SPHERICAL + "norm_arg = 0.0\n",
+     "simulate.norm_arg: requires norm_arg > 0 for kind = spherical, got norm_arg=0.0"),
+    ("simulate", PSI_BASE + "norm_arg = -1.0\n",
+     "simulate.norm_arg: requires norm_arg >= 0, got norm_arg=-1.0"),
+    ("simulate", PSI_BASE.replace("trials = 100", "trials = 0") + "norm_arg = 1.0\n",
+     "simulate.trials: requires trials >= 1, got trials=0"),
+    ("simulate", PHI_SPHERICAL.replace("power = 0.66", "power = 0") + "norm_arg = 1.0\n",
+     "simulate.power: requires power > 0, got power=0.0"),
+    ("simulate", PHI_SPHERICAL.replace("distortion = 0.66", "distortion = 0") + "norm_arg = 1.0\n",
+     "simulate.distortion: requires distortion > 0, got distortion=0.0"),
     ("simulate", SIM_SMALL.replace("\nn = 8\n", "\nn =\n"),
      "simulate.n: cannot parse '' (empty list)"),
     ("simulate", SIM_SMALL.replace("kinds = spherical,spherical iid,iid", "kinds ="),

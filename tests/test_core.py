@@ -11,10 +11,13 @@ import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import minimize_scalar
 from scipy.special import betainc, logsumexp
 
 from srgauss import sources
 from srgauss.core import (
+    _bounded_brent_max,
+    _iid_exponent,
     gaussian_rate_function_x2,
     iid_nonexcess_exponent,
     iid_nonexcess_exponent_tilted,
@@ -30,7 +33,7 @@ from srgauss.core import (
     spherical_nonexcess_lower,
     spherical_nonexcess_upper,
 )
-from srgauss.errors import ConfigError
+from srgauss.errors import ConfigError, NumericError
 
 mp.mp.dps = 40
 
@@ -218,6 +221,22 @@ class TestIidExponent:
         for _ in range(200):
             w, p, d = rng.uniform(0.01, 3.0, size=3)
             assert iid_nonexcess_exponent(w, p, d) >= 0.0
+
+    def test_fused_kernel_is_tilt_then_tilted_form(self):
+        # the unchecked kernel is the same float as the two public steps,
+        # on both sides of the threshold w = d - p and on it
+        rng = np.random.default_rng(19)
+        p, d = rng.uniform(0.01, 3.0, size=(2, 3000))
+        w = np.concatenate([
+            rng.uniform(0.0, 3.0, 1000),
+            np.maximum(d[1000:2000] - p[1000:2000], 0.0) * rng.uniform(0.0, 1.0, 1000),
+            np.maximum(d[2000:] - p[2000:], 0.0),
+        ])
+        assert (w[1000:2000] <= np.maximum(d[1000:2000] - p[1000:2000], 0.0)).all()
+        for wi, pi, di in zip(w.tolist(), p.tolist(), d.tolist()):
+            tilted = iid_nonexcess_exponent_tilted(optimal_tilt(wi, pi, di), wi, pi, di)
+            assert _iid_exponent(wi, pi, di) == tilted
+            assert iid_nonexcess_exponent(wi, pi, di) == tilted
 
 
 class TestSphericalCapExponent:
@@ -491,6 +510,127 @@ class TestRateFunction:
         # the cgf log sum p exp(theta v^2) on the whole grid at once
         direct = np.max(thetas * t - logsumexp(np.log(p) + np.outer(thetas, v**2), axis=1))
         assert rate_function_x2(spec, t) == pytest.approx(direct, abs=1e-5)
+
+
+def _scipy_bounded_max(g, b, xatol):
+    """scipy's bounded Brent on -g over [0, b]: the oracle the port of its
+    loop must equal bit for bit."""
+    res = minimize_scalar(
+        lambda x: -g(x), bounds=(0.0, b), method="bounded",
+        options={"xatol": xatol, "maxiter": 500},
+    )
+    return -float(res.fun), res.success
+
+
+def _scipy_rate_function_x2(source, t):
+    """rate_function_x2 with the maximization done by scipy's
+    minimize_scalar(method="bounded") on the same bracket."""
+    if t <= source.sigma2 or source.theta_max <= 0.0:
+        return 0.0
+    if math.isfinite(source.x2_max) and t >= source.x2_max:
+        if t > source.x2_max or source.x2_max_mass <= 0.0:
+            return math.inf
+        return -math.log(source.x2_max_mass)
+
+    def objective(theta):
+        return theta * t - source.log_mgf_x2(theta)
+
+    if math.isfinite(source.theta_max):
+        hi = source.theta_max * (1.0 - 1e-9)
+    else:
+        hi = 1.0
+        while objective(2.0 * hi) > objective(hi):
+            hi *= 2.0
+            if hi > 1e15:
+                return math.inf
+        hi *= 2.0
+    best, ok = _scipy_bounded_max(objective, hi, max(1e-14, 1e-12 * hi))
+    assert ok
+    return max(0.0, best)
+
+
+# X^2 = 0.5 * chi2_3: finite theta_max = 1
+_GAMMA_X2 = sources.custom(
+    1.5, 3.75, lambda n, rng: 0.5 * rng.chisquare(3, n),
+    log_mgf_x2=lambda th: -1.5 * math.log1p(-th), theta_max=1.0,
+)
+# X^2 in {0.25, 1, 4} with x2_max left undeclared: theta_max = inf and
+# rate_function_x2 must find its bracket by doubling
+_LATTICE_X2 = sources.custom(
+    1.425, 3.815625, lambda n, rng: rng.choice([0.5, 1.0, 2.0], n, p=[0.3, 0.5, 0.2]),
+    log_mgf_x2=lambda th: float(logsumexp(
+        np.log([0.3, 0.5, 0.2]) + th * np.array([0.25, 1.0, 4.0]))),
+)
+
+ORACLE_SOURCES = {
+    "gaussian-1": sources.gaussian(1.0),
+    "gaussian-2.7": sources.gaussian(2.7),
+    "discrete": sources.discrete([-2.0, -0.5, 0.5, 2.0], [0.1, 0.4, 0.4, 0.1]),
+    "uniform": sources.uniform(1.7),
+    "two_point": sources.two_point(1.3),
+    "laplace": sources.laplace(0.8),
+    "custom-finite-theta": _GAMMA_X2,
+    "custom-infinite-theta": _LATTICE_X2,
+}
+
+
+class TestBoundedBrent:
+    @pytest.mark.parametrize("name", ORACLE_SOURCES)
+    def test_rate_function_equals_scipy_bounded(self, name):
+        source = ORACLE_SOURCES[name]
+        sigma2, x2_max = source.sigma2, source.x2_max
+        rng = np.random.default_rng(23)
+        # packed near sigma2 and near the top of the support, and spread
+        # between; unbounded supports reach 12 sigma2
+        top = x2_max if math.isfinite(x2_max) else 12.0 * sigma2
+        ts = np.concatenate([
+            sigma2 * (1.0 + np.abs(rng.normal(0.0, 1e-3, 400))),
+            rng.uniform(sigma2, top, 400),
+            top * (1.0 - np.abs(rng.normal(0.0, 1e-3, 400))),
+            [sigma2, math.nextafter(sigma2, math.inf), math.nextafter(top, 0.0), top],
+        ])
+        for t in ts.tolist():
+            assert rate_function_x2(source, t) == _scipy_rate_function_x2(source, t), t
+
+    @pytest.mark.parametrize("g, b", [
+        (lambda x: -(x - 0.3) ** 2, 1.0),
+        (lambda x: x, 5.0),  # maximum on the upper bound
+        (lambda x: -x, 5.0),  # maximum on the lower bound
+        (lambda x: math.sin(x), 20.0),  # several local maxima
+        (lambda x: -abs(x - 1e-3), 1e6),
+    ])
+    def test_equals_scipy_bounded_on_shapes(self, g, b):
+        for xatol in (1e-14, 1e-12 * b, 1e-5):
+            best, failure = _bounded_brent_max(g, b, xatol, 500)
+            assert failure is None
+            assert (best, True) == _scipy_bounded_max(g, b, xatol)
+
+    def test_reports_exhausted_evaluations(self):
+        best, failure = _bounded_brent_max(lambda x: -(x - 0.3) ** 2, 1.0, 1e-14, 3)
+        assert failure == "maximum number of function calls reached"
+        assert math.isfinite(best)
+
+    def test_nan_cgf_raises(self):
+        spec = sources.custom(
+            1.0, 3.0, lambda n, rng: rng.normal(size=n),
+            log_mgf_x2=lambda th: math.nan, theta_max=0.5,
+        )
+        with pytest.raises(NumericError, match="NaN result encountered"):
+            rate_function_x2(spec, 2.0)
+
+    def test_bracket_evaluates_each_doubling_once(self):
+        # theta = 1, 2, 4, ... each enter the cgf once while the bracket grows
+        seen = []
+
+        def cgf(th):
+            seen.append(th)
+            return _LATTICE_X2.log_mgf_x2(th)
+
+        spec = sources.custom(1.425, 3.815625, None, log_mgf_x2=cgf)
+        rate_function_x2(spec, 3.9)
+        doublings = [th for th in seen if th >= 1.0 and math.log2(th).is_integer()]
+        assert doublings[:3] == [1.0, 2.0, 4.0]
+        assert len(doublings) == len(set(doublings))
 
 
 class TestCgf:
