@@ -316,6 +316,12 @@ def cmd_simulate(cp, args) -> tuple[list[dict], list[str]]:
         ):
             if not ok:
                 raise ConfigError(f"simulate.{key}: requires {need}, got {key}={value}")
+        try:  # what is left to refuse, an infeasible cap, couples three keys
+            pred = (spherical_cap_exponent if spherical else iid_nonexcess_exponent)(
+                arg, power, dist)
+        except ConfigError as exc:
+            raise ConfigError(
+                f"simulate.norm_arg, simulate.power, simulate.distortion: {exc}") from None
         cost = sum(trials * n for n in ns)
     if cost > args.budget:
         raise BudgetError(
@@ -324,8 +330,6 @@ def cmd_simulate(cp, args) -> tuple[list[dict], list[str]]:
         )
 
     if mode != "scheme":
-        rate = iid_nonexcess_exponent if kind == "iid" else spherical_cap_exponent
-        pred = rate(arg, power, dist)
         rows = []
         for i, n in enumerate(ns):
             est = estimate_nonexcess(kind, n, arg, power, dist, trials, seed)

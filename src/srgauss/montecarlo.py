@@ -1,11 +1,11 @@
 """Ensemble probability estimation with deterministic parallel streams.
 
-Every trial owns a counter-based substream: trial i of a run with master
-seed s uses ``Philox(key=[s, i])``.  Results are therefore bit-identical
-for any worker count, and workers are plain threads (the heavy numpy fills
-release the GIL).  Each range of trials builds one generator and re-keys
-it to that state for every trial (:func:`trial_stream`), which gives the
-same draws as a fresh generator without building one per trial.
+Every ``direct`` trial owns a counter-based substream: trial i of a run
+with master seed s uses ``Philox(key=[s, i])``; block b of ``radial``
+trials uses ``Philox(key=[s, b])``, and its ranges end on block edges.
+Results are therefore bit-identical for any worker count, and workers are
+plain threads (the heavy numpy fills release the GIL).  Each range re-keys
+one generator per trial or block (:func:`trial_stream`).
 
 Two trial mechanisms are available:
 
@@ -29,12 +29,13 @@ Two trial mechanisms are available:
   exceeds n*d2 exactly when the tail mass exceeds one codeword's CDF at
   n*d2, so layer 2 costs one CDF evaluation instead of a quantile.
 
-  A trial costs one n-draw of the source and its norm, one quantile and
-  one CDF comparison, whatever M1 and M2 are.  A range draws each trial's
-  source norm and two uniforms in the documented order, then makes one
-  vectorized quantile call and one vectorized CDF call per block of
-  ``_BLOCK`` trials.  The joint law of the excess events is exactly that
-  of the direct path (held to it by equivalence tests, not assumed).
+  A trial costs n source letters and their norm, one quantile and one CDF
+  comparison, whatever M1 and M2 are.  A block of k trials draws all k*n
+  letters in trial order with one ``source.sample`` call, then the k
+  (u1, u2) pairs with one ``random`` call, and makes one vectorized
+  quantile call and one vectorized CDF call.  The joint law of the excess
+  events is exactly that of the direct path (held to it by equivalence
+  tests, not assumed).
 """
 
 from __future__ import annotations
@@ -146,8 +147,7 @@ class EstimationResult:
 # inf; a draw that deep is checked and refused rather than returned wrong.
 _CHNDTRIX_CHECKED_BELOW = 1e-100
 
-# trials per block of a range: the block's arrays stay a few hundred kB
-# whatever ``trials`` is
+# trials per block of a range, so memory does not grow with ``trials``
 _BLOCK = 4096
 
 
@@ -206,20 +206,6 @@ def _exceeds(kind: str, n: int, c: np.ndarray, p: float, m: int, u: np.ndarray,
     return tail > betainc(0.5 * (n - 1), 0.5 * (n - 1), t)
 
 
-def _radial_draws(source: SourceSpec, n: int, seed: int, block: range,
-                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Each trial's draws in the documented order: the source block, kept
-    as c = ||x||^2, then the layer-1 and layer-2 uniforms, one row of u."""
-    c = np.empty(len(block))
-    u = np.empty((len(block), 2))
-    for j, i in enumerate(block):
-        rng = trial_stream(seed, i, rng)
-        x = source.sample(n, rng)
-        c[j] = x @ x
-        u[j] = rng.random(2)
-    return c, u
-
-
 def _radial_trial(config: SchemeConfig, c: np.ndarray,
                   u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The two excess events of a block of radial trials, as bool arrays."""
@@ -243,7 +229,7 @@ def ops_per_trial(config: SchemeConfig, method: str) -> int:
     """The cost model: distance multiply-adds charged per trial.  ``direct``
     scans every coordinate of every codeword, (m1 + m2) * n; ``radial``
     takes one n-length source norm, one quantile and one CDF comparison
-    (batched per range), n + 2."""
+    (batched per block), n + 2."""
     _check_choice("method", method, METHODS)
     if method == "radial":
         return config.n + 2
@@ -264,10 +250,10 @@ def estimate(
     ``precision="single"`` stores codebooks in float32 (distances still
     accumulate in float64); ``method="radial"`` selects the exact
     order-statistic sampler.  Neither affects determinism: output depends
-    only on (config, source, trials, seed, method, precision).  Each range
-    of trials runs in blocks of ``_BLOCK`` trials and returns its three
-    counts, and the ranges' counts are summed, so memory does not grow with
-    ``trials``.
+    only on (config, source, trials, seed, method, precision): a ``radial``
+    block draws from one stream, and ``radial`` ranges end on block edges.
+    Each range runs in blocks of at most ``_BLOCK`` trials and returns its
+    three counts, summed over ranges, so memory does not grow with trials.
     """
     if trials < 1:
         raise ConfigError(f"requires trials >= 1, got {trials}")
@@ -277,15 +263,23 @@ def estimate(
     _check_choice("precision", precision, PRECISIONS)
     dtype = PRECISIONS[precision]
 
+    # a radial block's letters take at most 1 MiB (2**17 floats)
+    step = min(_BLOCK, max(1, 2**17 // config.n)) if method == "radial" else _BLOCK
+
     def count_range(lo: int, hi: int) -> np.ndarray:
-        # one generator per range, re-keyed for each trial; module globals are
+        # one generator per range, re-keyed per trial or radial block; globals are
         # looked up per call, so a patched trial_stream or run_trial is seen
         rng = np.random.Generator(np.random.Philox(0))
         counts = np.zeros(3, dtype=np.int64)
-        for start in range(lo, hi, _BLOCK):
-            block = range(start, min(start + _BLOCK, hi))
+        for start in range(lo, hi, step):
+            block = range(start, min(start + step, hi))
             if method == "radial":
-                e1, e2 = _radial_trial(config, *_radial_draws(source, config.n, seed, block, rng))
+                # block start // step: its trials' letters, then their (u1, u2)
+                g = trial_stream(seed, start // step, rng)
+                x = source.sample(len(block) * config.n, g).reshape(len(block), -1)
+                e1, e2 = _radial_trial(config, np.einsum("ij,ij->i", x, x),
+                                       g.random((len(block), 2)))
+                del x  # so the next block's letters are not drawn beside these
             else:
                 d = np.array([run_trial(config, source, trial_stream(seed, i, rng), dtype=dtype)
                               for i in block])
@@ -297,19 +291,17 @@ def estimate(
     if workers == 1:
         ranges = [count_range(0, trials)]
     else:
-        # 4 ranges per worker even out trials of uneven cost; ranges may be empty
-        bounds = np.linspace(0, trials, 4 * workers + 1).astype(int).tolist()
+        # 4 ranges per worker even out trials of uneven cost; ranges may be
+        # empty, and radial ones are whole blocks
+        unit = step if method == "radial" else 1
+        edges = np.linspace(0, -(-trials // unit), 4 * workers + 1).astype(int) * unit
+        bounds = np.minimum(edges, trials).tolist()
         with ThreadPoolExecutor(max_workers=workers) as ex:
             ranges = list(ex.map(count_range, bounds[:-1], bounds[1:]))
     count1, count2, count_joint = map(int, sum(ranges))
 
-    return EstimationResult(
-        trials=trials,
-        count_joint=count_joint,
-        count1=count1,
-        count2=count2,
-        wall_time=time.perf_counter() - t0,
-    )
+    return EstimationResult(trials=trials, count_joint=count_joint, count1=count1,
+                            count2=count2, wall_time=time.perf_counter() - t0)
 
 
 def estimate_nonexcess(

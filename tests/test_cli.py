@@ -312,6 +312,9 @@ MALFORMED = [
      "simulate.norm_arg: requires norm_arg > 0 for kind = spherical, got norm_arg=0.0"),
     ("simulate", PSI_BASE + "norm_arg = -1.0\n",
      "simulate.norm_arg: requires norm_arg >= 0, got norm_arg=-1.0"),
+    # a spherical cap that needs distortion > (sqrt(norm_arg) - sqrt(power))^2
+    ("simulate", PHI_SPHERICAL.replace("distortion = 0.66", "distortion = 0.1") + "norm_arg = 4.0\n",
+     "simulate.norm_arg, simulate.power, simulate.distortion: cap is geometrically infeasible"),
     ("simulate", PSI_BASE.replace("trials = 100", "trials = 0") + "norm_arg = 1.0\n",
      "simulate.trials: requires trials >= 1, got trials=0"),
     ("simulate", PHI_SPHERICAL.replace("power = 0.66", "power = 0") + "norm_arg = 1.0\n",

@@ -57,12 +57,19 @@ def _exact_sep1(kind: str, n: int, m: int, p: float, d: float) -> float:
     ) + chi2.sf(edges[-1], n)
 
 
+def _radial_block(n: int) -> int:
+    """The documented radial block size: at most 4,096 trials, and at most
+    2**17 source letters (1 MiB of float64)."""
+    return min(4096, max(1, 2**17 // n))
+
+
 def _scalar_radial_counts(cfg: SchemeConfig, source, trials: int, seed: int):
-    """The radial sampler one trial at a time, as documented: a fresh
-    ``Philox(key=[seed, i])`` per trial draws the source block, then u1, then
-    u2, and each layer's nearest codeword is one quantile of the minimum's
-    law at tail mass 1 - (1 - u)**(1/M).  Returns (count1, count2, joint)."""
-    n = cfg.n
+    """The radial sampler one trial at a time, as documented: block b of
+    ``_radial_block(n)`` trials draws from a fresh ``Philox(key=[seed, b])``
+    its trials' source letters in trial order, then their (u1, u2) pairs,
+    and each layer's nearest codeword is one quantile of the minimum's law
+    at tail mass 1 - (1 - u)**(1/M).  Returns (count1, count2, joint)."""
+    n, size = cfg.n, _radial_block(cfg.n)
 
     def nearest(kind: str, c: float, p: float, m: int, u: float) -> float:
         tail = -math.expm1(math.log(1.0 - u) / m)
@@ -73,15 +80,21 @@ def _scalar_radial_counts(cfg: SchemeConfig, source, trials: int, seed: int):
         return (r - s) ** 2 + 4.0 * r * s * t
 
     count1 = count2 = joint = 0
-    for i in range(trials):
-        rng = np.random.Generator(np.random.Philox(key=[seed, i]))
-        x = source.sample(n, rng)
-        nl = nearest(cfg.kind1, float(x @ x), cfg.p_y, cfg.m1, rng.random())
-        nd2 = nearest(cfg.kind2, nl, cfg.p_z, cfg.m2, rng.random())
-        e1, e2 = nl > n * cfg.d1, nd2 > n * cfg.d2
-        count1 += e1
-        count2 += e2
-        joint += e1 or e2
+    for b, lo in enumerate(range(0, trials, size)):
+        k = min(size, trials - lo)
+        rng = np.random.Generator(np.random.Philox(key=[seed, b]))
+        x = np.array([source.sample(n, rng) for _ in range(k)])
+        # each trial's squared norm by the block path's own expression, so
+        # c is the same float and the counts can be compared exactly
+        cs = np.einsum("ij,ij->i", x, x)
+        us = [(rng.random(), rng.random()) for _ in range(k)]
+        for c, (u1, u2) in zip(cs, us):
+            nl = nearest(cfg.kind1, float(c), cfg.p_y, cfg.m1, u1)
+            nd2 = nearest(cfg.kind2, nl, cfg.p_z, cfg.m2, u2)
+            e1, e2 = nl > n * cfg.d1, nd2 > n * cfg.d2
+            count1 += e1
+            count2 += e2
+            joint += e1 or e2
     return count1, count2, joint
 
 
@@ -179,6 +192,23 @@ class TestEstimate:
         finally:
             sys.setswitchinterval(interval)
 
+    @pytest.mark.parametrize("n, trials", [(4096, 103), (2048, 653)])
+    def test_radial_worker_invariance_across_blocks(self, n, trials):
+        # radial ranges end on block edges: trials over several blocks, the
+        # last one partial, give one count triple for any worker count, and
+        # it is the one-trial-at-a-time reference's; d1 and d2 sit where both
+        # layers' excess frequencies are interior at these n
+        size = _radial_block(n)
+        assert trials >= 3 * size and trials % size
+        cfg = small_config(n=n, m1=32, m2=16, kind2="spherical", d1=0.99, d2=0.975)
+        src = sources.gaussian(1.0)
+        counts = set()
+        for w in (1, 2, 4, 16):
+            r = estimate(cfg, src, trials=trials, seed=7, workers=w, method="radial")
+            counts.add((r.count1, r.count2, r.count_joint))
+        want = _scalar_radial_counts(cfg, src, trials, 7)
+        assert counts == {want} and 0 < min(want) <= max(want) < trials
+
     def test_loose_targets_never_exceed(self):
         # deterministic source power plus generous code sizes: the excess
         # probability is astronomically small, so 10^3 trials see none
@@ -235,6 +265,23 @@ class TestEstimate:
             tracemalloc.stop()
         assert r.trials == 200_000
         assert peak < 1_000_000, peak
+
+    def test_radial_memory_bounded_at_large_n(self):
+        # at n = 4096 a block is 32 trials, whose 2**17 letters take 1 MiB;
+        # 200 trials drawn at once would take 6.5 MB and two blocks' letters
+        # side by side 2 MiB, while one block's letters plus its per-trial
+        # arrays stay under 1.25 MiB
+        n = 4096
+        cfg = small_config(n=n, m1=32, m2=16)
+        src = sources.gaussian(1.0)
+        tracemalloc.start()
+        try:
+            r = estimate(cfg, src, trials=200, seed=5, method="radial")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert r.trials == 200 > 5 * _radial_block(n)
+        assert peak < 2**20 + 2**18, peak
 
     @pytest.mark.parametrize("kind1", ["spherical", "iid"])
     def test_radial_sep1_matches_exact_quadrature(self, kind1):
