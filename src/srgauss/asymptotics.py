@@ -129,16 +129,26 @@ class ExponentResult:
         return tuple(v > 0.0 for v in self.values)
 
 
-def jep_exponent(source: SourceSpec, q: RateQuery) -> ExponentResult:
-    """Joint excess-distortion exponent of the rate-adaptive scheme:
-    the rate function of X^2 at the radius where layer-1 covering at the
-    split distortion stops being exponentially easy."""
+def _joint(source: SourceSpec, q: RateQuery) -> tuple[bool, float, float, float]:
+    """Whether r2 is at or below the branch rate 0.5*log(d1/d2), the
+    layer-1 power, and the joint exponent's radius and value: layer-1
+    covering at the split distortion lam*d1 below the branch rate, and at
+    d1 above it, where lambda is 1 (its float can round to 1 - 2**-53)."""
     if q.r1 <= 0:
         raise ConfigError(f"requires r1 > 0, got {q.r1}")
     lam = lambda_for_rates(q.r2, q.d1, q.d2)
     # RateQuery keeps sigma2 > d1 and lam <= 1, so p_y >= sigma2 - d1 > 0
-    alpha = _covering_radius(q.r1, q.sigma2 - lam * q.d1, lam * q.d1)
-    value = _rate(source, alpha)
+    p_y = q.sigma2 - lam * q.d1
+    low = q.r2 <= 0.5 * math.log(q.d1 / q.d2)
+    alpha = _covering_radius(q.r1, p_y, lam * q.d1 if low else q.d1)
+    return low, p_y, alpha, _rate(source, alpha)
+
+
+def jep_exponent(source: SourceSpec, q: RateQuery) -> ExponentResult:
+    """Joint excess-distortion exponent of the rate-adaptive scheme:
+    the rate function of X^2 at the radius where layer-1 covering at the
+    split distortion stops being exponentially easy."""
+    _, _, alpha, value = _joint(source, q)
     return ExponentResult(auxiliaries={"alpha_star": alpha}, values=(value,), case_tag="adaptive")
 
 
@@ -177,37 +187,24 @@ def sep_exponents(source: SourceSpec, q: RateQuery) -> ExponentResult:
     """Separate excess-distortion exponents (layer 1, layer 2).
 
     Below the branch rate 0.5*log(d1/d2) the layer-2 exponent coincides
-    with the joint exponent; above it the scheme runs at full split and the
-    layer-2 radius is chained through the layer-1 covering radius.
-
-    Either way one of the two is the joint exponent, bit for bit:
-    :func:`jep_exponent` equals ``values[1]`` (radius ``alpha2_star``) on
-    the ``low_r2`` branch, and ``values[0]`` (radius ``alpha1_star``) on
-    the ``high_r2`` branch, where lambda = 1 makes the layer-1 radius the
-    joint one.
+    with the joint exponent; above it the scheme runs at full split, the
+    layer-1 exponent is the joint one, and the layer-2 radius is chained
+    through the layer-1 covering radius.  Either way the joint one comes
+    from :func:`_joint`, as :func:`jep_exponent`'s does, so the two agree
+    bit for bit.
     """
-    if q.r1 <= 0:
-        raise ConfigError(f"requires r1 > 0, got {q.r1}")
-    lam = lambda_for_rates(q.r2, q.d1, q.d2)
-    p_y = q.sigma2 - lam * q.d1
-    alpha1 = _covering_radius(q.r1, p_y, q.d1)
-    e1 = _rate(source, alpha1)
-    half_d1d2 = 0.5 * math.log(q.d1 / q.d2)
-
-    if q.r2 <= half_d1d2:
-        alpha2 = _covering_radius(q.r1, p_y, lam * q.d1)
-        e2 = _rate(source, alpha2)
-        aux = {"alpha1_star": alpha1, "alpha2_star": alpha2}
-        tag = "low_r2"
-    else:
-        p_z = q.d1 - q.d2
-        gamma = _covering_radius(q.r2, p_z, q.d2)
-        alpha2 = _covering_radius(q.r1, p_y, gamma)
-        e2 = _rate(source, alpha2)
-        aux = {"alpha1_star": alpha1, "gamma_star": gamma, "alpha2_star": alpha2}
-        tag = "high_r2"
-
-    return ExponentResult(auxiliaries=aux, values=(e1, e2), case_tag=tag)
+    low, p_y, alpha, value = _joint(source, q)
+    if low:
+        alpha1 = _covering_radius(q.r1, p_y, q.d1)
+        aux = {"alpha1_star": alpha1, "alpha2_star": alpha}
+        return ExponentResult(auxiliaries=aux, values=(_rate(source, alpha1), value),
+                              case_tag="low_r2")
+    p_z = q.d1 - q.d2
+    gamma = _covering_radius(q.r2, p_z, q.d2)
+    alpha2 = _covering_radius(q.r1, p_y, gamma)
+    aux = {"alpha1_star": alpha, "gamma_star": gamma, "alpha2_star": alpha2}
+    return ExponentResult(auxiliaries=aux, values=(value, _rate(source, alpha2)),
+                          case_tag="high_r2")
 
 
 def exponent_point(source: SourceSpec, q: RateQuery) -> dict:

@@ -1,11 +1,12 @@
 """Ensemble probability estimation with deterministic parallel streams.
 
-Every ``direct`` trial owns a counter-based substream: trial i of a run
-with master seed s uses ``Philox(key=[s, i])``; block b of ``radial``
-trials uses ``Philox(key=[s, b])``, and its ranges end on block edges.
-Results are therefore bit-identical for any worker count, and workers are
-plain threads (the heavy numpy fills release the GIL).  Each range re-keys
-one generator per trial or block (:func:`trial_stream`).
+Every count runs through one block engine, :func:`_count_blocks`: block b
+of B trials of a run with master seed s uses ``Philox(key=[s, b])``.  A
+``direct`` block is one trial; a ``radial`` or psi/phi block is
+``_block(n)`` trials.  Results are therefore bit-identical for any worker
+count, and workers are plain threads running ranges of whole blocks (the
+heavy numpy fills release the GIL).  Each range re-keys one generator per
+block (:func:`trial_stream`).
 
 Two trial mechanisms are available:
 
@@ -147,9 +148,6 @@ class EstimationResult:
 # inf; a draw that deep is checked and refused rather than returned wrong.
 _CHNDTRIX_CHECKED_BELOW = 1e-100
 
-# trials per block of a range, so memory does not grow with ``trials``
-_BLOCK = 4096
-
 
 def _tail(u: np.ndarray, m: int) -> np.ndarray:
     """Tail mass 1 - (1 - u)**(1/m) of the minimum of m codewords' distances
@@ -206,6 +204,38 @@ def _exceeds(kind: str, n: int, c: np.ndarray, p: float, m: int, u: np.ndarray,
     return tail > betainc(0.5 * (n - 1), 0.5 * (n - 1), t)
 
 
+def _block(n: int) -> int:
+    """Trials per ``radial`` or psi/phi block: at most 4,096 and 2**17 letters (1 MiB)."""
+    return min(4096, max(1, 2**17 // n))
+
+
+def _count_blocks(sample, block: int, trials: int, seed: int, workers: int) -> np.ndarray:
+    """Per-event counts over ``trials``.  Block b covers trials [b*block,
+    min((b+1)*block, trials)); ``sample(trial_stream(seed, b), k)`` returns
+    one bool (array) per event for its k trials, so memory does not grow
+    with ``trials``."""
+    blocks = -(-trials // block)
+
+    def count_range(lo: int, hi: int) -> np.ndarray:
+        # one generator per range, re-keyed per block; globals are looked up
+        # per call, so a patched trial_stream, run_trial or gen_codebook is seen
+        rng = np.random.Generator(np.random.Philox(0))
+        counts = 0
+        for b in range(lo, hi):
+            events = sample(trial_stream(seed, b, rng), min(block, trials - b * block))
+            counts += np.array([np.count_nonzero(e) for e in events])
+        return counts
+
+    # 4 ranges per worker even out blocks of uneven cost
+    ranges = min(4 * workers, blocks)
+    threads = min(workers, ranges)
+    if threads == 1:
+        return count_range(0, blocks)
+    edges = [r * blocks // ranges for r in range(ranges + 1)]
+    with ThreadPoolExecutor(max_workers=threads) as ex:
+        return sum(ex.map(count_range, edges[:-1], edges[1:]))
+
+
 def _radial_trial(config: SchemeConfig, c: np.ndarray,
                   u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The two excess events of a block of radial trials, as bool arrays."""
@@ -250,10 +280,9 @@ def estimate(
     ``precision="single"`` stores codebooks in float32 (distances still
     accumulate in float64); ``method="radial"`` selects the exact
     order-statistic sampler.  Neither affects determinism: output depends
-    only on (config, source, trials, seed, method, precision): a ``radial``
-    block draws from one stream, and ``radial`` ranges end on block edges.
-    Each range runs in blocks of at most ``_BLOCK`` trials and returns its
-    three counts, summed over ranges, so memory does not grow with trials.
+    only on (config, source, trials, seed, method, precision): every trial
+    belongs to one block of :func:`_count_blocks`, whose blocks are one
+    ``direct`` trial or ``_block(n)`` ``radial`` trials.
     """
     if trials < 1:
         raise ConfigError(f"requires trials >= 1, got {trials}")
@@ -261,44 +290,20 @@ def estimate(
         raise ConfigError(f"requires workers >= 1, got {workers}")
     _check_choice("method", method, METHODS)
     _check_choice("precision", precision, PRECISIONS)
-    dtype = PRECISIONS[precision]
 
-    # a radial block's letters take at most 1 MiB (2**17 floats)
-    step = min(_BLOCK, max(1, 2**17 // config.n)) if method == "radial" else _BLOCK
-
-    def count_range(lo: int, hi: int) -> np.ndarray:
-        # one generator per range, re-keyed per trial or radial block; globals are
-        # looked up per call, so a patched trial_stream or run_trial is seen
-        rng = np.random.Generator(np.random.Philox(0))
-        counts = np.zeros(3, dtype=np.int64)
-        for start in range(lo, hi, step):
-            block = range(start, min(start + step, hi))
-            if method == "radial":
-                # block start // step: its trials' letters, then their (u1, u2)
-                g = trial_stream(seed, start // step, rng)
-                x = source.sample(len(block) * config.n, g).reshape(len(block), -1)
-                e1, e2 = _radial_trial(config, np.einsum("ij,ij->i", x, x),
-                                       g.random((len(block), 2)))
-                del x  # so the next block's letters are not drawn beside these
-            else:
-                d = np.array([run_trial(config, source, trial_stream(seed, i, rng), dtype=dtype)
-                              for i in block])
-                e1, e2 = d[:, 0] > config.d1, d[:, 1] > config.d2
-            counts += (np.count_nonzero(e1), np.count_nonzero(e2), np.count_nonzero(e1 | e2))
-        return counts
+    def sample(g: np.random.Generator, k: int) -> tuple:
+        if method == "radial":
+            # the block's letters in trial order, then its (u1, u2) pairs
+            x = source.sample(k * config.n, g).reshape(k, -1)
+            e1, e2 = _radial_trial(config, np.einsum("ij,ij->i", x, x), g.random((k, 2)))
+        else:
+            d1, d2 = run_trial(config, source, g, dtype=PRECISIONS[precision])
+            e1, e2 = d1 > config.d1, d2 > config.d2
+        return e1, e2, e1 | e2
 
     t0 = time.perf_counter()
-    if workers == 1:
-        ranges = [count_range(0, trials)]
-    else:
-        # 4 ranges per worker even out trials of uneven cost; ranges may be
-        # empty, and radial ones are whole blocks
-        unit = step if method == "radial" else 1
-        edges = np.linspace(0, -(-trials // unit), 4 * workers + 1).astype(int) * unit
-        bounds = np.minimum(edges, trials).tolist()
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            ranges = list(ex.map(count_range, bounds[:-1], bounds[1:]))
-    count1, count2, count_joint = map(int, sum(ranges))
+    block = _block(config.n) if method == "radial" else 1
+    count1, count2, count_joint = map(int, _count_blocks(sample, block, trials, seed, workers))
 
     return EstimationResult(trials=trials, count_joint=count_joint, count1=count1,
                             count2=count2, wall_time=time.perf_counter() - t0)
@@ -311,19 +316,16 @@ def estimate_nonexcess(
     against a sequence of per-letter power w, at distortion d.  The
     probability depends on the sequence only through its norm, so this is
     psi (layer 1, w the source power) and phi (layer 2, w the layer-1
-    distortion) alike."""
+    distortion) alike.  Its blocks of ``_block(n)`` codewords run on one thread."""
     if n < 1 or w < 0 or trials < 1:
         raise ConfigError(
             f"requires n >= 1, w >= 0 and trials >= 1, got n={n}, w={w}, trials={trials}"
         )
     x = np.full(n, math.sqrt(w))
-    center = np.zeros(n)
-    rng = trial_stream(seed, 0)
-    batch = max(1, min(trials, 4_000_000 // n))
-    hits = 0
-    for done in range(0, trials, batch):
-        bank = gen_codebook(kind, min(batch, trials - done), center, p, rng)
-        diff = bank - x
-        dists = np.einsum("ij,ij->i", diff, diff, dtype=np.float64)
-        hits += int(np.count_nonzero(dists <= n * d))
-    return hits / trials
+
+    def sample(g: np.random.Generator, k: int) -> tuple[np.ndarray]:
+        diff = gen_codebook(kind, k, np.zeros(n), p, g)
+        diff -= x
+        return (np.einsum("ij,ij->i", diff, diff, dtype=np.float64) <= n * d,)
+
+    return int(_count_blocks(sample, _block(n), trials, seed, 1)[0]) / trials

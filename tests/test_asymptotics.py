@@ -431,6 +431,28 @@ class TestExponentPoint:
                 assert point["alpha_star"] == jep.auxiliaries["alpha_star"], (r1, r2)
                 assert point["jep_positive"] == jep.positive[0]
 
+    def test_jep_equals_sep_just_above_the_branch_rate(self):
+        # a few ulps above r2 = 0.5*log(d1/d2), lambda_for_rates can round
+        # to 0.9999999999999999 while sep_exponents takes the high_r2
+        # branch; jep_exponent must still be its layer-1 exponent, bit for bit
+        rng = np.random.default_rng(0)
+        points = [(0.8769862280517482, 0.3562100565556063, 0.45048534271278057)]
+        for d1, d2 in np.sort(rng.uniform(0.05, 0.95, (200, 2)))[:, ::-1].tolist():
+            r2 = 0.5 * math.log(d1 / d2)
+            for _ in range(6):
+                r2 = math.nextafter(r2, math.inf)
+                points.append((d1, d2, r2))
+        edge = [p for p in points if lambda_for_rates(p[2], p[0], p[1]) < 1.0]
+        assert len(edge) >= 20
+        for d1, d2, r2 in edge:
+            for r1 in (0.6, 0.9, 1.3):
+                q = rq(r1, r2, d1=d1, d2=d2)
+                sep, jep = sep_exponents(GMS, q), jep_exponent(GMS, q)
+                assert sep.case_tag == "high_r2"
+                assert jep.value == sep.values[0], (r1, d1, d2, r2)
+                assert jep.auxiliaries["alpha_star"] == sep.auxiliaries["alpha1_star"]
+                assert exponent_point(GMS, q)["jep_exponent"] == jep.value
+
     def test_no_exponents_at_zero_r1(self):
         point = exponent_point(GMS, rq(0.0, 0.5))
         assert set(point) == {"r1", "r2", "region", "eta", "lambda"}

@@ -12,7 +12,7 @@ from scipy.integrate import quad
 from scipy.special import betainc, betaincinv, chndtr, chndtrix
 from scipy.stats import chi2
 
-from srgauss import sources
+from srgauss import montecarlo, sources
 from srgauss.codec import KINDS, SchemeConfig
 from srgauss.core import (
     iid_nonexcess_exponent,
@@ -57,19 +57,20 @@ def _exact_sep1(kind: str, n: int, m: int, p: float, d: float) -> float:
     ) + chi2.sf(edges[-1], n)
 
 
-def _radial_block(n: int) -> int:
-    """The documented radial block size: at most 4,096 trials, and at most
-    2**17 source letters (1 MiB of float64)."""
+def _block(n: int) -> int:
+    """The documented radial and psi/phi block size: at most 4,096 trials,
+    and at most 2**17 source letters or codeword coordinates (1 MiB of
+    float64)."""
     return min(4096, max(1, 2**17 // n))
 
 
 def _scalar_radial_counts(cfg: SchemeConfig, source, trials: int, seed: int):
     """The radial sampler one trial at a time, as documented: block b of
-    ``_radial_block(n)`` trials draws from a fresh ``Philox(key=[seed, b])``
+    ``_block(n)`` trials draws from a fresh ``Philox(key=[seed, b])``
     its trials' source letters in trial order, then their (u1, u2) pairs,
     and each layer's nearest codeword is one quantile of the minimum's law
     at tail mass 1 - (1 - u)**(1/M).  Returns (count1, count2, joint)."""
-    n, size = cfg.n, _radial_block(cfg.n)
+    n, size = cfg.n, _block(cfg.n)
 
     def nearest(kind: str, c: float, p: float, m: int, u: float) -> float:
         tail = -math.expm1(math.log(1.0 - u) / m)
@@ -96,6 +97,23 @@ def _scalar_radial_counts(cfg: SchemeConfig, source, trials: int, seed: int):
             count2 += e2
             joint += e1 or e2
     return count1, count2, joint
+
+
+def _scalar_nonexcess(kind: str, n: int, w: float, p: float, d: float, trials: int,
+                      seed: int) -> float:
+    """estimate_nonexcess one codeword at a time, as documented: block b of
+    ``_block(n)`` codewords draws from a fresh ``Philox(key=[seed, b])``
+    each codeword's n normals in turn, scaled to per-letter power p (iid)
+    or onto the radius-sqrt(n*p) sphere (spherical)."""
+    size, hits = _block(n), 0
+    for b, lo in enumerate(range(0, trials, size)):
+        rng = np.random.Generator(np.random.Philox(key=[seed, b]))
+        for _ in range(min(size, trials - lo)):
+            g = rng.standard_normal(n)
+            scale = math.sqrt(p) if kind == "iid" else math.sqrt(n * p) / math.sqrt(g @ g)
+            diff = g * scale - math.sqrt(w)
+            hits += float(diff @ diff) <= n * d
+    return hits / trials
 
 
 def small_config(**kw):
@@ -181,7 +199,7 @@ class TestEstimate:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            # 3 trials over 4 workers: most of the 16 ranges are empty
+            # 3 direct trials are 3 blocks, so at most 3 ranges on 3 threads
             for method, trials in itertools.product(METHODS, (3, 600)):
                 counts = set()
                 for w in (1, 2, 4, 16):
@@ -198,7 +216,7 @@ class TestEstimate:
         # last one partial, give one count triple for any worker count, and
         # it is the one-trial-at-a-time reference's; d1 and d2 sit where both
         # layers' excess frequencies are interior at these n
-        size = _radial_block(n)
+        size = _block(n)
         assert trials >= 3 * size and trials % size
         cfg = small_config(n=n, m1=32, m2=16, kind2="spherical", d1=0.99, d2=0.975)
         src = sources.gaussian(1.0)
@@ -208,6 +226,39 @@ class TestEstimate:
             counts.add((r.count1, r.count2, r.count_joint))
         want = _scalar_radial_counts(cfg, src, trials, 7)
         assert counts == {want} and 0 < min(want) <= max(want) < trials
+
+    def test_threads_and_ranges_never_exceed_blocks(self, monkeypatch):
+        # min(4 * workers, blocks) ranges of whole blocks on min(workers,
+        # ranges) threads; one block, one worker or psi/phi runs inline
+        seen = []
+
+        class Recording(montecarlo.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                super().__init__(max_workers=max_workers)
+                self.threads = max_workers
+
+            def map(self, fn, lo, hi):
+                lo, hi = list(lo), list(hi)
+                seen.append((self.threads, len(lo), lo[0], hi[-1]))
+                assert lo[1:] == hi[:-1] and all(a < b for a, b in zip(lo, hi))
+                return super().map(fn, lo, hi)
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Recording)
+        src = sources.gaussian(1.0)
+        radial = small_config(n=4096, kind2="spherical", d1=0.99, d2=0.975)
+        for cfg, method, trials, workers, want in [
+            (small_config(), "direct", 3, 16, [(3, 3, 0, 3)]),
+            (small_config(), "direct", 600, 2, [(2, 8, 0, 600)]),
+            (small_config(), "radial", 600, 16, []),  # one block of 4,096
+            (radial, "radial", 100, 16, [(4, 4, 0, 4)]),  # 4 blocks of 32
+            (radial, "radial", 100, 1, []),
+        ]:
+            seen.clear()
+            r = estimate(cfg, src, trials=trials, seed=1, workers=workers, method=method)
+            assert seen == want and r.trials == trials, (method, trials, workers, seen)
+        seen.clear()
+        estimate_nonexcess("iid", 4096, 1.0, 0.5, 1.5, trials=100, seed=1)
+        assert seen == []
 
     def test_loose_targets_never_exceed(self):
         # deterministic source power plus generous code sizes: the excess
@@ -280,7 +331,7 @@ class TestEstimate:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert r.trials == 200 > 5 * _radial_block(n)
+        assert r.trials == 200 > 5 * _block(n)
         assert peak < 2**20 + 2**18, peak
 
     @pytest.mark.parametrize("kind1", ["spherical", "iid"])
@@ -391,6 +442,31 @@ class TestPsiPhi:
         est = [estimate_nonexcess("iid", n, l, p, d, trials=200_000, seed=9) for n in ns]
         slope = (math.log(est[0]) - math.log(est[1])) / (ns[1] - ns[0])
         assert slope == pytest.approx(rate, rel=0.25)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_nonexcess_equals_scalar_reference(self, kind):
+        # n = 1000 puts 131 codewords in a block, so 500 draws cross three
+        # block edges and end on a partial block; d = w + p puts the
+        # frequency near one half for both kinds
+        n, w, p, trials = 1000, 1.0, 0.5, 500
+        assert trials > 3 * _block(n) and trials % _block(n)
+        est = estimate_nonexcess(kind, n, w, p, w + p, trials=trials, seed=12)
+        assert est == _scalar_nonexcess(kind, n, w, p, w + p, trials, 12)
+        assert 0.3 < est < 0.7
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_nonexcess_memory_bounded(self, kind):
+        # 200,000 codewords at n = 10 run in blocks of 4,096 (320 KiB of
+        # draws, differenced in place); drawn at once, the bank and its
+        # differences would take 32 MB
+        tracemalloc.start()
+        try:
+            est = estimate_nonexcess(kind, 10, 1.0, 0.5, 1.5, trials=200_000, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0.3 < est < 0.7
+        assert peak < 2 * 2**20, peak
 
     def test_psi_determinism(self):
         a = estimate_nonexcess("iid", 10, 1.0, 0.5, 0.5, trials=5000, seed=4)
