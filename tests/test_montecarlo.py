@@ -370,6 +370,15 @@ class TestEstimate:
                      trials=20, seed=0, method="radial")
         assert 0 < r.count2 < r.trials
 
+    def test_radial_refuses_inaccurate_iid_quantile_at_large_noncentrality(self):
+        # M1 = 1e90 at n = 20 puts layer-1 tail masses near 1e-90, where
+        # chndtrix misses for most source draws at noncentrality c/p_y of a
+        # few hundred (tail 1.1e-90 at 396: chndtr of its answer is 9.9e-81)
+        cfg = SchemeConfig(n=20, m1=10**90, m2=10, kind1="iid", kind2="iid",
+                           d1=0.96, d2=0.5, lam=1.0, sigma2=1.0)
+        with pytest.raises(NumericError, match="tail mass"):
+            estimate(cfg, sources.gaussian(1.0), trials=200, seed=1, method="radial")
+
     def test_single_precision_matches_double(self):
         cfg = small_config(n=6, m1=24, m2=12, kind1="spherical", kind2="spherical")
         src = sources.gaussian(1.0)
@@ -405,6 +414,83 @@ class TestEstimate:
         a = estimate(cfg, src, trials=500, seed=5, method="radial", workers=1)
         b = estimate(cfg, src, trials=500, seed=5, method="radial", workers=2)
         assert (a.count_joint, a.count1, a.count2) == (b.count_joint, b.count1, b.count2)
+
+
+def _ncx2_cdf_mp(x: float, n: int, lam: float) -> float:
+    """The noncentral chi-square CDF as its Poisson mixture of central ones,
+    sum_j e^(-lam/2) (lam/2)^j / j! * P(n/2 + j, x/2), at 40 digits."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        x, half = mp.mpf(x), mp.mpf(lam) / 2
+        weight, total, j = mp.exp(-half), mp.mpf(0), 0
+        while True:
+            term = weight * mp.gammainc(mp.mpf(n) / 2 + j, 0, x / 2, regularized=True)
+            total += term
+            j += 1
+            weight *= half / j
+            # past the Poisson mode both factors of a term only fall
+            if j > half and term < total * mp.mpf(10) ** -30:
+                return float(total)
+
+
+class TestIidQuantile:
+    """The iid layer's quantile: a secant on chndtr for tail masses in
+    [_CHNDTRIX_CHECKED_BELOW, 1/2], the checked chndtrix everywhere else."""
+
+    TAILS = np.logspace(-30, math.log10(0.5), 61)
+
+    def test_chndtrix_round_trips_down_to_the_checked_threshold(self):
+        # the invariant behind _CHNDTRIX_CHECKED_BELOW: down to it, chndtr
+        # maps chndtrix's answer back to its tail mass, also at the
+        # noncentralities where deeper tails fail
+        tail = 10.0 ** -np.arange(1, 31)
+        assert tail[-1] <= montecarlo._CHNDTRIX_CHECKED_BELOW
+        for n, lam in itertools.product((2, 20, 100), (0, 50, 200, 400, 600, 1000)):
+            back = chndtr(chndtrix(tail, n, lam), n, lam)
+            np.testing.assert_allclose(back, tail, rtol=1e-6, err_msg=f"n={n}, lam={lam}")
+
+    @pytest.mark.parametrize("n", [2, 3, 6, 20, 100, 400])
+    def test_secant_matches_chndtrix(self, n):
+        for lam in (0.0, 0.5, 20.0, 150.0):
+            lams = np.full_like(self.TAILS, lam)
+            q = montecarlo._secant_chndtrix(self.TAILS, n, lams)
+            assert not np.isnan(q).any(), (n, lam)  # converged, none routed
+            np.testing.assert_allclose(q, chndtrix(self.TAILS, n, lam), rtol=1e-12,
+                                       err_msg=f"n={n}, lam={lam}")
+
+    @pytest.mark.parametrize("n, lam, tail", [
+        (20, 40.0, 1e-5), (2, 0.0, 1e-30), (3, 0.5, 0.5),
+        (6, 20.0, 1e-12), (100, 150.0, 1e-20), (400, 150.0, 0.01),
+    ])
+    def test_secant_matches_mpmath_cdf(self, n, lam, tail):
+        q = montecarlo._secant_chndtrix(np.array([tail]), n, np.array([lam]))[0]
+        assert _ncx2_cdf_mp(q, n, lam) == pytest.approx(tail, rel=1e-12)
+
+    def test_each_element_independent_of_its_block(self):
+        # a block mixing secant tails with routed ones (above 1/2, below
+        # the threshold): one element at a time gives the block's floats
+        rng = np.random.default_rng(3)
+        tail = np.concatenate([10.0 ** -rng.uniform(0.31, 30, 200),
+                               rng.uniform(0.5, 1.0, 30),
+                               10.0 ** -rng.uniform(30.5, 40, 30)])
+        rng.shuffle(tail)
+        lam = rng.uniform(0.0, 150.0, tail.size)
+        block = montecarlo._iid_quantile(tail, 20, lam, 1000)
+        one = [montecarlo._iid_quantile(tail[i:i + 1], 20, lam[i:i + 1], 1000)[0]
+               for i in range(tail.size)]
+        np.testing.assert_array_equal(block, one)
+        routed = (tail > 0.5) | (tail < montecarlo._CHNDTRIX_CHECKED_BELOW)
+        np.testing.assert_array_equal(block[routed], chndtrix(tail[routed], 20, lam[routed]))
+
+    def test_unconverged_elements_take_chndtrix(self, monkeypatch):
+        lam = np.linspace(0.0, 150.0, self.TAILS.size)
+        monkeypatch.setattr(montecarlo, "_SECANT_CAP", 1)
+        capped = montecarlo._secant_chndtrix(self.TAILS, 20, lam)
+        left = np.isnan(capped)
+        assert left.any()
+        q = montecarlo._iid_quantile(self.TAILS, 20, lam, 1000)
+        np.testing.assert_array_equal(q[left], chndtrix(self.TAILS[left], 20, lam[left]))
+        np.testing.assert_array_equal(q[~left], capped[~left])
 
 
 class TestPsiPhi:
