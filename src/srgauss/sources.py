@@ -11,6 +11,7 @@ cares about E[X^2], not the mean.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -83,6 +84,34 @@ class SourceSpec:
         return self._sampler(n, rng)
 
 
+# |theta| a^2 below which the uniform cgf sums its power series: above it the
+# closed form is within a few ulps, and about 15 series terms suffice
+_UNIFORM_SERIES_BELOW = 0.5
+
+def _np_sum(terms: list) -> float:
+    """``np.sum`` of a float64 vector, the same float, on Python floats.
+
+    numpy adds fewer than 8 terms one at a time from 0.0, and up to 128 in 8
+    strided accumulators, combined pairwise, then the rest one at a time.
+    Longer vectors, which numpy splits recursively, go to ``np.sum``."""
+    n = len(terms)
+    if n < 8:
+        s = 0.0
+        for x in terms:
+            s += x
+        return s
+    if n > 128:
+        return float(np.sum(terms))
+    r = terms[:8]
+    stop = n - n % 8
+    for i in range(8, stop, 8):
+        r = [acc + x for acc, x in zip(r, terms[i:i + 8])]
+    s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for x in terms[stop:]:
+        s += x
+    return s
+
+
 def _log_erfi(z: float) -> float:
     """log erfi(z) for z >= 0, switching to the asymptotic series before
     erfi overflows (around z ~ 26.6)."""
@@ -118,8 +147,18 @@ def uniform(half_width: float) -> SourceSpec:
         raise ConfigError(f"requires finite half_width > 0, got {a}")
 
     def _mgf(theta: float) -> float:
-        if theta == 0.0:
-            return 0.0
+        u = theta * a * a
+        if abs(u) < _UNIFORM_SERIES_BELOW:
+            # E[exp(u U^2)] = 1 + sum_k u^k / (k! (2k+1)) for U uniform on
+            # [-1, 1]; the closed forms below cancel to O(|log u| / u) ulps
+            s, term, k = 0.0, 1.0, 0
+            while True:
+                k += 1
+                term *= u / k
+                step = term / (2 * k + 1)
+                s += step
+                if abs(step) <= 1e-17 * abs(s):
+                    return math.log1p(s)
         if theta > 0.0:
             z = a * math.sqrt(theta)
             return 0.5 * math.log(math.pi / theta) - math.log(2.0 * a) + _log_erfi(z)
@@ -178,7 +217,19 @@ def two_point(magnitude: float) -> SourceSpec:
 
 
 def discrete(values: Sequence[float], probs: Sequence[float]) -> SourceSpec:
-    """Finite-support source from a pmf table."""
+    """Finite-support source from a pmf table.
+
+    ``x2_max`` and ``x2_max_mass`` are taken over the atoms of positive
+    mass: an atom of probability 0 is outside the essential support.
+
+    The cgf is scipy.special.logsumexp of log p + theta x^2 over those
+    atoms, equal to the last bit, computed on Python floats: only the
+    exponentials and the final log1p go through numpy, whose exp and log1p
+    differ from ``math``'s in the last bit for a few percent of arguments.
+    A bounded memo per source answers the thresholds' shared probes
+    (theta = 1, 2, 4, ... while :func:`~srgauss.core.rate_function_x2`
+    brackets its maximizer, then the same first golden-section points).
+    """
     vals = np.asarray(values, dtype=np.float64)
     ps = np.asarray(probs, dtype=np.float64)
     if vals.ndim != 1 or vals.shape != ps.shape or vals.size == 0:
@@ -190,31 +241,34 @@ def discrete(values: Sequence[float], probs: Sequence[float]) -> SourceSpec:
     if abs(float(ps.sum()) - 1.0) > 1e-12:
         raise ConfigError(f"pmf must sum to 1 within 1e-12, got {float(ps.sum())}")
     v2 = vals**2
-    x2_max = float(v2.max())
     keep = ps > 0
-    logp = np.log(ps[keep])
     v2p = v2[keep]
+    x2_max = float(v2p.max())
+    logp = np.log(ps[keep]).tolist()
+    x2 = v2p.tolist()
+    # log of the count of maximal terms, by numpy's log as scipy takes it
+    log_count = np.log(np.arange(1.0, len(x2) + 1.0)).tolist()
 
+    # typed=True keeps an int theta from being answered by a float's entry
+    @functools.lru_cache(maxsize=128, typed=True)
     def _mgf(theta: float) -> float:
-        # scipy.special.logsumexp's formula, bit for bit (the maximal terms
-        # held out of the sum, zeros kept in place so the summation order is
-        # the same), without the array-API dispatch that made the scipy call
-        # about ten times slower on a 4-atom table
-        a = logp + theta * v2p
-        a_max = a.max()
-        top = a == a_max
-        s = np.where(top, 0.0, np.exp(a - a_max)).sum()
-        m = np.count_nonzero(top)
+        # scipy's formula: the maximal terms held out of the sum (exp(-inf)
+        # keeps their places, so numpy's summation order is the same), the
+        # rest shifted by the max, summed, divided by their count
+        a = [lp + theta * x for lp, x in zip(logp, x2)]
+        a_max = max(a)
+        m = a.count(a_max)
+        s = _np_sum(np.exp([-math.inf if b == a_max else b - a_max for b in a]).tolist())
         if s != 0:
             s = s / m
-        return float(np.log1p(s) + np.log(m) + a_max)
+        return float(np.log1p(s)) + log_count[m - 1] + a_max
 
     return SourceSpec(
         family="discrete",
         sigma2=float(v2 @ ps),
         zeta=float(v2**2 @ ps),
         x2_max=x2_max,
-        x2_max_mass=float(ps[v2 == x2_max].sum()),
+        x2_max_mass=float(ps[keep][v2p == x2_max].sum()),
         _sampler=lambda n, rng: rng.choice(vals, size=n, p=ps),
         _log_mgf_x2=_mgf,
     )

@@ -488,6 +488,13 @@ class TestRateFunction:
         assert rate_function_x2(uni, uni.sigma2) == 0.0
         assert 0.0 < rate_function_x2(uni, 2.0) < math.inf
 
+    def test_discrete_zero_mass_atom_outside_support(self):
+        # an atom of probability 0 does not raise the essential supremum
+        spec = sources.discrete([0.0, 1.0, 5.0], [0.5, 0.5, 0.0])
+        assert (spec.x2_max, spec.x2_max_mass) == (1.0, 0.5)
+        assert rate_function_x2(spec, 1.0) == -math.log(0.5)
+        assert rate_function_x2(spec, 1.5) == math.inf
+
     def test_unbounded_objective_is_inf(self):
         # cgf theta -> theta (X^2 = 1 surely) declared without x2_max: at t = 2
         # the objective theta*t - theta grows without bound
@@ -555,11 +562,12 @@ _GAMMA_X2 = sources.custom(
     log_mgf_x2=lambda th: -1.5 * math.log1p(-th), theta_max=1.0,
 )
 # X^2 in {0.25, 1, 4} with x2_max left undeclared: theta_max = inf and
-# rate_function_x2 must find its bracket by doubling
+# rate_function_x2 must find its bracket by doubling.  The cgf is the pmf
+# source's, which is scipy's logsumexp bit for bit (test_sources) without
+# its per-call array-API dispatch
 _LATTICE_X2 = sources.custom(
     1.425, 3.815625, lambda n, rng: rng.choice([0.5, 1.0, 2.0], n, p=[0.3, 0.5, 0.2]),
-    log_mgf_x2=lambda th: float(logsumexp(
-        np.log([0.3, 0.5, 0.2]) + th * np.array([0.25, 1.0, 4.0]))),
+    log_mgf_x2=sources.discrete([0.5, 1.0, 2.0], [0.3, 0.5, 0.2]).log_mgf_x2,
 )
 
 ORACLE_SOURCES = {
@@ -658,6 +666,39 @@ class TestCgf:
         for th in [600.0, 626.0, 700.0, 900.0]:
             exact = mp.log(mp.sqrt(mp.pi / th) * mp.erfi(a * mp.sqrt(th)) / (2 * a))
             assert uni.log_mgf_x2(th) == pytest.approx(float(exact), rel=1e-10)
+
+    @staticmethod
+    def _mp_uniform_mgf(a, th, k=0):
+        """(1/a) * integral over [0, a] of x^(2k) exp(th x^2), in mpmath."""
+        a = mp.mpf(a)
+        return mp.quad(lambda x: x ** (2 * k) * mp.exp(mp.mpf(th) * x * x), [0, a]) / a
+
+    def test_uniform_small_theta_vs_mpmath(self):
+        # near 0, 0.5 log(pi/theta) and log erfi(a sqrt(theta)) cancel; the
+        # power series holds the relative accuracy, also across its switch
+        a = 1.7
+        uni = sources.uniform(a)
+        switch = sources._UNIFORM_SERIES_BELOW / (a * a)
+        thetas = [1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6, 1e-3]
+        for side in (1.0, -1.0):
+            thetas += [side * switch * (1.0 - 1e-6), side * switch * (1.0 + 1e-6)]
+        for th in thetas:
+            exact = float(mp.log(self._mp_uniform_mgf(a, th)))
+            assert uni.log_mgf_x2(th) == pytest.approx(exact, rel=1e-14, abs=0.0), th
+
+    def test_uniform_rate_just_above_mean_vs_mpmath(self):
+        # the maximizer is theta ~ (t - sigma2) / Var[X^2], where the cgf
+        # series applies; the rate keeps about ten digits against mpmath
+        a = 1.7
+        uni = sources.uniform(a)
+        for eps in (1e-5, 1e-4, 1e-3):
+            t = mp.mpf(uni.sigma2 * (1.0 + eps))
+            th = mp.findroot(
+                lambda th: self._mp_uniform_mgf(a, th, 1) / self._mp_uniform_mgf(a, th) - t,
+                (t - uni.sigma2) / (4 * a**4 / 45),
+            )
+            exact = float(th * t - mp.log(self._mp_uniform_mgf(a, th)))
+            assert rate_function_x2(uni, float(t)) == pytest.approx(exact, rel=1e-9, abs=0.0), eps
 
     def test_laplace_vs_quadrature(self):
         b = 0.7

@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import logsumexp
 
-from srgauss import sources
+from srgauss import asymptotics, core, sources
 from srgauss.errors import ConfigError
 from srgauss.montecarlo import trial_stream
 
@@ -93,6 +93,16 @@ PMFS = {
     "zero_prob": ([0.0, 1.0, 3.0], [0.5, 0.0, 0.5]),
     "single_atom": ([1.7], [1.0]),
     "nine_atoms": (list(np.linspace(-2.0, 3.0, 9)), [k / 25.0 for k in (1, 2, 3, 4, 5, 4, 3, 2, 1)]),
+    # +-x atoms of equal mass: ties in x^2, and tied maximal terms as theta
+    # grows; 20 atoms run the 8-accumulator sum, 150 the split past 128
+    "twenty_atoms_tied": (
+        [s * 0.25 * k for s in (-1, 1) for k in range(1, 11)],
+        [k / 110.0 for _ in (-1, 1) for k in range(1, 11)],
+    ),
+    "150_atoms_tied": (
+        [s * 0.02 * k for s in (-1, 1) for k in range(1, 76)],
+        [(1 + k % 7) / 600.0 for _ in (-1, 1) for k in range(1, 76)],
+    ),
 }
 
 
@@ -105,9 +115,49 @@ def test_discrete_log_mgf_matches_scipy_logsumexp(pmf):
     keep = np.asarray(probs) > 0
     logp = np.log(np.asarray(probs)[keep])
     v2p = (np.asarray(values) ** 2)[keep]
-    for theta in [0.0, *np.linspace(-50.0, 50.0, 3001)]:
+    # rate_function_x2 brackets a pmf's maximizer at theta = 1, 2, 4, ...
+    doublings = [2.0**j for j in range(51)]
+    for theta in [0.0, *np.linspace(-50.0, 50.0, 3001), *doublings]:
         theta = float(theta)
         assert spec.log_mgf_x2(theta) == float(logsumexp(logp + theta * v2p)), theta
+
+
+def test_np_sum_is_numpys_summation():
+    # the discrete cgf sums in numpy's pairwise order; a numpy release that
+    # changes that order fails here before it moves a golden
+    rng = np.random.default_rng(11)
+    for n in range(1, 301):
+        terms = np.exp(rng.normal(0.0, 8.0, n))
+        assert sources._np_sum(terms.tolist()) == float(np.sum(terms)), n
+
+
+def test_discrete_cgf_memo_is_bounded_and_order_free(monkeypatch):
+    """Rates over the benchmark's pmf subgrid (every 5th r1 row and every
+    2nd r2 column of the 60x60 exponent grid) are the same floats whatever
+    order they are computed in, and the cgf memo stays within its bound."""
+    values, probs = PMFS["benchmark"]
+    thresholds = []
+
+    def record(source, t):
+        thresholds.append(t)
+        return core.rate_function_x2(source, t)
+
+    monkeypatch.setattr(asymptotics, "rate_function_x2", record)
+    grid_source = sources.discrete(values, probs)
+    for r1 in np.linspace(0.05, 1.2, 60)[::5]:
+        for r2 in np.linspace(0.0, 1.2, 60)[::2]:
+            q = asymptotics.RateQuery(float(r1), float(r2), 1.0, 0.5, 0.25)
+            asymptotics.exponent_point(grid_source, q)
+    monkeypatch.undo()
+    thresholds = list(dict.fromkeys(thresholds))
+    assert len(thresholds) > 128
+
+    forward, backward = sources.discrete(values, probs), sources.discrete(values, probs)
+    rates = [core.rate_function_x2(forward, t) for t in thresholds]
+    assert [core.rate_function_x2(backward, t) for t in reversed(thresholds)] == rates[::-1]
+    for spec in (forward, backward):
+        info = spec._log_mgf_x2.cache_info()
+        assert info.maxsize == 128 and info.currsize <= 128 and info.hits > 0
 
 
 class TestSampling:
