@@ -88,28 +88,18 @@ class SourceSpec:
 # closed form is within a few ulps, and about 15 series terms suffice
 _UNIFORM_SERIES_BELOW = 0.5
 
-def _np_sum(terms: list) -> float:
-    """``np.sum`` of a float64 vector, the same float, on Python floats.
 
-    numpy adds fewer than 8 terms one at a time from 0.0, and up to 128 in 8
-    strided accumulators, combined pairwise, then the rest one at a time.
-    Longer vectors, which numpy splits recursively, go to ``np.sum``."""
-    n = len(terms)
-    if n < 8:
+def _np_sum(terms: list) -> float:
+    """``np.sum`` of a float64 vector, the same float.
+
+    numpy adds fewer than 8 terms one at a time from 0.0, which Python
+    floats do faster; longer vectors go to ``np.sum`` itself."""
+    if len(terms) < 8:
         s = 0.0
         for x in terms:
             s += x
         return s
-    if n > 128:
-        return float(np.sum(terms))
-    r = terms[:8]
-    stop = n - n % 8
-    for i in range(8, stop, 8):
-        r = [acc + x for acc, x in zip(r, terms[i:i + 8])]
-    s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for x in terms[stop:]:
-        s += x
-    return s
+    return float(np.sum(terms))
 
 
 def _log_erfi(z: float) -> float:
@@ -249,7 +239,8 @@ def discrete(values: Sequence[float], probs: Sequence[float]) -> SourceSpec:
     # log of the count of maximal terms, by numpy's log as scipy takes it
     log_count = np.log(np.arange(1.0, len(x2) + 1.0)).tolist()
 
-    # typed=True keeps an int theta from being answered by a float's entry
+    # typed=True keeps a numpy theta from being answered by an equal Python
+    # float's entry, so a hit returns what the call would, type included
     @functools.lru_cache(maxsize=128, typed=True)
     def _mgf(theta: float) -> float:
         # scipy's formula: the maximal terms held out of the sum (exp(-inf)

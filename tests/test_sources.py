@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import logsumexp
 
-from srgauss import asymptotics, core, sources
+from srgauss import sources
 from srgauss.errors import ConfigError
 from srgauss.montecarlo import trial_stream
 
@@ -94,7 +94,7 @@ PMFS = {
     "single_atom": ([1.7], [1.0]),
     "nine_atoms": (list(np.linspace(-2.0, 3.0, 9)), [k / 25.0 for k in (1, 2, 3, 4, 5, 4, 3, 2, 1)]),
     # +-x atoms of equal mass: ties in x^2, and tied maximal terms as theta
-    # grows; 20 atoms run the 8-accumulator sum, 150 the split past 128
+    # grows; tables of 8 atoms or more are summed by np.sum itself
     "twenty_atoms_tied": (
         [s * 0.25 * k for s in (-1, 1) for k in range(1, 11)],
         [k / 110.0 for _ in (-1, 1) for k in range(1, 11)],
@@ -123,41 +123,29 @@ def test_discrete_log_mgf_matches_scipy_logsumexp(pmf):
 
 
 def test_np_sum_is_numpys_summation():
-    # the discrete cgf sums in numpy's pairwise order; a numpy release that
-    # changes that order fails here before it moves a golden
+    # below 8 terms the discrete cgf sums one at a time, as numpy does; a
+    # numpy release that changes that order fails here before it moves a golden
     rng = np.random.default_rng(11)
-    for n in range(1, 301):
+    for n in range(1, 9):
         terms = np.exp(rng.normal(0.0, 8.0, n))
         assert sources._np_sum(terms.tolist()) == float(np.sum(terms)), n
 
 
-def test_discrete_cgf_memo_is_bounded_and_order_free(monkeypatch):
-    """Rates over the benchmark's pmf subgrid (every 5th r1 row and every
-    2nd r2 column of the 60x60 exponent grid) are the same floats whatever
-    order they are computed in, and the cgf memo stays within its bound."""
-    values, probs = PMFS["benchmark"]
-    thresholds = []
-
-    def record(source, t):
-        thresholds.append(t)
-        return core.rate_function_x2(source, t)
-
-    monkeypatch.setattr(asymptotics, "rate_function_x2", record)
-    grid_source = sources.discrete(values, probs)
-    for r1 in np.linspace(0.05, 1.2, 60)[::5]:
-        for r2 in np.linspace(0.0, 1.2, 60)[::2]:
-            q = asymptotics.RateQuery(float(r1), float(r2), 1.0, 0.5, 0.25)
-            asymptotics.exponent_point(grid_source, q)
-    monkeypatch.undo()
-    thresholds = list(dict.fromkeys(thresholds))
-    assert len(thresholds) > 128
-
-    forward, backward = sources.discrete(values, probs), sources.discrete(values, probs)
-    rates = [core.rate_function_x2(forward, t) for t in thresholds]
-    assert [core.rate_function_x2(backward, t) for t in reversed(thresholds)] == rates[::-1]
-    for spec in (forward, backward):
-        info = spec._log_mgf_x2.cache_info()
-        assert info.maxsize == 128 and info.currsize <= 128 and info.hits > 0
+def test_discrete_cgf_memo_is_typed_and_bounded():
+    """A repeated theta is a memo hit with the same float; an int or numpy
+    theta is not answered by the equal float's entry; at most 128 entries."""
+    spec = sources.discrete(*PMFS["benchmark"])
+    memo = spec._log_mgf_x2
+    assert memo.cache_info().maxsize == 128
+    for theta in (2.0, 16.0, -3.0):
+        first = spec.log_mgf_x2(theta)
+        misses = memo.cache_info().misses
+        assert spec.log_mgf_x2(theta) == first
+        assert memo.cache_info().misses == misses
+        for same in (int(theta), np.float64(theta)):
+            assert spec.log_mgf_x2(same) == first
+            misses += 1
+            assert memo.cache_info().misses == misses
 
 
 class TestSampling:
