@@ -3,7 +3,10 @@ second-order code sizing, moderate-deviations constants, and
 large-deviations exponents for both the rate-adaptive and the fixed
 power-split coding schemes.
 
-All rates are in nats.  Exponent calculators return an
+All rates are in nats.  Every large-deviations exponent is one kernel,
+:func:`_excess`: the rate function of X^2 at the radius where layer-1
+covering at a target distortion costs r1.  The schemes and their cases
+differ only in that target.  Exponent calculators return an
 :class:`ExponentResult` bundling the exponent values, the root-found
 auxiliary radii and the case that produced them.
 """
@@ -129,99 +132,87 @@ class ExponentResult:
         return tuple(v > 0.0 for v in self.values)
 
 
-def _joint(source: SourceSpec, q: RateQuery) -> tuple[bool, float, float, float]:
-    """Whether r2 is at or below the branch rate 0.5*log(d1/d2), the
-    layer-1 power, and the joint exponent's radius and value: layer-1
-    covering at the split distortion lam*d1 below the branch rate, and at
-    d1 above it, where lambda is 1 (its float can round to 1 - 2**-53)."""
+def _excess(source: SourceSpec, r1: float, p_y: float, target: float) -> tuple[float, float]:
+    """Layer-1 excess exponent at rate r1 and codeword power p_y: the radius
+    where covering at distortion ``target`` costs r1, and the rate function
+    of X^2 there.  Every exponent below is this kernel at some target."""
+    alpha = _covering_radius(r1, p_y, target)
+    return alpha, _rate(source, alpha)
+
+
+def sep_exponents(source: SourceSpec, q: RateQuery) -> ExponentResult:
+    """Separate excess-distortion exponents (layer 1, layer 2) of the
+    rate-adaptive scheme: the excess exponents at target d1 and, for layer
+    2, at the split distortion lambda*d1 at or below the branch rate
+    0.5*log(d1/d2) (case ``low_r2``), or above it, where lambda is 1 (its
+    float can round to 1 - 2**-53), at the largest residual power gamma
+    that layer 2 still covers at r2 (case ``high_r2``)."""
     if q.r1 <= 0:
         raise ConfigError(f"requires r1 > 0, got {q.r1}")
     lam = lambda_for_rates(q.r2, q.d1, q.d2)
     # RateQuery keeps sigma2 > d1 and lam <= 1, so p_y >= sigma2 - d1 > 0
     p_y = q.sigma2 - lam * q.d1
-    low = q.r2 <= 0.5 * math.log(q.d1 / q.d2)
-    alpha = _covering_radius(q.r1, p_y, lam * q.d1 if low else q.d1)
-    return low, p_y, alpha, _rate(source, alpha)
+    alpha1, e1 = _excess(source, q.r1, p_y, q.d1)
+    if q.r2 <= 0.5 * math.log(q.d1 / q.d2):
+        # gamma is lambda*d1 here; a root-found one would move the 12th digit
+        alpha2, e2 = _excess(source, q.r1, p_y, lam * q.d1)
+        aux = {"alpha1_star": alpha1, "alpha2_star": alpha2}
+        return ExponentResult(auxiliaries=aux, values=(e1, e2), case_tag="low_r2")
+    gamma = _covering_radius(q.r2, q.d1 - q.d2, q.d2)
+    alpha2, e2 = _excess(source, q.r1, p_y, gamma)
+    aux = {"alpha1_star": alpha1, "gamma_star": gamma, "alpha2_star": alpha2}
+    return ExponentResult(auxiliaries=aux, values=(e1, e2), case_tag="high_r2")
+
+
+def _binding(sep: ExponentResult) -> ExponentResult:
+    """The joint exponent in :func:`sep_exponents`: the binding layer's, layer
+    2 at or below the branch rate and layer 1 above it."""
+    k = 1 if sep.case_tag == "low_r2" else 0
+    alpha = sep.auxiliaries["alpha2_star" if k else "alpha1_star"]
+    return ExponentResult({"alpha_star": alpha}, (sep.values[k],), "adaptive")
 
 
 def jep_exponent(source: SourceSpec, q: RateQuery) -> ExponentResult:
-    """Joint excess-distortion exponent of the rate-adaptive scheme:
-    the rate function of X^2 at the radius where layer-1 covering at the
-    split distortion stops being exponentially easy."""
-    _, _, alpha, value = _joint(source, q)
-    return ExponentResult(auxiliaries={"alpha_star": alpha}, values=(value,), case_tag="adaptive")
+    """Joint excess-distortion exponent of the rate-adaptive scheme."""
+    return _binding(sep_exponents(source, q))
 
 
 def jep_exponent_lambda1(source: SourceSpec, q: RateQuery) -> ExponentResult:
-    """Joint exponent of the fixed-split scheme (power split parameter 1),
-    which is zero on part of the rate region that the adaptive scheme covers."""
-    p_y = q.sigma2 - q.d1
-    p_z = q.d1 - q.d2
-    half_d1d2 = 0.5 * math.log(q.d1 / q.d2)
-    half_s2d1 = 0.5 * math.log(q.sigma2 / q.d1)
-    r2_edge = iid_nonexcess_exponent(max(q.d2 - p_z, 0.0), p_z, q.d2)
-    assert r2_edge < half_d1d2, "case-ii lower edge must sit below the case-i edge"
-
-    # the case-i edge r2 == 0.5*log(d1/d2) is included: there the case-ii
-    # chain has gamma2 == d1 and both branches give the same value
-    if q.r1 > half_s2d1 and q.r2 >= half_d1d2:
-        alpha1 = _covering_radius(q.r1, p_y, q.d1)
-        value = _rate(source, alpha1)
-        return ExponentResult(auxiliaries={"alpha1": alpha1}, values=(value,), case_tag="i")
-
-    if r2_edge < q.r2 < half_d1d2:
+    """Joint exponent of the fixed-split scheme (power split parameter 1): the
+    excess exponent at target min(d1, gamma2), where gamma2 is the residual
+    power layer 2 covers at r2 (cases ``i`` and ``ii``).  It is zero (case
+    ``iii``) at or below layer 2's floor and wherever r1 covers no more than
+    power sigma2 at the target, where the adaptive scheme's can be positive."""
+    p_y, p_z = q.sigma2 - q.d1, q.d1 - q.d2
+    # gamma2 >= d1 exactly when r2 >= 0.5*log(d1/d2)
+    if q.r2 >= 0.5 * math.log(q.d1 / q.d2):
+        if q.r1 > 0.5 * math.log(q.sigma2 / q.d1):
+            alpha1, value = _excess(source, q.r1, p_y, q.d1)
+            return ExponentResult({"alpha1": alpha1}, (value,), "i")
+    elif q.r2 > iid_nonexcess_exponent(max(q.d2 - p_z, 0.0), p_z, q.d2):
         gamma2 = _covering_radius(q.r2, p_z, q.d2)
-        r1_needed = iid_nonexcess_exponent(max(q.sigma2, gamma2 - p_y), p_y, gamma2)
-        assert r1_needed > half_s2d1, "case-ii rate threshold must exceed the layer-1 edge"
-        if q.r1 > r1_needed:
-            alpha2 = _covering_radius(q.r1, p_y, gamma2)
-            value = _rate(source, alpha2)
-            return ExponentResult(
-                auxiliaries={"gamma2": gamma2, "alpha2": alpha2}, values=(value,), case_tag="ii"
-            )
-
-    return ExponentResult(auxiliaries={}, values=(0.0,), case_tag="iii")
-
-
-def sep_exponents(source: SourceSpec, q: RateQuery) -> ExponentResult:
-    """Separate excess-distortion exponents (layer 1, layer 2).
-
-    Below the branch rate 0.5*log(d1/d2) the layer-2 exponent coincides
-    with the joint exponent; above it the scheme runs at full split, the
-    layer-1 exponent is the joint one, and the layer-2 radius is chained
-    through the layer-1 covering radius.  Either way the joint one comes
-    from :func:`_joint`, as :func:`jep_exponent`'s does, so the two agree
-    bit for bit.
-    """
-    low, p_y, alpha, value = _joint(source, q)
-    if low:
-        alpha1 = _covering_radius(q.r1, p_y, q.d1)
-        aux = {"alpha1_star": alpha1, "alpha2_star": alpha}
-        return ExponentResult(auxiliaries=aux, values=(_rate(source, alpha1), value),
-                              case_tag="low_r2")
-    p_z = q.d1 - q.d2
-    gamma = _covering_radius(q.r2, p_z, q.d2)
-    alpha2 = _covering_radius(q.r1, p_y, gamma)
-    aux = {"alpha1_star": alpha, "gamma_star": gamma, "alpha2_star": alpha2}
-    return ExponentResult(auxiliaries=aux, values=(value, _rate(source, alpha2)),
-                          case_tag="high_r2")
+        if q.r1 > iid_nonexcess_exponent(q.sigma2, p_y, gamma2):
+            alpha2, value = _excess(source, q.r1, p_y, gamma2)
+            return ExponentResult({"gamma2": gamma2, "alpha2": alpha2}, (value,), "ii")
+    return ExponentResult({}, (0.0,), "iii")
 
 
 def exponent_point(source: SourceSpec, q: RateQuery) -> dict:
     """Every per-point quantity of a rate pair, keyed by report column:
     region, power split and, for r1 > 0, the joint, fixed-split and
     separate exponents.  The joint exponent is read off
-    :func:`sep_exponents` (see there), not computed a second time."""
+    :func:`sep_exponents` as :func:`jep_exponent` reads it, not computed a
+    second time."""
     reg = region_contains(q)
     lam = lambda_for_rates(q.r2, q.d1, q.d2)
     point = {"r1": q.r1, "r2": q.r2, "region": reg.location, "eta": reg.eta, "lambda": lam}
     if q.r1 > 0:
         sep = sep_exponents(source, q)
+        jep = _binding(sep)
         l1 = jep_exponent_lambda1(source, q)
-        k = 1 if sep.case_tag == "low_r2" else 0
         point.update(
-            alpha_star=sep.auxiliaries["alpha2_star" if k else "alpha1_star"],
-            jep_exponent=sep.values[k], jep_positive=sep.positive[k],
+            alpha_star=jep.auxiliaries["alpha_star"],
+            jep_exponent=jep.value, jep_positive=jep.positive[0],
             l1_case=l1.case_tag, l1_exponent=l1.value, l1_positive=l1.positive[0],
             sep_case=sep.case_tag, sep_e1=sep.values[0], sep_e2=sep.values[1],
             sep_e1_positive=sep.positive[0], sep_e2_positive=sep.positive[1],

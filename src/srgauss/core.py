@@ -71,6 +71,8 @@ def optimal_tilt(w: float, p: float, d: float) -> float:
     center exponentially often).
     """
     _check_wpd(w, p, d)
+    if w <= d - p:  # the formula can round to a few ulps above zero here
+        return 0.0
     return max(0.0, (p - 2.0 * d + math.sqrt(p * p + 4.0 * w * d)) / (4.0 * d))
 
 
@@ -90,7 +92,7 @@ def _iid_exponent(w: float, p: float, d: float) -> float:
     """:func:`iid_nonexcess_exponent` without the argument checks: the tilt of
     :func:`optimal_tilt` and the value of :func:`iid_nonexcess_exponent_tilted`,
     the same expressions in the same order, so the same float."""
-    s = max(0.0, (p - 2.0 * d + math.sqrt(p * p + 4.0 * w * d)) / (4.0 * d))
+    s = 0.0 if w <= d - p else max(0.0, (p - 2.0 * d + math.sqrt(p * p + 4.0 * w * d)) / (4.0 * d))
     return 0.5 * math.log1p(2.0 * s) + s * w / ((1.0 + 2.0 * s) * p) - s * d / p
 
 

@@ -288,6 +288,22 @@ class TestJepExponentLambda1:
         assert res.case_tag == "iii" and res.value == 0.0
         assert jep_exponent(GMS, q).value > 0.0
 
+    def test_continuous_just_below_the_branch_rate(self):
+        # a few ulps below r2 = 0.5*log(d1/d2), gamma2 rounds onto d1 and the
+        # case-ii threshold onto the layer-1 edge; case ii still gives the
+        # case-i value at the edge
+        d1, d2 = 0.6, 0.4
+        edge = 0.5 * math.log(d1 / d2)
+        for r1 in (0.4, 0.8, 1.2):
+            at = jep_exponent_lambda1(GMS, rq(r1, edge, d1=d1, d2=d2))
+            assert at.case_tag == "i"
+            r2 = edge
+            for _ in range(2):
+                r2 = math.nextafter(r2, 0.0)
+                below = jep_exponent_lambda1(GMS, rq(r1, r2, d1=d1, d2=d2))
+                assert below.case_tag == "ii"
+                assert below.value == pytest.approx(at.value, rel=1e-12)
+
     def test_dominated_by_adaptive(self):
         rng = np.random.default_rng(2)
         for _ in range(60):
@@ -377,8 +393,12 @@ class TestSepExponents:
 
 class TestBranchWindowInequalities:
     def test_case_ii_preconditions_on_grids(self):
-        # the fixed-split case-ii window is nonempty and its rate threshold
-        # clears the layer-1 edge, across distortion pairs
+        # this test carries the two claims behind jep_exponent_lambda1's
+        # case ii, which the function does not assert per query: layer 2's
+        # floor sits below the branch rate 0.5*log(d1/d2), so the window is
+        # nonempty, and inside it the case-ii rate threshold clears the
+        # layer-1 edge, across distortion pairs.  Within a few ulps of the
+        # branch rate the float threshold can land on that edge
         rng = np.random.default_rng(8)
         for _ in range(50):
             d1 = rng.uniform(0.2, 0.9)
@@ -452,6 +472,23 @@ class TestExponentPoint:
                 assert jep.value == sep.values[0], (r1, d1, d2, r2)
                 assert jep.auxiliaries["alpha_star"] == sep.auxiliaries["alpha1_star"]
                 assert exponent_point(GMS, q)["jep_exponent"] == jep.value
+
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_fixed_split_is_sep_e1_at_full_split(self, family):
+        # where the adaptive split is exactly 1 at or above the branch rate,
+        # both schemes aim layer 1 at d1 with the same power, so the shared
+        # kernel gives the same float on the criterion-3 grid
+        src = FAMILIES[family]
+        axis = np.linspace(0.05, 1.2, 20)
+        count = 0
+        for r1 in axis:
+            for r2 in axis:
+                q = rq(float(r1), float(r2), sigma2=src.sigma2)
+                if lambda_for_rates(q.r2, q.d1, q.d2) == 1.0 and q.r2 >= 0.5 * math.log(2.0):
+                    point = exponent_point(src, q)
+                    assert point["l1_exponent"] == point["sep_e1"], (r1, r2)
+                    count += 1
+        assert count == 300
 
     def test_no_exponents_at_zero_r1(self):
         point = exponent_point(GMS, rq(0.0, 0.5))

@@ -547,6 +547,17 @@ r2_steps = 20
                 strictly_larger += 1
         assert strictly_larger > 0
 
+    @pytest.mark.parametrize("command", ["exponent-grid", "asymptotics"])
+    def test_zero_r2_at_layer2_floor(self, tmp_path, command):
+        # d1 < 2*d2, so layer 2's floor at r2 = 0 is exactly 0: the fixed
+        # split is in case iii there, not a refused rate inversion
+        text = BASE.replace("d1 = 0.5", "d1 = 0.32272918413738216")
+        text = text.replace("d2 = 0.25", "d2 = 0.300583050890696")
+        cfg = write_config(tmp_path, text + "\n[rates]\nr1 = 0.3 0.8\nr2 = 0\n")
+        out = str(tmp_path / "zero.csv")
+        assert main([command, "--config", cfg, "--out", out]) == 0
+        assert [r["l1_case"] for r in read_report(out)] == ["iii", "iii"]
+
     def test_single_point_grid(self, tmp_path):
         cfg = write_config(tmp_path, BASE + "\n[rates]\nr1 = 0.8\nr2 = 0.6\n")
         out = str(tmp_path / "one.csv")

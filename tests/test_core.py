@@ -149,6 +149,17 @@ class TestOptimalTilt:
         with pytest.raises(ConfigError):
             optimal_tilt(1.0, 1.0, 0.0)
 
+    def test_exactly_zero_on_the_threshold(self):
+        # at w = d - p the formula can round a few ulps above zero (9.2e-17
+        # at the first pair); the exponent there is layer 2's floor, and a
+        # zero rate must not sit above it
+        rng = np.random.default_rng(23)
+        pairs = [(0.32272918413738216 - 0.300583050890696, 0.300583050890696)]
+        pairs += [tuple(sorted(rng.uniform(0.01, 3.0, 2).tolist())) for _ in range(500)]
+        for p, d in pairs:
+            assert optimal_tilt(d - p, p, d) == 0.0, (p, d)
+            assert iid_nonexcess_exponent(d - p, p, d) == 0.0, (p, d)
+
     def test_positive_iff_above_threshold(self):
         # s* > 0 exactly when w > d - p (no positive part on the threshold)
         rng = np.random.default_rng(7)
