@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 
-from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
 from .errors import ConfigError, NumericError
@@ -204,14 +203,14 @@ def invert_iid_exponent(target: float, p: float, d: float) -> float:
     Bracket expansion relies on strict monotonicity in w above the
     threshold.  When p > d the exponent has a positive infimum (the
     center-covering cost at w = 0); targets at or below it have no root
-    and raise a domain error.
+    and raise a domain error.  The root is :func:`_brentq`'s: scipy's
+    ``brentq``, bit for bit, without importing scipy's optimize package.
     """
-    if target <= 0:
-        raise ConfigError(f"requires target rate > 0, got {target}")
-    if p <= 0 or d <= 0:
-        raise ConfigError(f"requires p > 0 and d > 0, got p={p}, d={d}")
+    for name, value in (("target", target), ("p", p), ("d", d)):
+        if not 0.0 < value < math.inf:
+            raise ConfigError(f"requires a finite {name} > 0, got {value}")
     w_min = max(d - p, 0.0)
-    floor = iid_nonexcess_exponent(w_min, p, d)
+    floor = _iid_exponent(w_min, p, d)  # its arguments are checked above
     if target <= floor:
         raise ConfigError(
             f"target rate {target} is not attained for any w > {w_min}; "
@@ -233,7 +232,52 @@ def invert_iid_exponent(target: float, p: float, d: float) -> float:
         # target sits between the infimum and the value a hair above the
         # threshold; the root is squeezed against w_min
         return lo
-    return float(brentq(f, lo, hi, xtol=1e-300, rtol=_INVERT_RTOL))
+    root, failure = _brentq(f, lo, hi, 1e-300, _INVERT_RTOL)
+    if failure:
+        raise NumericError(f"rate inversion failed at target={target}: {failure}")
+    return root
+
+
+def _brentq(f, a: float, b: float, xtol: float, rtol: float,
+            maxiter: int = 100) -> tuple[float, str | None]:
+    """Root of f in [a, b]: scipy's ``brentq`` C loop (Brent 1973, ch. 4) in
+    plain floats, step for step, so the same root bit for bit.  Returns (root,
+    None), or (last iterate, why it failed) on a NaN, ends of one sign or maxiter steps."""
+    x_pre, x_cur, f_pre, f_cur = a, b, f(a), f(b)
+    if math.isnan(f_pre) or math.isnan(f_cur):
+        return x_cur, "NaN value encountered"
+    if f_pre == 0.0 or f_cur == 0.0:
+        return (x_pre if f_pre == 0.0 else x_cur), None
+    if math.copysign(1.0, f_pre) == math.copysign(1.0, f_cur):  # signbit
+        return 0.0, "the bracket ends have the same sign"
+    x_blk = f_blk = s_pre = s_cur = 0.0
+    for _ in range(maxiter):
+        if f_cur != 0.0 and (f_pre < 0.0) != (f_cur < 0.0):  # f_pre is never 0 or NaN
+            x_blk, f_blk = x_pre, f_pre
+            s_pre = s_cur = x_cur - x_pre
+        if abs(f_blk) < abs(f_cur):
+            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
+            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
+        delta = (xtol + rtol * abs(x_cur)) / 2
+        s_bis = (x_blk - x_cur) / 2
+        if f_cur == 0.0 or abs(s_bis) < delta:
+            return x_cur, None
+        s_try = math.inf  # bisect unless an interpolated step is accepted
+        if abs(s_pre) > delta and abs(f_cur) < abs(f_pre):
+            if x_pre == x_blk:  # secant
+                s_try = -f_cur * (x_cur - x_pre) / (f_cur - f_pre)
+            else:  # inverse quadratic extrapolation
+                d_pre = (f_pre - f_cur) / (x_pre - x_cur)
+                d_blk = (f_blk - f_cur) / (x_blk - x_cur)
+                s_try = -f_cur * (f_blk * d_blk - f_pre * d_pre) / (d_blk * d_pre * (f_blk - f_pre))
+        accept = 2 * abs(s_try) < min(abs(s_pre), 3 * abs(s_bis) - delta)
+        s_pre, s_cur = (s_cur, s_try) if accept else (s_bis, s_bis)
+        x_pre, f_pre = x_cur, f_cur
+        x_cur += s_cur if abs(s_cur) > delta else (delta if s_bis > 0 else -delta)
+        f_cur = f(x_cur)
+        if math.isnan(f_cur):
+            return x_cur, "NaN value encountered"
+    return x_cur, f"no convergence after {maxiter} iterations"
 
 
 def _bounded_brent_max(g, b: float, xatol: float, maxfun: int) -> tuple[float, str | None]:
@@ -320,10 +364,9 @@ def rate_function_x2(source, t: float) -> float:
 
     The maximizer is scipy's bounded Brent loop transcribed into plain
     floats (:func:`_bounded_brent_max`): it returns scipy's value bit for
-    bit in about a quarter of the time.  With the dozen or so cgf calls
-    each call makes, it is half of an exponent-grid point's traced self
-    time for a pmf source (cgf 30%, this loop 20%); ``invert_iid_exponent``
-    takes another 20%.
+    bit in about a quarter of the time.  Of a traced exponent-grid point it
+    takes a fifth for a pmf source (its dozen or so cgf calls a third,
+    ``invert_iid_exponent`` another fifth), a quarter for a Gaussian one.
 
     Zero for t <= E[X^2]; +inf beyond the essential supremum of X^2.
     """

@@ -5,6 +5,9 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -382,6 +385,29 @@ def test_readme_report_schemas_match_columns():
         "exponent-grid": [EXPONENT_GRID_COLUMNS],
         "compare": [COMPARE_COLUMNS[:9], COMPARE_COLUMNS[9:]],
     }
+
+
+def test_start_up_leaves_out_the_optimizer(tmp_path):
+    # in a fresh interpreter, so that this suite's own scipy imports cannot
+    # hide a stray one: the CLI needs numpy and scipy.special only, and a
+    # simulate and an exponent-grid run load nothing beyond what it imported
+    sim = write_config(tmp_path, SIM_SMALL, "sim.ini")
+    grid = write_config(tmp_path, BASE + SMALL_AXES, "grid.ini")
+    out = str(tmp_path / "out.csv")
+    script = textwrap.dedent(f"""
+        import sys
+        from srgauss.cli import main
+        loaded = set(sys.modules)
+        assert main(["simulate", "--config", {sim!r}, "--out", {out!r}]) == 0
+        assert main(["exponent-grid", "--config", {grid!r}, "--out", {out!r}]) == 0
+        print(sorted(m for m in loaded if m.startswith(("scipy.optimize", "scipy.linalg"))))
+        print(sorted(set(sys.modules) - loaded))
+    """)
+    paths = [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "[]"]
 
 
 def test_report_writes_infinities():

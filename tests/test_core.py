@@ -11,12 +11,13 @@ import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq, minimize_scalar
 from scipy.special import betainc, logsumexp
 
-from srgauss import sources
+from srgauss import asymptotics, core, sources
 from srgauss.core import (
     _bounded_brent_max,
+    _brentq,
     _iid_exponent,
     gaussian_rate_function_x2,
     iid_nonexcess_exponent,
@@ -461,6 +462,19 @@ class TestInvertIidExponent:
         floor = iid_nonexcess_exponent(0.0, 2.0, 1.0)
         assert invert_iid_exponent(math.nextafter(floor, math.inf), 2.0, 1.0) == 1e-12
 
+    @pytest.mark.parametrize("name, args", [
+        ("target", (math.nan, 1.0, 0.5)),
+        ("target", (math.inf, 1.0, 0.5)),
+        ("p", (0.5, math.nan, 0.5)),
+        ("p", (0.5, math.inf, 0.5)),
+        ("d", (0.5, 1.0, math.nan)),
+        ("d", (0.5, 1.0, math.inf)),
+    ])
+    def test_non_finite_argument_refused_by_name(self, name, args):
+        # refused up front, not after 200 doublings of the bracket
+        with pytest.raises(ConfigError, match=f"requires a finite {name} > 0, got"):
+            invert_iid_exponent(*args)
+
 
 class TestRateFunction:
     def test_gms_zero_at_mean(self):
@@ -651,6 +665,152 @@ class TestBoundedBrent:
         assert doublings[:3] == [1.0, 2.0, 4.0]
         assert len(doublings) == len(set(doublings))
 
+
+def _scipy_invert(target, p, d):
+    """invert_iid_exponent on scipy's brentq: the same floor, bracket,
+    squeeze and tolerances, the oracle the transcribed loop must equal."""
+    w_min = max(d - p, 0.0)
+    if target <= iid_nonexcess_exponent(w_min, p, d):
+        raise ConfigError("target at or below the floor")
+    lo = w_min * (1.0 + 1e-9) + 1e-12
+
+    def f(w):
+        return iid_nonexcess_exponent(w, p, d) - target
+
+    hi = max(2.0 * lo, d + p, 1.0)
+    for _ in range(200):
+        if f(hi) >= 0.0:
+            break
+        hi *= 2.0
+    else:
+        raise NumericError("no bracket")
+    if f(lo) > 0.0:
+        return lo
+    return float(brentq(f, lo, hi, xtol=1e-300, rtol=1e-12))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ConfigError, NumericError) as exc:
+        return type(exc)
+
+
+def _grid_inversions(monkeypatch, source):
+    """(target, p, d) of every inversion made by the 60x60 exponent grid
+    r1 in [0.05, 1.2], r2 in [0, 1.2] at (d1, d2) = (0.5, 0.25), its rates
+    spaced as the CLI spaces them."""
+    seen = []
+
+    def record(*args):
+        seen.append(args)
+        return invert_iid_exponent(*args)
+
+    def axis(lo, hi):
+        return [lo + (hi - lo) * i / 59 for i in range(60)]
+
+    monkeypatch.setattr(asymptotics, "invert_iid_exponent", record)
+    asymptotics._covering_radius.cache_clear()
+    try:
+        for r1 in axis(0.05, 1.2):
+            for r2 in axis(0.0, 1.2):
+                q = asymptotics.RateQuery(r1, r2, source.sigma2, 0.5, 0.25)
+                asymptotics.exponent_point(source, q)
+    finally:
+        asymptotics._covering_radius.cache_clear()
+    return seen
+
+
+class TestBrentq:
+    @pytest.mark.parametrize("f, a, b", [
+        (lambda x: x - 1e-9, 0.0, 1.0),  # a root next to a
+        (lambda x: x - (1.0 - 1e-9), 0.0, 1.0),  # a root next to b
+        (lambda x: 0.3 - x, 0.0, 1.0),  # decreasing
+        (lambda x: x, 0.0, 1.0),  # f(a) == 0
+        (lambda x: x - 1.0, 0.0, 1.0),  # f(b) == 0
+        (lambda x: math.tanh(1e6 * (x - 0.3)), 0.0, 1.0),  # steep root
+        (lambda x: (x - 0.3) ** 3, 0.0, 1.0),  # flat root: xtol 1e-300 runs out of steps
+        (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0),
+        (lambda x: math.cos(x) - x, 0.0, 2.0),
+    ])
+    def test_equals_scipy_on_shapes(self, f, a, b):
+        for xtol in (1e-300, 2e-12):
+            for rtol in (1e-12, 4 * np.finfo(float).eps):
+                root, info = brentq(f, a, b, xtol=xtol, rtol=rtol, full_output=True, disp=False)
+                failure = None if info.converged else "no convergence after 100 iterations"
+                assert _brentq(f, a, b, xtol, rtol) == (root, failure)
+
+    @pytest.mark.parametrize("c, xtol", [(0.35, 0.05), (0.4, 0.1)])
+    def test_equals_scipy_at_a_coarse_tolerance(self, c, xtol):
+        # delta is a visible share of the bracket here, so the -delta in the
+        # bound on an interpolated step changes which step is taken
+        f = lambda x: x ** 2 - c  # noqa: E731
+        expected = brentq(f, 0.0, 1.0, xtol=xtol, rtol=1e-12)
+        assert _brentq(f, 0.0, 1.0, xtol, 1e-12) == (expected, None)
+
+    def test_refusals_where_scipy_raises(self):
+        nan_inside = lambda x: x - 0.5 if x in (0.0, 1.0) else math.nan  # noqa: E731
+        assert _brentq(nan_inside, 0.0, 1.0, 2e-12, 1e-12)[1] == "NaN value encountered"
+        with pytest.raises(ValueError, match="NaN"):
+            brentq(nan_inside, 0.0, 1.0)
+        same_sign = lambda x: x + 1.0  # noqa: E731
+        _, failure = _brentq(same_sign, 0.0, 1.0, 2e-12, 1e-12)
+        assert failure == "the bracket ends have the same sign"
+        with pytest.raises(ValueError, match="different signs"):
+            brentq(same_sign, 0.0, 1.0)
+        flat = lambda x: (x - 0.3) ** 5  # noqa: E731
+        last, failure = _brentq(flat, 0.0, 1.0, 1e-300, 1e-12, maxiter=5)
+        assert failure == "no convergence after 5 iterations"
+        with pytest.raises(RuntimeError, match="converge"):
+            brentq(flat, 0.0, 1.0, xtol=1e-300, rtol=1e-12, maxiter=5)
+        root, info = brentq(flat, 0.0, 1.0, xtol=1e-300, rtol=1e-12, maxiter=5,
+                            full_output=True, disp=False)
+        assert not info.converged and last == root
+
+    def test_invert_equals_scipy_on_the_exponent_grid(self, monkeypatch):
+        # covering radii depend on the rates and distortions, not the source,
+        # so these are also every inversion of the pmf grid and its subgrids
+        args = _grid_inversions(monkeypatch, sources.gaussian(1.0))
+        assert len(args) > 5000
+        for a in args:
+            assert invert_iid_exponent(*a) == _scipy_invert(*a), a
+
+    def test_invert_equals_scipy_on_random_triples(self):
+        rng = np.random.default_rng(31)
+        for k in range(2000):
+            p, d = np.exp(rng.uniform(-6.0, 4.0, 2)).tolist()
+            floor = iid_nonexcess_exponent(max(d - p, 0.0), p, d)
+            if k % 10 == 0:  # an ulp above the floor: the squeeze against w_min
+                target = math.nextafter(floor, math.inf) if floor > 0.0 else 5e-324
+            else:  # one in four below the floor, refused by both
+                sign = rng.choice([-1.0, 1.0, 1.0, 1.0])
+                target = floor + sign * math.exp(rng.uniform(-30.0, 3.0))
+            expected = _outcome(_scipy_invert, target, p, d)
+            assert _outcome(invert_iid_exponent, target, p, d) == expected, (target, p, d)
+
+    # The refusals below sit on paths no finite exponent reaches, so each
+    # test bends the exponent (or the iteration cap) to get there.  With
+    # (target, p, d) = (0.1, 0.25, 0.25) the bracket is [1e-12, 1].
+    def test_invert_refuses_a_nan_value(self, monkeypatch):
+        real = core._iid_exponent
+        monkeypatch.setattr(core, "_iid_exponent", lambda w, p, d: (
+            real(w, p, d) if w <= 1e-12 or w >= 1.0 else math.nan))
+        with pytest.raises(NumericError, match="failed at target=0.1: NaN value encountered"):
+            invert_iid_exponent(0.1, 0.25, 0.25)
+
+    def test_invert_refuses_a_same_sign_bracket(self, monkeypatch):
+        # the exponent rises by 1 after the floor, the bracket and the squeeze
+        # check, so both ends the root-finder sees are positive
+        real, calls = core._iid_exponent, iter(range(100))
+        monkeypatch.setattr(core, "_iid_exponent", lambda w, p, d: (
+            real(w, p, d) + (1.0 if next(calls) >= 3 else 0.0)))
+        with pytest.raises(NumericError, match="failed at target=0.1: the bracket ends"):
+            invert_iid_exponent(0.1, 0.25, 0.25)
+
+    def test_invert_refuses_no_convergence(self, monkeypatch):
+        monkeypatch.setattr(core._brentq, "__defaults__", (3,))
+        with pytest.raises(NumericError, match="failed at target=0.1: no convergence after 3"):
+            invert_iid_exponent(0.1, 0.25, 0.25)
 
 class TestCgf:
     def test_gms_closed_form(self):
