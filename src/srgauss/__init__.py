@@ -14,6 +14,7 @@ from .asymptotics import (
     RegionResult,
     SecondOrderPlan,
     exponent_point,
+    exponent_rows,
     jep_exponent,
     jep_exponent_lambda1,
     lambda_for_rates,
@@ -68,6 +69,7 @@ __all__ = [
     "estimate",
     "estimate_nonexcess",
     "exponent_point",
+    "exponent_rows",
     "gaussian_rate_function_x2",
     "iid_nonexcess_exponent",
     "iid_nonexcess_exponent_tilted",

@@ -6,7 +6,10 @@ power-split coding schemes.
 All rates are in nats.  Every large-deviations exponent is one kernel,
 :func:`_excess`: the rate function of X^2 at the radius where layer-1
 covering at a target distortion costs r1.  The schemes and their cases
-differ only in that target.  Exponent calculators return an
+differ only in that target.  One evaluator, :func:`exponent_rows`, gives
+every per-point quantity of a rate grid, computing what depends on r2 alone
+once per column; :func:`exponent_point` is its one cell.  The exponent
+calculators read the same column and cell helpers and return an
 :class:`ExponentResult` bundling the exponent values, the root-found
 auxiliary radii and the case that produced them.
 """
@@ -78,9 +81,16 @@ class RateQuery:
     d2: float
 
     def __post_init__(self):
-        if not (0 <= self.r1 < math.inf and 0 <= self.r2 < math.inf):
-            raise ConfigError(f"requires finite r1, r2 >= 0, got ({self.r1}, {self.r2})")
+        _check_rates((self.r1,), (self.r2,))
         _check_distortions(self.sigma2, self.d1, self.d2)
+
+
+def _check_rates(r1s, r2s) -> None:
+    """Refuse the first rate pair, in row-major order, not finite and >= 0."""
+    bad = next(((a, b) for a in r1s for b in r2s
+                if not (0 <= a < math.inf and 0 <= b < math.inf)), None)
+    if bad:
+        raise ConfigError(f"requires finite r1, r2 >= 0, got ({bad[0]}, {bad[1]})")
 
 
 @dataclass(frozen=True)
@@ -89,19 +99,24 @@ class RegionResult:
     eta: float | None  # power-split witness from the union form, inside only
 
 
+def _region(c1, c2, r1, r2, sigma2, d1, d2) -> tuple[str, float | None]:
+    """Location of a rate pair from its margins c1, c2 over the two faces
+    and, inside, the power-split witness of the union form."""
+    if c1 < -_REGION_TOL or c2 < -_REGION_TOL:
+        return "outside", None
+    if min(c1, c2) <= _REGION_TOL:
+        return "boundary", None
+    lo = max(d2 / d1, sigma2 * math.exp(-2.0 * r1) / d1)
+    hi = min(d2 * math.exp(2.0 * r2) / d1, 1.0)
+    return "inside", (hi if hi >= lo and hi > d2 / d1 else None)
+
+
 def region_contains(q: RateQuery) -> RegionResult:
     """Classify a rate pair against the two half-planes
     r1 >= 0.5*log(sigma2/d1) and r1 + r2 >= 0.5*log(sigma2/d2)."""
     c1 = q.r1 - 0.5 * math.log(q.sigma2 / q.d1)
     c2 = q.r1 + q.r2 - 0.5 * math.log(q.sigma2 / q.d2)
-    if c1 < -_REGION_TOL or c2 < -_REGION_TOL:
-        return RegionResult("outside", None)
-    if min(c1, c2) <= _REGION_TOL:
-        return RegionResult("boundary", None)
-    lo = max(q.d2 / q.d1, q.sigma2 * math.exp(-2.0 * q.r1) / q.d1)
-    hi = min(q.d2 * math.exp(2.0 * q.r2) / q.d1, 1.0)
-    eta = hi if hi >= lo and hi > q.d2 / q.d1 else None
-    return RegionResult("inside", eta)
+    return RegionResult(*_region(c1, c2, q.r1, q.r2, q.sigma2, q.d1, q.d2))
 
 
 def lambda_for_rates(r2: float, d1: float, d2: float) -> float:
@@ -140,6 +155,51 @@ def _excess(source: SourceSpec, r1: float, p_y: float, target: float) -> tuple[f
     return alpha, _rate(source, alpha)
 
 
+def _sep_column(sigma2, d1, d2, r2, branch) -> tuple[float, float, float | None]:
+    """The adaptive split's part of an r2 column: lambda, layer 1's power
+    p_y (>= sigma2 - d1 > 0) and gamma above the branch rate, else None."""
+    lam = lambda_for_rates(r2, d1, d2)
+    return lam, sigma2 - lam * d1, None if r2 <= branch else _covering_radius(r2, d1 - d2, d2)
+
+
+def _sep_cell(source, r1, d1, lam, p_y, gamma) -> tuple:
+    """(case, layer 1's (alpha, exponent), layer 2's, the binding layer's)
+    at one cell; see :func:`sep_exponents`.  Layer 2 binds the joint
+    exponent at or below the branch rate, layer 1 above it."""
+    layer1 = _excess(source, r1, p_y, d1)
+    if gamma is None:  # gamma is lambda*d1; a root-found one would move the 12th digit
+        layer2 = _excess(source, r1, p_y, lam * d1)
+        return "low_r2", layer1, layer2, layer2
+    layer2 = _excess(source, r1, p_y, gamma)
+    return "high_r2", layer1, layer2, layer1
+
+
+def _layer2_floor(d1: float, d2: float) -> float:
+    """Layer 2's floor: the rate it needs to cover the weakest residual."""
+    p_z = d1 - d2
+    return iid_nonexcess_exponent(max(d2 - p_z, 0.0), p_z, d2)
+
+
+def _fixed_column(sigma2, d1, d2, r2, branch, floor2) -> tuple[str, float | None, float]:
+    """The fixed split's part of an r2 column: (case, layer-1 target
+    min(d1, gamma2), the rate r1 must exceed for it, else case ``iii``);
+    gamma2 >= d1 exactly at or above the branch rate."""
+    if r2 >= branch:
+        return "i", d1, 0.5 * math.log(sigma2 / d1)
+    if r2 > floor2:
+        gamma2 = _covering_radius(r2, d1 - d2, d2)
+        return "ii", gamma2, iid_nonexcess_exponent(sigma2, sigma2 - d1, gamma2)
+    return "iii", None, math.inf
+
+
+def _sep_query(source: SourceSpec, q: RateQuery) -> tuple:
+    """(gamma, :func:`_sep_cell`'s tuple) of one rate pair."""
+    if q.r1 <= 0:
+        raise ConfigError(f"requires r1 > 0, got {q.r1}")
+    lam, p_y, gamma = _sep_column(q.sigma2, q.d1, q.d2, q.r2, 0.5 * math.log(q.d1 / q.d2))
+    return gamma, _sep_cell(source, q.r1, q.d1, lam, p_y, gamma)
+
+
 def sep_exponents(source: SourceSpec, q: RateQuery) -> ExponentResult:
     """Separate excess-distortion exponents (layer 1, layer 2) of the
     rate-adaptive scheme: the excess exponents at target d1 and, for layer
@@ -147,34 +207,19 @@ def sep_exponents(source: SourceSpec, q: RateQuery) -> ExponentResult:
     0.5*log(d1/d2) (case ``low_r2``), or above it, where lambda is 1 (its
     float can round to 1 - 2**-53), at the largest residual power gamma
     that layer 2 still covers at r2 (case ``high_r2``)."""
-    if q.r1 <= 0:
-        raise ConfigError(f"requires r1 > 0, got {q.r1}")
-    lam = lambda_for_rates(q.r2, q.d1, q.d2)
-    # RateQuery keeps sigma2 > d1 and lam <= 1, so p_y >= sigma2 - d1 > 0
-    p_y = q.sigma2 - lam * q.d1
-    alpha1, e1 = _excess(source, q.r1, p_y, q.d1)
-    if q.r2 <= 0.5 * math.log(q.d1 / q.d2):
-        # gamma is lambda*d1 here; a root-found one would move the 12th digit
-        alpha2, e2 = _excess(source, q.r1, p_y, lam * q.d1)
-        aux = {"alpha1_star": alpha1, "alpha2_star": alpha2}
-        return ExponentResult(auxiliaries=aux, values=(e1, e2), case_tag="low_r2")
-    gamma = _covering_radius(q.r2, q.d1 - q.d2, q.d2)
-    alpha2, e2 = _excess(source, q.r1, p_y, gamma)
+    gamma, (case, (alpha1, e1), (alpha2, e2), _) = _sep_query(source, q)
     aux = {"alpha1_star": alpha1, "gamma_star": gamma, "alpha2_star": alpha2}
-    return ExponentResult(auxiliaries=aux, values=(e1, e2), case_tag="high_r2")
-
-
-def _binding(sep: ExponentResult) -> ExponentResult:
-    """The joint exponent in :func:`sep_exponents`: the binding layer's, layer
-    2 at or below the branch rate and layer 1 above it."""
-    k = 1 if sep.case_tag == "low_r2" else 0
-    alpha = sep.auxiliaries["alpha2_star" if k else "alpha1_star"]
-    return ExponentResult({"alpha_star": alpha}, (sep.values[k],), "adaptive")
+    if gamma is None:
+        del aux["gamma_star"]
+    return ExponentResult(auxiliaries=aux, values=(e1, e2), case_tag=case)
 
 
 def jep_exponent(source: SourceSpec, q: RateQuery) -> ExponentResult:
-    """Joint excess-distortion exponent of the rate-adaptive scheme."""
-    return _binding(sep_exponents(source, q))
+    """Joint excess-distortion exponent of the rate-adaptive scheme: the
+    binding layer's separate exponent, layer 2's at or below the branch
+    rate and layer 1's above it."""
+    _, (_, _, _, (alpha, value)) = _sep_query(source, q)
+    return ExponentResult({"alpha_star": alpha}, (value,), "adaptive")
 
 
 def jep_exponent_lambda1(source: SourceSpec, q: RateQuery) -> ExponentResult:
@@ -183,41 +228,58 @@ def jep_exponent_lambda1(source: SourceSpec, q: RateQuery) -> ExponentResult:
     power layer 2 covers at r2 (cases ``i`` and ``ii``).  It is zero (case
     ``iii``) at or below layer 2's floor and wherever r1 covers no more than
     power sigma2 at the target, where the adaptive scheme's can be positive."""
-    p_y, p_z = q.sigma2 - q.d1, q.d1 - q.d2
-    # gamma2 >= d1 exactly when r2 >= 0.5*log(d1/d2)
-    if q.r2 >= 0.5 * math.log(q.d1 / q.d2):
-        if q.r1 > 0.5 * math.log(q.sigma2 / q.d1):
-            alpha1, value = _excess(source, q.r1, p_y, q.d1)
-            return ExponentResult({"alpha1": alpha1}, (value,), "i")
-    elif q.r2 > iid_nonexcess_exponent(max(q.d2 - p_z, 0.0), p_z, q.d2):
-        gamma2 = _covering_radius(q.r2, p_z, q.d2)
-        if q.r1 > iid_nonexcess_exponent(q.sigma2, p_y, gamma2):
-            alpha2, value = _excess(source, q.r1, p_y, gamma2)
-            return ExponentResult({"gamma2": gamma2, "alpha2": alpha2}, (value,), "ii")
-    return ExponentResult({}, (0.0,), "iii")
+    branch = 0.5 * math.log(q.d1 / q.d2)
+    case, target, threshold = _fixed_column(
+        q.sigma2, q.d1, q.d2, q.r2, branch, _layer2_floor(q.d1, q.d2))
+    if not q.r1 > threshold:
+        return ExponentResult({}, (0.0,), "iii")
+    alpha, value = _excess(source, q.r1, q.sigma2 - q.d1, target)
+    aux = {"alpha1": alpha} if case == "i" else {"gamma2": target, "alpha2": alpha}
+    return ExponentResult(aux, (value,), case)
+
+
+def exponent_rows(source: SourceSpec, r1s, r2s, d1: float, d2: float) -> list[dict]:
+    """:func:`exponent_point` at every pair of a rate grid, row by row (r1
+    outer).  Per-r2 quantities are computed once per column, so a cell costs
+    its region and at most three :func:`_excess` calls."""
+    _check_rates(r1s, r2s)
+    return _rows(source, source.sigma2, d1, d2, r1s, r2s)
 
 
 def exponent_point(source: SourceSpec, q: RateQuery) -> dict:
     """Every per-point quantity of a rate pair, keyed by report column:
     region, power split and, for r1 > 0, the joint, fixed-split and
-    separate exponents.  The joint exponent is read off
-    :func:`sep_exponents` as :func:`jep_exponent` reads it, not computed a
-    second time."""
-    reg = region_contains(q)
-    lam = lambda_for_rates(q.r2, q.d1, q.d2)
-    point = {"r1": q.r1, "r2": q.r2, "region": reg.location, "eta": reg.eta, "lambda": lam}
-    if q.r1 > 0:
-        sep = sep_exponents(source, q)
-        jep = _binding(sep)
-        l1 = jep_exponent_lambda1(source, q)
-        point.update(
-            alpha_star=jep.auxiliaries["alpha_star"],
-            jep_exponent=jep.value, jep_positive=jep.positive[0],
-            l1_case=l1.case_tag, l1_exponent=l1.value, l1_positive=l1.positive[0],
-            sep_case=sep.case_tag, sep_e1=sep.values[0], sep_e2=sep.values[1],
-            sep_e1_positive=sep.positive[0], sep_e2_positive=sep.positive[1],
-        )
-    return point
+    separate exponents."""
+    return _rows(source, q.sigma2, q.d1, q.d2, (q.r1,), (q.r2,))[0]
+
+
+def _rows(source: SourceSpec, sigma2, d1, d2, r1s, r2s) -> list[dict]:
+    """The evaluator behind :func:`exponent_rows` and :func:`exponent_point`."""
+    _check_distortions(sigma2, d1, d2)
+    branch = 0.5 * math.log(d1 / d2)
+    edge1, edge2 = 0.5 * math.log(sigma2 / d1), 0.5 * math.log(sigma2 / d2)
+    floor2, p_y1 = _layer2_floor(d1, d2), sigma2 - d1
+    columns = [(_sep_column(sigma2, d1, d2, r2, branch),
+                _fixed_column(sigma2, d1, d2, r2, branch, floor2)) for r2 in r2s]
+    rows = []
+    for r1 in r1s:
+        c1 = r1 - edge1
+        for r2, ((lam, p_y, gamma), fixed) in zip(r2s, columns):
+            region, eta = _region(c1, r1 + r2 - edge2, r1, r2, sigma2, d1, d2)
+            point = {"r1": r1, "r2": r2, "region": region, "eta": eta, "lambda": lam}
+            if r1 > 0:
+                case, (_, e1), (_, e2), (alpha, jep) = _sep_cell(source, r1, d1, lam, p_y, gamma)
+                l1_case, target, threshold = fixed
+                above = r1 > threshold  # else case iii
+                l1 = _excess(source, r1, p_y1, target)[1] if above else 0.0
+                point.update(
+                    alpha_star=alpha, jep_exponent=jep, jep_positive=jep > 0.0,
+                    l1_case=l1_case if above else "iii", l1_exponent=l1, l1_positive=l1 > 0.0,
+                    sep_case=case, sep_e1=e1, sep_e2=e2,
+                    sep_e1_positive=e1 > 0.0, sep_e2_positive=e2 > 0.0,
+                )
+            rows.append(point)
+    return rows
 
 
 @dataclass(frozen=True)

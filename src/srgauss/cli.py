@@ -29,7 +29,7 @@ from .asymptotics import (
     ModerateQuery,
     RateQuery,
     code_size,
-    exponent_point,
+    exponent_rows,
     jep_exponent,
     lambda_for_rates,
     moderate_constants,
@@ -224,11 +224,9 @@ def cmd_asymptotics(cp, args) -> tuple[list[dict], list[str]]:
         v_jep, v1, v2 = moderate_constants(source, mq)
         extra.update(v_jep=v_jep, v1=v1, v2=v2)
         columns = ASYMPTOTICS_COLUMNS
-    rows = []
-    for r1 in r1s:
-        for r2 in r2s:
-            point = exponent_point(source, RateQuery(r1, r2, source.sigma2, d1, d2))
-            rows.append({**point, **extra})
+    rows = exponent_rows(source, r1s, r2s, d1, d2)
+    for row in rows:
+        row.update(extra)
     return rows, columns
 
 
@@ -275,7 +273,10 @@ def _scheme_points(cp, source) -> list[tuple[SchemeConfig, dict]]:
                 m1 = code_size(n * r1)
                 m2 = code_size(n * min(r2, 0.5 * math.log(lam * d1 / d2)))
                 q = RateQuery(r1, r2, source.sigma2, d1, d2)
-                extra["pred_jep_exponent"] = jep_exponent(source, q).value
+                if not r1 > 0:
+                    raise ConfigError(f"rates.r1: rate-based sizing requires r1 > 0, got {r1}")
+                if (kind1, kind2) == ("iid", "iid"):  # the only codebooks it is derived for
+                    extra["pred_jep_exponent"] = jep_exponent(source, q).value
             else:
                 lam = sim("lambda", 1.0)
                 m1, m2 = sim("m1"), sim("m2")
@@ -374,30 +375,25 @@ EXPONENT_GRID_COLUMNS = [
 
 
 # exponent-grid reports zero exponents at r1 = 0, where none is computed
-_GRID_AT_R1_ZERO = {
-    "jep_exponent": 0.0, "jep_positive": False, "l1_exponent": 0.0, "l1_case": "iii",
-    "sep_e1": 0.0, "sep_e2": 0.0,
-}
+_GRID_AT_R1_ZERO = dict.fromkeys(("jep_exponent", "l1_exponent", "sep_e1", "sep_e2"), 0.0) | {
+    "jep_positive": False, "l1_case": "iii"}
 
 
 def cmd_exponent_grid(cp, args) -> tuple[list[dict], list[str]]:
     source = _source(cp)
     d1, d2 = (_get(cp, "distortion", k) for k in ("d1", "d2"))
     r1s, r2s = _rate_axes(cp)
-    values = {}
+    columns = EXPONENT_GRID_COLUMNS[:-1]
     rows = []
-    for i, r1 in enumerate(r1s):
-        for j, r2 in enumerate(r2s):
-            q = RateQuery(r1, r2, source.sigma2, d1, d2)
-            point = {**_GRID_AT_R1_ZERO, **exponent_point(source, q)}
-            values[(i, j)] = point["jep_exponent"]
-            rows.append({c: point[c] for c in EXPONENT_GRID_COLUMNS[:-1]})
+    for point in exponent_rows(source, r1s, r2s, d1, d2):
+        if point["r1"] == 0:
+            point.update(_GRID_AT_R1_ZERO)
+        rows.append({c: point[c] for c in columns})
     # mark the edge of the zero set: zero cells adjacent to a positive cell
-    for (i, j), row in zip(values, rows):
-        row["zero_edge"] = values[(i, j)] == 0.0 and any(
-            values.get((i + di, j + dj), 0.0) > 0.0
-            for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1))
-        )
+    jep, m = [row["jep_exponent"] for row in rows], len(r2s)
+    for k, row in enumerate(rows):
+        near = (k - m, k + m, k - 1 if k % m else -1, k + 1 if (k + 1) % m else -1)
+        row["zero_edge"] = jep[k] == 0.0 and any(0 <= i < len(jep) and jep[i] > 0.0 for i in near)
     return rows, EXPONENT_GRID_COLUMNS
 
 
@@ -424,10 +420,10 @@ def cmd_compare(cp, args) -> tuple[list[dict], list[str]]:
             f"mismatched report: column {col!r} absent from {sim_path}"
         )
 
-    # a decay rate (psi/phi or rates sizing), else a plan's target_eps
+    # a decay rate (psi/phi or rates sizing), else a plan's target_eps, in every row
     rate_col = next((c for c in ("pred_rate", "pred_jep_exponent")
-                     if sim_rows[0].get(c) is not None), None)
-    if rate_col is None and sim_rows[0].get("target_eps") is None:
+                     if all(r.get(c) is not None for r in sim_rows)), None)
+    if rate_col is None and any(r.get("target_eps") is None for r in sim_rows):
         raise ConfigError("simulation report carries no prediction columns")
 
     rows = []

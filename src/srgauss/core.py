@@ -364,9 +364,10 @@ def rate_function_x2(source, t: float) -> float:
 
     The maximizer is scipy's bounded Brent loop transcribed into plain
     floats (:func:`_bounded_brent_max`): it returns scipy's value bit for
-    bit in about a quarter of the time.  Of a traced exponent-grid point it
-    takes a fifth for a pmf source (its dozen or so cgf calls a third,
-    ``invert_iid_exponent`` another fifth), a quarter for a Gaussian one.
+    bit in about a quarter of the time.  Of a traced exponent-grid point's
+    self time it takes a quarter for a pmf source (its dozen or so cgf
+    calls over a third more, ``invert_iid_exponent`` a fifth) and three
+    eighths for a Gaussian one (the inversion three tenths).
 
     Zero for t <= E[X^2]; +inf beyond the essential supremum of X^2.
     """

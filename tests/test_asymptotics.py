@@ -9,8 +9,10 @@ import pytest
 
 from srgauss import asymptotics, sources
 from srgauss.asymptotics import (
+    ExponentResult,
     ModerateQuery,
     RateQuery,
+    RegionResult,
     exponent_point,
     jep_exponent,
     jep_exponent_lambda1,
@@ -541,3 +543,160 @@ class TestMemos:
         for memo in self.MEMOS:
             info = memo.cache_info()
             assert info.maxsize == 1024 and 0 < info.currsize <= info.maxsize
+
+
+# --- frozen oracle ----------------------------------------------------------
+# The per-point calculators as they were written before the grid evaluator
+# (one RateQuery, region, split and three ExponentResults per point), kept
+# verbatim apart from their names so the evaluator is checked against code
+# it does not share.  They reach the kernels through the same memos.
+
+def _oracle_region(q):
+    c1 = q.r1 - 0.5 * math.log(q.sigma2 / q.d1)
+    c2 = q.r1 + q.r2 - 0.5 * math.log(q.sigma2 / q.d2)
+    if c1 < -asymptotics._REGION_TOL or c2 < -asymptotics._REGION_TOL:
+        return RegionResult("outside", None)
+    if min(c1, c2) <= asymptotics._REGION_TOL:
+        return RegionResult("boundary", None)
+    lo = max(q.d2 / q.d1, q.sigma2 * math.exp(-2.0 * q.r1) / q.d1)
+    hi = min(q.d2 * math.exp(2.0 * q.r2) / q.d1, 1.0)
+    eta = hi if hi >= lo and hi > q.d2 / q.d1 else None
+    return RegionResult("inside", eta)
+
+
+def _oracle_sep(source, q):
+    _excess, _covering_radius = asymptotics._excess, asymptotics._covering_radius
+    if q.r1 <= 0:
+        raise ConfigError(f"requires r1 > 0, got {q.r1}")
+    lam = lambda_for_rates(q.r2, q.d1, q.d2)
+    p_y = q.sigma2 - lam * q.d1
+    alpha1, e1 = _excess(source, q.r1, p_y, q.d1)
+    if q.r2 <= 0.5 * math.log(q.d1 / q.d2):
+        alpha2, e2 = _excess(source, q.r1, p_y, lam * q.d1)
+        aux = {"alpha1_star": alpha1, "alpha2_star": alpha2}
+        return ExponentResult(auxiliaries=aux, values=(e1, e2), case_tag="low_r2")
+    gamma = _covering_radius(q.r2, q.d1 - q.d2, q.d2)
+    alpha2, e2 = _excess(source, q.r1, p_y, gamma)
+    aux = {"alpha1_star": alpha1, "gamma_star": gamma, "alpha2_star": alpha2}
+    return ExponentResult(auxiliaries=aux, values=(e1, e2), case_tag="high_r2")
+
+
+def _oracle_binding(sep):
+    k = 1 if sep.case_tag == "low_r2" else 0
+    alpha = sep.auxiliaries["alpha2_star" if k else "alpha1_star"]
+    return ExponentResult({"alpha_star": alpha}, (sep.values[k],), "adaptive")
+
+
+def _oracle_lambda1(source, q):
+    _excess, _covering_radius = asymptotics._excess, asymptotics._covering_radius
+    p_y, p_z = q.sigma2 - q.d1, q.d1 - q.d2
+    if q.r2 >= 0.5 * math.log(q.d1 / q.d2):
+        if q.r1 > 0.5 * math.log(q.sigma2 / q.d1):
+            alpha1, value = _excess(source, q.r1, p_y, q.d1)
+            return ExponentResult({"alpha1": alpha1}, (value,), "i")
+    elif q.r2 > iid_nonexcess_exponent(max(q.d2 - p_z, 0.0), p_z, q.d2):
+        gamma2 = _covering_radius(q.r2, p_z, q.d2)
+        if q.r1 > iid_nonexcess_exponent(q.sigma2, p_y, gamma2):
+            alpha2, value = _excess(source, q.r1, p_y, gamma2)
+            return ExponentResult({"gamma2": gamma2, "alpha2": alpha2}, (value,), "ii")
+    return ExponentResult({}, (0.0,), "iii")
+
+
+def _oracle_point(source, q):
+    reg = _oracle_region(q)
+    lam = lambda_for_rates(q.r2, q.d1, q.d2)
+    point = {"r1": q.r1, "r2": q.r2, "region": reg.location, "eta": reg.eta, "lambda": lam}
+    if q.r1 > 0:
+        sep = _oracle_sep(source, q)
+        jep = _oracle_binding(sep)
+        l1 = _oracle_lambda1(source, q)
+        point.update(
+            alpha_star=jep.auxiliaries["alpha_star"],
+            jep_exponent=jep.value, jep_positive=jep.positive[0],
+            l1_case=l1.case_tag, l1_exponent=l1.value, l1_positive=l1.positive[0],
+            sep_case=sep.case_tag, sep_e1=sep.values[0], sep_e2=sep.values[1],
+            sep_e1_positive=sep.positive[0], sep_e2_positive=sep.positive[1],
+        )
+    return point
+
+
+def _edge_axes(sigma2, d1, d2):
+    """A 25-point axis on [0, 1.2] for each rate, plus the rates where a case
+    or the region changes and their neighbouring floats: r1 at the layer-1
+    edge 0.5*log(sigma2/d1), r2 at the branch rate 0.5*log(d1/d2) and at
+    layer 2's floor, and both ends of the boundary band about the layer-1
+    face and, in the row r1 = 0.6, about the sum-rate face."""
+    def around(x):
+        return [x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf)]
+
+    tol = asymptotics._REGION_TOL
+    edge1, edge2 = 0.5 * math.log(sigma2 / d1), 0.5 * math.log(sigma2 / d2)
+    p_z = d1 - d2
+    floor2 = iid_nonexcess_exponent(max(d2 - p_z, 0.0), p_z, d2)
+    axis = [float(x) for x in np.linspace(0.0, 1.2, 25)]
+    assert 0.6 in axis
+    r1s = axis + around(edge1) + around(edge1 + tol) + around(edge1 - tol)
+    r2s = (axis + around(0.5 * math.log(d1 / d2)) + around(floor2)
+           + around(edge2 - 0.6 + tol) + around(edge2 - 0.6 - tol))
+    return sorted({r for r in r1s if r >= 0}), sorted({r for r in r2s if r >= 0}), floor2
+
+
+class TestGridEvaluatorAgainstOracle:
+    """exponent_rows, exponent_point and the four calculators against the
+    frozen oracle, with ==, on every cell of a grid that holds the edge rates."""
+
+    SOURCES = ["gaussian", "uniform", "laplace", "discrete"]
+
+    @pytest.mark.parametrize("d1, d2", [(0.5, 0.25), (0.6, 0.2)])
+    @pytest.mark.parametrize("family", SOURCES)
+    def test_every_column_and_case_tag(self, family, d1, d2):
+        src = FAMILIES[family]
+        r1s, r2s, floor2 = _edge_axes(src.sigma2, d1, d2)
+        assert 0.0 in r1s and 0.0 in r2s and floor2 in r2s
+        rows = asymptotics.exponent_rows(src, r1s, r2s, d1, d2)
+        assert len(rows) == len(r1s) * len(r2s)
+        cases = set()
+        for row, (r1, r2) in zip(rows, [(a, b) for a in r1s for b in r2s]):
+            q = rq(r1, r2, sigma2=src.sigma2, d1=d1, d2=d2)
+            want = _oracle_point(src, q)
+            assert row == want, (r1, r2)
+            assert list(row) == list(want)
+            assert exponent_point(src, q) == want
+            assert region_contains(q) == _oracle_region(q)
+            l1, l1_want = jep_exponent_lambda1(src, q), _oracle_lambda1(src, q)
+            assert (l1.values, l1.case_tag, l1.auxiliaries) == (
+                l1_want.values, l1_want.case_tag, l1_want.auxiliaries)
+            cases.add(("l1", l1.case_tag))
+            if r1 == 0:
+                with pytest.raises(ConfigError, match="requires r1 > 0"):
+                    sep_exponents(src, q)
+                with pytest.raises(ConfigError, match="requires r1 > 0"):
+                    jep_exponent(src, q)
+                continue
+            sep, sep_want = sep_exponents(src, q), _oracle_sep(src, q)
+            assert (sep.values, sep.case_tag, sep.auxiliaries) == (
+                sep_want.values, sep_want.case_tag, sep_want.auxiliaries)
+            jep, jep_want = jep_exponent(src, q), _oracle_binding(sep_want)
+            assert (jep.values, jep.case_tag, jep.auxiliaries) == (
+                jep_want.values, jep_want.case_tag, jep_want.auxiliaries)
+            cases.add(("sep", sep.case_tag))
+        # the grid reaches every case of both schemes
+        want_cases = {("l1", c) for c in ("i", "ii", "iii")} | {("sep", "low_r2"), ("sep", "high_r2")}
+        assert cases == want_cases
+
+    def test_refuses_the_first_bad_pair_in_row_major_order(self):
+        for r1s, r2s, bad in [
+            ([0.5, -0.1, math.nan], [0.2, 0.3], (-0.1, 0.2)),
+            ([0.5, 0.7], [0.2, math.inf, -1.0], (0.5, math.inf)),
+            ([math.nan], [-1.0], (math.nan, -1.0)),
+            ([0.5, math.inf], [0.2, -0.3], (0.5, -0.3)),
+        ]:
+            with pytest.raises(ConfigError) as err:
+                asymptotics.exponent_rows(GMS, r1s, r2s, 0.5, 0.25)
+            assert str(err.value) == f"requires finite r1, r2 >= 0, got ({bad[0]}, {bad[1]})"
+            # the message a RateQuery of that pair gives
+            with pytest.raises(ConfigError) as one:
+                rq(*bad)
+            assert str(one.value) == str(err.value)
+        with pytest.raises(ConfigError, match="requires sigma2 > d1 > d2 > 0"):
+            asymptotics.exponent_rows(GMS, [0.5], [0.2], 0.25, 0.25)

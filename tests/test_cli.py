@@ -502,6 +502,43 @@ class TestSimulateCommand:
             assert r["pred_jep_exponent"] == float("%.12g" % pred)  # the report's 12 digits
             assert r["target_eps"] is None and r["partial"] is False
 
+    @pytest.mark.parametrize("kinds", ["iid,iid", "iid,spherical", "spherical,iid",
+                                       "spherical,spherical"])
+    def test_rates_sizing_predicts_for_iid_codebooks_only(self, tmp_path, capsys, kinds):
+        # the i.i.d. joint exponent is no prediction for a spherical layer:
+        # at this point it is 0.01811, the spherical exponent 0.01488
+        text = RATES_SIM.replace("r1 = 0.55", "r1 = 0.5\nr2 = 0.4").replace("kinds = iid,iid",
+                                                                             f"kinds = {kinds}")
+        sim = simulate_report(tmp_path, text)
+        pred = read_report(sim)[0]["pred_jep_exponent"]
+        cfg = write_config(tmp_path, f"[compare]\nsimulation = {sim}\nquantity = jep\n",
+                           name="cmp.ini")
+        code = main(["compare", "--config", cfg, "--out", str(tmp_path / "cmp.csv")])
+        if kinds == "iid,iid":
+            q = RateQuery(0.5, 0.4, 1.0, 0.5, 0.25)
+            assert pred == float("%.12g" % jep_exponent(sources.gaussian(1.0), q).value)
+            assert round(pred, 5) == 0.01811 and code == 0
+        else:
+            assert pred is None and code == 2
+            assert "carries no prediction columns" in capsys.readouterr().err
+
+    def test_compare_refuses_a_report_predicted_in_part(self, tmp_path, capsys):
+        # one kind pair with a prediction and one without: no single target
+        sim = simulate_report(tmp_path, RATES_SIM.replace("r1 = 0.55", "r1 = 0.5\nr2 = 0.4")
+                              .replace("kinds = iid,iid", "kinds = iid,iid spherical,iid"))
+        assert [r["pred_jep_exponent"] is None for r in read_report(sim)] == [False, True]
+        cfg = write_config(tmp_path, f"[compare]\nsimulation = {sim}\nquantity = jep\n",
+                           name="cmp.ini")
+        assert main(["compare", "--config", cfg]) == 2
+        assert "carries no prediction columns" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kinds", ["iid,iid", "spherical,spherical"])
+    def test_rates_sizing_refuses_zero_r1(self, tmp_path, capsys, kinds):
+        text = RATES_SIM.replace("r1 = 0.55", "r1 = 0\nr2 = 0.4").replace("kinds = iid,iid",
+                                                                           f"kinds = {kinds}")
+        assert main(["simulate", "--config", write_config(tmp_path, text)]) == 2
+        assert "rates.r1: rate-based sizing requires r1 > 0, got 0.0" in capsys.readouterr().err
+
     def test_rates_sizing_refuses_oversized_code(self, tmp_path, capsys):
         # n * r1 = 800 overflows exp(); refused like an oversized plan
         text = RATES_RADIAL.replace("r1 = 0.55", "r1 = 1.0").replace("n = 8 12 16", "n = 800")
@@ -593,6 +630,89 @@ r2_steps = 20
     def test_empty_grid_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, BASE + "\n[rates]\nr1 = \nr2 = 0.6\n")
         assert main(["exponent-grid", "--config", cfg]) == 2
+
+
+# Every rate axis and distortion refusal of the two grid commands, with the
+# message naming the first bad pair in row-major order (r1 outer).
+GRID_REFUSALS = [
+    ("r1 = 0.5 -0.2 -0.3\nr2 = 0.1 0.2\n", "requires finite r1, r2 >= 0, got (-0.2, 0.1)"),
+    ("r1 = 0.5 0.7\nr2 = 0.1 -0.5 -0.6\n", "requires finite r1, r2 >= 0, got (0.5, -0.5)"),
+    # a span beyond the largest float makes the axis [nan, inf]
+    ("r1_min = -1e308\nr1_max = 1e308\nr1_steps = 2\nr2 = 0.3\n",
+     "requires finite r1, r2 >= 0, got (nan, 0.3)"),
+    ("r1 = 0.5\nr2_min = -1e308\nr2_max = 1e308\nr2_steps = 2\n",
+     "requires finite r1, r2 >= 0, got (0.5, nan)"),
+]
+
+
+@pytest.mark.parametrize("command", ["exponent-grid", "asymptotics"])
+@pytest.mark.parametrize("rates, message", GRID_REFUSALS)
+def test_grid_commands_refuse_bad_rates(tmp_path, capsys, command, rates, message):
+    cfg = write_config(tmp_path, BASE + "\n[rates]\n" + rates)
+    assert main([command, "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["exponent-grid", "asymptotics"])
+def test_grid_commands_refuse_an_infinite_rate_before_computing(tmp_path, capsys, command):
+    # r2 = [0, 5e307, inf]: the whole grid is checked before any cell is
+    # computed, so the cell at 5e307 (whose split exp(2*r2) overflows) is
+    # never reached
+    cfg = write_config(tmp_path, BASE + "\n[rates]\nr1 = 0.5\nr2_min = 0\n"
+                       "r2_max = 1e308\nr2_steps = 3\n")
+    assert main([command, "--config", cfg]) == 2
+    assert "requires finite r1, r2 >= 0, got (0.5, inf)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["exponent-grid", "asymptotics"])
+@pytest.mark.parametrize("d1, d2", [(0.25, 0.5), (0.3, 0.3)])
+def test_grid_commands_refuse_d1_at_or_below_d2(tmp_path, capsys, command, d1, d2):
+    text = BASE.replace("d1 = 0.5", f"d1 = {d1}").replace("d2 = 0.25", f"d2 = {d2}")
+    cfg = write_config(tmp_path, text + SMALL_AXES)
+    assert main([command, "--config", cfg]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: requires sigma2 > d1 > d2 > 0, got (1.0, {d1}, {d2})\n")
+
+
+# The 60x60 Gaussian grid and the 12x30 pmf subgrid the benchmark runs
+# (bench/workloads.py), as the CLI spaces them.
+BENCH_AXIS_R1 = [0.05 + (1.2 - 0.05) * i / 59 for i in range(60)]
+BENCH_AXIS_R2 = [1.2 * j / 59 for j in range(60)]
+BENCH_GRIDS = {
+    "gaussian": (BASE + "\n[rates]\nr1_min = 0.05\nr1_max = 1.2\nr1_steps = 60\n"
+                 "r2_min = 0.0\nr2_max = 1.2\nr2_steps = 60\n"),
+    "discrete": (DISCRETE_BASE + "\n[rates]\nr1 = {}\nr2 = {}\n".format(
+        " ".join(repr(r) for r in BENCH_AXIS_R1[::5]),
+        " ".join(repr(r) for r in BENCH_AXIS_R2[::2]))),
+}
+
+
+@pytest.mark.parametrize("grid, counts", [
+    # the iid exponent fell from 7,392 and 758 when the fixed split's floor
+    # and case-ii threshold moved to once per grid and once per column
+    ("gaussian", {"invert_iid_exponent": 5241, "rate_function_x2": 5183,
+                  "iid_nonexcess_exponent": 5310}),
+    ("discrete", {"invert_iid_exponent": 546, "rate_function_x2": 518,
+                  "iid_nonexcess_exponent": 563}),
+])
+def test_kernel_work_per_benchmark_grid(tmp_path, monkeypatch, grid, counts):
+    """With cold memos, the benchmark grids make exactly these kernel calls."""
+    from srgauss import asymptotics
+
+    seen = dict.fromkeys(counts, 0)
+    for name in counts:
+        def counted(*args, _f=getattr(asymptotics, name), _name=name):
+            seen[_name] += 1
+            return _f(*args)
+
+        monkeypatch.setattr(asymptotics, name, counted)
+    asymptotics._covering_radius.cache_clear()
+    asymptotics._rate.cache_clear()
+    cfg = write_config(tmp_path, BENCH_GRIDS[grid])
+    out = str(tmp_path / "grid.csv")
+    assert main(["exponent-grid", "--config", cfg, "--out", out]) == 0
+    assert len(read_report(out)) == (3600 if grid == "gaussian" else 360)
+    assert seen == counts
 
 
 class TestCompareCommand:
