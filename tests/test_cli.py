@@ -654,14 +654,18 @@ def test_grid_commands_refuse_bad_rates(tmp_path, capsys, command, rates, messag
 
 
 @pytest.mark.parametrize("command", ["exponent-grid", "asymptotics"])
-def test_grid_commands_refuse_an_infinite_rate_before_computing(tmp_path, capsys, command):
-    # r2 = [0, 5e307, inf]: the whole grid is checked before any cell is
-    # computed, so the cell at 5e307 (whose split exp(2*r2) overflows) is
-    # never reached
-    cfg = write_config(tmp_path, BASE + "\n[rates]\nr1 = 0.5\nr2_min = 0\n"
-                       "r2_max = 1e308\nr2_steps = 3\n")
+@pytest.mark.parametrize("rates, pair", [
+    ("r1 = 0.5\nr2_min = 0\nr2_max = 1e308\nr2_steps = 3\n", "(0.5, inf)"),
+    ("r1_min = 0\nr1_max = 1e308\nr1_steps = 3\nr2 = 0.3\n", "(inf, 0.3)"),
+])
+def test_grid_commands_refuse_an_infinite_rate_before_computing(tmp_path, capsys, command,
+                                                                rates, pair):
+    # an axis [0, 5e307, inf]: the whole grid is checked before any cell is
+    # computed, so the cells at 5e307 (where exp(2*r2) overflows, or the
+    # covering radius cannot be bracketed) are never reached
+    cfg = write_config(tmp_path, BASE + "\n[rates]\n" + rates)
     assert main([command, "--config", cfg]) == 2
-    assert "requires finite r1, r2 >= 0, got (0.5, inf)" in capsys.readouterr().err
+    assert f"requires finite r1, r2 >= 0, got {pair}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["exponent-grid", "asymptotics"])
