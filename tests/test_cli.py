@@ -669,6 +669,19 @@ def test_grid_commands_refuse_an_infinite_rate_before_computing(tmp_path, capsys
 
 
 @pytest.mark.parametrize("command", ["exponent-grid", "asymptotics"])
+@pytest.mark.parametrize("rates, pair", [
+    # exp(2*r2) in the split overflows above about 354.9 nats; a covering
+    # radius at r1 = 1e300 cannot be bracketed
+    ("r1 = 0.5\nr2 = 0.1 300 400\n", "(0.5, 400.0)"),
+    ("r1 = 0.5 300 1e300\nr2 = 0.3\n", "(1e+300, 0.3)"),
+], ids=["r2", "r1"])
+def test_grid_commands_refuse_a_rate_above_300_nats(tmp_path, capsys, command, rates, pair):
+    cfg = write_config(tmp_path, BASE + "\n[rates]\n" + rates)
+    assert main([command, "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"config error: requires r1, r2 <= 300 nats, got {pair}\n"
+
+
+@pytest.mark.parametrize("command", ["exponent-grid", "asymptotics"])
 @pytest.mark.parametrize("d1, d2", [(0.25, 0.5), (0.3, 0.3)])
 def test_grid_commands_refuse_d1_at_or_below_d2(tmp_path, capsys, command, d1, d2):
     text = BASE.replace("d1 = 0.5", f"d1 = {d1}").replace("d2 = 0.25", f"d2 = {d2}")

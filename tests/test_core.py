@@ -476,6 +476,72 @@ class TestInvertIidExponent:
             invert_iid_exponent(*args)
 
 
+def _gaussian_cgf(sigma2):
+    """A custom source with the Gaussian cgf and theta_max = 1/(2 sigma2):
+    rate_function_x2 takes the closed form for a gaussian source, so the
+    bounded Brent loop meets the Gaussian cgf only through this one."""
+    return sources.custom(
+        sigma2, 3.0 * sigma2**2, None, theta_max=1.0 / (2.0 * sigma2),
+        log_mgf_x2=sources.gaussian(sigma2).log_mgf_x2,
+    )
+
+
+GAUSSIAN_CGF_1 = _gaussian_cgf(1.0)
+GAUSSIAN_CGF_1_3 = _gaussian_cgf(1.3)
+
+
+def _mp_gaussian_rate(t, sigma2):
+    """mpmath oracle of the Gaussian rate function of X^2 at the exact
+    float arguments, 50 digits."""
+    with mp.workdps(50):
+        r = mp.mpf(t) / mp.mpf(sigma2)
+        return 0.5 * (r - 1 - mp.log(r))
+
+
+class TestGaussianClosedForm:
+    """gaussian_rate_function_x2, and rate_function_x2 on a gaussian source
+    (which returns it), against mpmath."""
+
+    RTOL = 2e-15
+
+    @staticmethod
+    def _both(t, sigma2):
+        return (gaussian_rate_function_x2(t, sigma2),
+                rate_function_x2(sources.gaussian(sigma2), t))
+
+    def test_sweep_against_mpmath(self):
+        # sigma2 in [1e-3, 1e3] and t - sigma2 in [1e-10, 1e3] * sigma2, log
+        # uniform, with the cancellation near t = sigma2 and the switch at
+        # u = 1/2 inside the sweep
+        rng = np.random.default_rng(1931)
+        sigma2s = 10.0 ** rng.uniform(-3.0, 3.0, 3000)
+        excess = 10.0 ** rng.uniform(-10.0, 3.0, 3000)
+        for sigma2, e in zip(sigma2s.tolist(), excess.tolist()):
+            t = sigma2 * (1.0 + e)
+            exact = _mp_gaussian_rate(t, sigma2)
+            for got in self._both(t, sigma2):
+                assert abs(got - exact) <= self.RTOL * exact, (t, sigma2, got)
+
+    @pytest.mark.parametrize("sigma2", [1e-3, 1.0, 2.7, 1e3])
+    def test_at_or_below_the_mean_is_zero(self, sigma2):
+        for t in (sigma2, math.nextafter(sigma2, 0.0), 0.5 * sigma2, 0.0):
+            assert self._both(t, sigma2) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("sigma2", [1e-3, 1.0, 2.7, 1e3])
+    def test_far_tail_is_finite_and_exact(self, sigma2):
+        # the Brent loop cut its bracket at theta_max*(1 - 1e-9) and was
+        # off by 1.6e-8 relative here
+        t = 1e12 * sigma2
+        exact = _mp_gaussian_rate(t, sigma2)
+        for got in self._both(t, sigma2):
+            assert math.isfinite(got)
+            assert abs(got - exact) <= self.RTOL * exact
+
+    @pytest.mark.parametrize("sigma2", [1e-3, 1.0, 2.7, 1e3])
+    def test_infinite_threshold_is_inf(self, sigma2):
+        assert self._both(math.inf, sigma2) == (math.inf, math.inf)
+
+
 class TestRateFunction:
     def test_gms_zero_at_mean(self):
         gms = sources.gaussian(1.0)
@@ -483,13 +549,12 @@ class TestRateFunction:
         assert rate_function_x2(gms, 0.5) == 0.0
 
     def test_gms_closed_form_value(self):
-        gms = sources.gaussian(1.0)
         expected = 0.5 * (2.0 - math.log(2.0) - 1.0)
-        assert rate_function_x2(gms, 2.0) == pytest.approx(expected, abs=1e-8)
+        assert rate_function_x2(GAUSSIAN_CGF_1, 2.0) == pytest.approx(expected, abs=1e-8)
         assert gaussian_rate_function_x2(2.0, 1.0) == pytest.approx(expected, abs=1e-15)
 
     def test_gms_numeric_vs_closed_grid(self):
-        gms = sources.gaussian(1.3)
+        gms = GAUSSIAN_CGF_1_3
         for t in np.linspace(1.3, 13.0, 100):
             closed = gaussian_rate_function_x2(t, 1.3)
             assert rate_function_x2(gms, t) == pytest.approx(closed, abs=1e-6)
@@ -596,8 +661,8 @@ _LATTICE_X2 = sources.custom(
 )
 
 ORACLE_SOURCES = {
-    "gaussian-1": sources.gaussian(1.0),
-    "gaussian-2.7": sources.gaussian(2.7),
+    "gaussian-1": GAUSSIAN_CGF_1,
+    "gaussian-2.7": _gaussian_cgf(2.7),
     "discrete": sources.discrete([-2.0, -0.5, 0.5, 2.0], [0.1, 0.4, 0.4, 0.1]),
     "uniform": sources.uniform(1.7),
     "two_point": sources.two_point(1.3),
