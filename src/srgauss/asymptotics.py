@@ -12,6 +12,15 @@ once per column; :func:`exponent_point` is its one cell.  The exponent
 calculators read the same column and cell helpers and return an
 :class:`ExponentResult` bundling the exponent values, the root-found
 auxiliary radii and the case that produced them.
+
+Covering radii come from two paths with the same floats.  A grid's cells
+(:func:`exponent_rows`) invert their thousands of distinct radii in one
+lockstep batch, :func:`core.invert_iid_exponents`.  Its columns and the
+single-point entry points (:func:`exponent_point`, :func:`sep_exponents`,
+:func:`jep_exponent`, :func:`jep_exponent_lambda1`, and through them the
+simulator's prediction) take the memoized scalar :func:`_covering_radius`:
+a batch has a fixed cost near 1 ms, the price of dozens of scalar
+inversions.
 """
 
 from __future__ import annotations
@@ -20,8 +29,11 @@ import functools
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .core import (
     invert_iid_exponent,
+    invert_iid_exponents,
     iid_nonexcess_exponent,
     log_iid_nonexcess_asymptotic,
     log_spherical_nonexcess_lower,
@@ -51,10 +63,11 @@ def _dispersion(source: SourceSpec) -> float:
     return source.dispersion
 
 
-# A grid's rows and columns share covering radii and rate-function
-# arguments, so both are memoized; 1024 entries hold every repeat of a 60x60
-# grid.  typed=True keeps an int argument from being answered by a float's
-# entry, so a hit returns exactly what the call would.
+# A grid's rows and columns share rate-function arguments, and its columns
+# and repeated single-point calls share covering radii, so both are
+# memoized; 1024 entries hold every repeat of a 60x60 grid.  typed=True
+# keeps an int argument from being answered by a float's entry, so a hit
+# returns exactly what the call would.
 @functools.lru_cache(maxsize=1024, typed=True)
 def _covering_radius(rate: float, p: float, d: float) -> float:
     """Radius w where covering at codeword power p and distortion d costs
@@ -66,6 +79,23 @@ def _covering_radius(rate: float, p: float, d: float) -> float:
     if rate <= iid_nonexcess_exponent(w_min, p, d):
         return w_min
     return invert_iid_exponent(rate, p, d)
+
+
+def _covering_radii(keys: list) -> list[float]:
+    """:func:`_covering_radius` of every distinct (rate, p, d) key, the
+    floor once per (p, d) pair and the inversions above it in one
+    :func:`invert_iid_exponents` batch."""
+    floors = {}
+    for _, p, d in keys:
+        if (p, d) not in floors:
+            w_min = max(d - p, 0.0)
+            floors[p, d] = w_min, iid_nonexcess_exponent(w_min, p, d)
+    radii = [floors[p, d][0] for _, p, d in keys]
+    above = [i for i, (rate, p, d) in enumerate(keys) if rate > floors[p, d][1]]
+    inverted = np.array(keys, dtype=float).reshape(-1, 3)[above]
+    for i, w in zip(above, invert_iid_exponents(*inverted.T).tolist()):
+        radii[i] = w
+    return radii
 
 
 @functools.lru_cache(maxsize=1024, typed=True)
@@ -155,30 +185,34 @@ class ExponentResult:
         return tuple(v > 0.0 for v in self.values)
 
 
-def _excess(source: SourceSpec, r1: float, p_y: float, target: float) -> tuple[float, float]:
+def _excess(source: SourceSpec, r1: float, p_y: float, target: float,
+            radius=_covering_radius) -> tuple[float, float]:
     """Layer-1 excess exponent at rate r1 and codeword power p_y: the radius
     where covering at distortion ``target`` costs r1, and the rate function
-    of X^2 there.  Every exponent below is this kernel at some target."""
-    alpha = _covering_radius(r1, p_y, target)
+    of X^2 there.  Every exponent below is this kernel at some target.
+    ``radius`` answers (r1, p_y, target) as :func:`_covering_radius` does."""
+    alpha = radius(r1, p_y, target)
     return alpha, _rate(source, alpha)
 
 
-def _sep_column(sigma2, d1, d2, r2, branch) -> tuple[float, float, float | None]:
+def _sep_column(sigma2, d1, d2, r2, branch) -> tuple[float, float, float | None, float]:
     """The adaptive split's part of an r2 column: lambda, layer 1's power
-    p_y (>= sigma2 - d1 > 0) and gamma above the branch rate, else None."""
+    p_y (>= sigma2 - d1 > 0), gamma above the branch rate, else None, and
+    layer 2's target, gamma or else lambda*d1 (a root-found gamma there
+    would move the 12th digit)."""
     lam = lambda_for_rates(r2, d1, d2)
-    return lam, sigma2 - lam * d1, None if r2 <= branch else _covering_radius(r2, d1 - d2, d2)
+    gamma = None if r2 <= branch else _covering_radius(r2, d1 - d2, d2)
+    return lam, sigma2 - lam * d1, gamma, lam * d1 if gamma is None else gamma
 
 
-def _sep_cell(source, r1, d1, lam, p_y, gamma) -> tuple:
+def _sep_cell(source, r1, d1, p_y, gamma, target2, radius=_covering_radius) -> tuple:
     """(case, layer 1's (alpha, exponent), layer 2's, the binding layer's)
     at one cell; see :func:`sep_exponents`.  Layer 2 binds the joint
     exponent at or below the branch rate, layer 1 above it."""
-    layer1 = _excess(source, r1, p_y, d1)
-    if gamma is None:  # gamma is lambda*d1; a root-found one would move the 12th digit
-        layer2 = _excess(source, r1, p_y, lam * d1)
+    layer1 = _excess(source, r1, p_y, d1, radius)
+    layer2 = _excess(source, r1, p_y, target2, radius)
+    if gamma is None:
         return "low_r2", layer1, layer2, layer2
-    layer2 = _excess(source, r1, p_y, gamma)
     return "high_r2", layer1, layer2, layer1
 
 
@@ -204,8 +238,8 @@ def _sep_query(source: SourceSpec, q: RateQuery) -> tuple:
     """(gamma, :func:`_sep_cell`'s tuple) of one rate pair."""
     if q.r1 <= 0:
         raise ConfigError(f"requires r1 > 0, got {q.r1}")
-    lam, p_y, gamma = _sep_column(q.sigma2, q.d1, q.d2, q.r2, 0.5 * math.log(q.d1 / q.d2))
-    return gamma, _sep_cell(source, q.r1, q.d1, lam, p_y, gamma)
+    _, p_y, gamma, target2 = _sep_column(q.sigma2, q.d1, q.d2, q.r2, 0.5 * math.log(q.d1 / q.d2))
+    return gamma, _sep_cell(source, q.r1, q.d1, p_y, gamma, target2)
 
 
 def sep_exponents(source: SourceSpec, q: RateQuery) -> ExponentResult:
@@ -248,38 +282,55 @@ def jep_exponent_lambda1(source: SourceSpec, q: RateQuery) -> ExponentResult:
 
 def exponent_rows(source: SourceSpec, r1s, r2s, d1: float, d2: float) -> list[dict]:
     """:func:`exponent_point` at every pair of a rate grid, row by row (r1
-    outer).  Per-r2 quantities are computed once per column, so a cell costs
-    its region and at most three :func:`_excess` calls."""
+    outer).  Per-r2 quantities are computed once per column, and every
+    cell's covering radii in one :func:`_covering_radii` batch, so a cell
+    costs its region and at most three rate-function lookups."""
     _check_rates(r1s, r2s)
-    return _rows(source, source.sigma2, d1, d2, r1s, r2s)
+    return _rows(source, source.sigma2, d1, d2, r1s, r2s, batch=True)
 
 
 def exponent_point(source: SourceSpec, q: RateQuery) -> dict:
     """Every per-point quantity of a rate pair, keyed by report column:
     region, power split and, for r1 > 0, the joint, fixed-split and
-    separate exponents."""
-    return _rows(source, q.sigma2, q.d1, q.d2, (q.r1,), (q.r2,))[0]
+    separate exponents.  Its radii come from the memoized scalar
+    :func:`_covering_radius` (see the module docstring)."""
+    return _rows(source, q.sigma2, q.d1, q.d2, (q.r1,), (q.r2,), batch=False)[0]
 
 
-def _rows(source: SourceSpec, sigma2, d1, d2, r1s, r2s) -> list[dict]:
-    """The evaluator behind :func:`exponent_rows` and :func:`exponent_point`."""
+def _rows(source: SourceSpec, sigma2, d1, d2, r1s, r2s, batch: bool) -> list[dict]:
+    """The evaluator behind :func:`exponent_rows` (``batch``) and
+    :func:`exponent_point`.  With ``batch`` a first pass collects the
+    distinct covering radii of every cell with r1 > 0 (layer 1, layer 2 and
+    the fixed split above its threshold) and inverts them together."""
     _check_distortions(sigma2, d1, d2)
     branch = 0.5 * math.log(d1 / d2)
     edge1, edge2 = 0.5 * math.log(sigma2 / d1), 0.5 * math.log(sigma2 / d2)
     floor2, p_y1 = _layer2_floor(d1, d2), sigma2 - d1
     columns = [(_sep_column(sigma2, d1, d2, r2, branch),
                 _fixed_column(sigma2, d1, d2, r2, branch, floor2)) for r2 in r2s]
+    radius = _covering_radius
+    if batch:
+        keys = {}
+        for r1 in r1s:
+            if r1 > 0:
+                for (_, p_y, _, target2), (_, target, threshold) in columns:
+                    keys[r1, p_y, d1] = keys[r1, p_y, target2] = None
+                    if r1 > threshold:
+                        keys[r1, p_y1, target] = None
+        table = dict(zip(keys, _covering_radii(list(keys))))
+        radius = lambda *key: table[key]  # noqa: E731
     rows = []
     for r1 in r1s:
         c1 = r1 - edge1
-        for r2, ((lam, p_y, gamma), fixed) in zip(r2s, columns):
+        for r2, ((lam, p_y, gamma, target2), fixed) in zip(r2s, columns):
             region, eta = _region(c1, r1 + r2 - edge2, r1, r2, sigma2, d1, d2)
             point = {"r1": r1, "r2": r2, "region": region, "eta": eta, "lambda": lam}
             if r1 > 0:
-                case, (_, e1), (_, e2), (alpha, jep) = _sep_cell(source, r1, d1, lam, p_y, gamma)
+                case, (_, e1), (_, e2), (alpha, jep) = _sep_cell(
+                    source, r1, d1, p_y, gamma, target2, radius)
                 l1_case, target, threshold = fixed
                 above = r1 > threshold  # else case iii
-                l1 = _excess(source, r1, p_y1, target)[1] if above else 0.0
+                l1 = _excess(source, r1, p_y1, target, radius)[1] if above else 0.0
                 point.update(
                     alpha_star=alpha, jep_exponent=jep, jep_positive=jep > 0.0,
                     l1_case=l1_case if above else "iii", l1_exponent=l1, l1_positive=l1 > 0.0,

@@ -1,6 +1,11 @@
 """Stateless special functions and optimization primitives.
 
-Everything here is a pure function of its scalar arguments.  Probabilities
+Everything here is a pure function of its arguments, scalars apart from
+:func:`invert_iid_exponents`.  That one inverts a whole batch of covering
+radii in lockstep over numpy arrays, each lane the float of the scalar
+:func:`invert_iid_exponent`; it pays off on an exponent grid's thousands of
+inversions, while a lone inversion is far cheaper through the scalar
+function, which the single-point calculators keep.  Probabilities
 that can underflow (cap areas, covering bounds) are computed in log space;
 ``log_*`` variants expose the log-scale value and the linear-scale variants
 exponentiate at the boundary.
@@ -18,6 +23,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .errors import ConfigError, NumericError
@@ -209,16 +215,7 @@ def invert_iid_exponent(target: float, p: float, d: float) -> float:
     and raise a domain error.  The root is :func:`_brentq`'s: scipy's
     ``brentq``, bit for bit, without importing scipy's optimize package.
     """
-    for name, value in (("target", target), ("p", p), ("d", d)):
-        if not 0.0 < value < math.inf:
-            raise ConfigError(f"requires a finite {name} > 0, got {value}")
-    w_min = max(d - p, 0.0)
-    floor = _iid_exponent(w_min, p, d)  # its arguments are checked above
-    if target <= floor:
-        raise ConfigError(
-            f"target rate {target} is not attained for any w > {w_min}; "
-            f"the infimum over w is {floor}"
-        )
+    w_min = _check_inversion(target, p, d)
     lo = w_min * (1.0 + 1e-9) + 1e-12
 
     def f(w: float) -> float:
@@ -239,6 +236,144 @@ def invert_iid_exponent(target: float, p: float, d: float) -> float:
     if failure:
         raise NumericError(f"rate inversion failed at target={target}: {failure}")
     return root
+
+
+def _check_inversion(target: float, p: float, d: float) -> float:
+    """Refuse a non-finite or non-positive argument of an inversion, and a
+    target at or below the exponent's infimum over w, its value at the
+    threshold w_min = max(d - p, 0); return w_min."""
+    for name, value in (("target", target), ("p", p), ("d", d)):
+        if not 0.0 < value < math.inf:
+            raise ConfigError(f"requires a finite {name} > 0, got {value}")
+    w_min = max(d - p, 0.0)
+    floor = _iid_exponent(w_min, p, d)  # its arguments are checked above
+    if target <= floor:
+        raise ConfigError(
+            f"target rate {target} is not attained for any w > {w_min}; "
+            f"the infimum over w is {floor}"
+        )
+    return w_min
+
+
+def _iid_exponents(w, p, d):
+    """:func:`_iid_exponent` on float arrays, lane for lane the same float.
+    numpy's + - * / and sqrt round correctly, as Python's do, but
+    ``np.log1p`` is not ``math.log1p``, so log1p is taken lane by lane."""
+    x = (p - 2.0 * d + np.sqrt(p * p + 4.0 * w * d)) / (4.0 * d)
+    s = np.where((w > d - p) & (x > 0.0), x, 0.0)
+    log1p = np.fromiter(map(math.log1p, (2.0 * s).tolist()), float, len(s))
+    return 0.5 * log1p + s * w / ((1.0 + 2.0 * s) * p) - s * d / p
+
+
+# numpy warns where Python floats stay silent (refused lanes holding nan, inf
+# or 0, an unbracketed hi doubling to inf, an interpolation a lane discards)
+@np.errstate(all="ignore")
+def invert_iid_exponents(targets, ps, ds) -> np.ndarray:
+    """:func:`invert_iid_exponent` of every (target, p, d) triple of three
+    equal-length sequences, in one lockstep batch over numpy arrays.
+
+    The same checks, bracket, squeeze and :func:`_brentq` steps, lane by
+    lane, so each root is the scalar function's float bit for bit.  A batch
+    refuses as the scalar function would on its first offending triple in
+    input order, with the same exception and message.
+    """
+    t, p, d = (np.asarray(a, dtype=float) for a in (targets, ps, ds))
+    w_min = np.maximum(d - p, 0.0)
+    valid = (0.0 < t) & (t < math.inf) & (0.0 < p) & (p < math.inf) & (0.0 < d) & (d < math.inf)
+    refused = ~valid | (t <= _iid_exponents(w_min, p, d))
+    if refused.any():
+        k = int(np.argmax(refused))
+        invert_iid_exponents(t[:k], p[:k], d[:k])  # a refusal before k comes first
+        _check_inversion(targets[k], ps[k], ds[k])  # raises k's refusal
+    lo = w_min * (1.0 + 1e-9) + 1e-12
+    hi = np.maximum(np.maximum(2.0 * lo, d + p), 1.0)
+    f_hi = _iid_exponents(hi, p, d) - t
+    for _ in range(199):  # the scalar loop's 200 evaluations of f(hi)
+        grow = ~(f_hi >= 0.0)
+        if not grow.any():
+            break
+        hi[grow] *= 2.0
+        f_hi[grow] = _iid_exponents(hi[grow], p[grow], d[grow]) - t[grow]
+    failures = {int(i): f"failed to bracket the rate inversion at target={t[i]}"
+                for i in np.flatnonzero(~(f_hi >= 0.0))}
+    f_lo = _iid_exponents(lo, p, d) - t
+    root = lo.copy()  # where f(lo) > 0 the root is squeezed against w_min
+    run = np.flatnonzero((f_hi >= 0.0) & ~(f_lo > 0.0))
+    p_run, d_run, t_run = p[run], d[run], t[run]
+    root[run], why = _brentq_lockstep(
+        lambda i, w: _iid_exponents(w, p_run[i], d_run[i]) - t_run[i],
+        lo[run], hi[run], f_lo[run], f_hi[run], 1e-300, _INVERT_RTOL)
+    for i, failure in why.items():
+        failures[int(run[i])] = f"rate inversion failed at target={t[run[i]]}: {failure}"
+    if failures:
+        raise NumericError(failures[min(failures)])
+    return root
+
+
+def _brentq_lockstep(f, a, b, f_a, f_b, xtol: float, rtol: float,
+                     maxiter: int = 100) -> tuple[np.ndarray, dict]:
+    """:func:`_brentq` on arrays of brackets [a, b], every lane taking the
+    scalar loop's steps, so the same root bit for bit.  f(i, x) evaluates
+    lanes i (an index array) at points x; f_a and f_b are f at the ends.
+    Returns (roots, {lane: why it failed}); a failed lane holds its last
+    iterate, or 0.0 for ends of one sign."""
+    root = np.where(f_a == 0.0, a, b)
+    nan = np.isnan(f_a) | np.isnan(f_b)
+    zero = ~nan & ((f_a == 0.0) | (f_b == 0.0))
+    same = ~nan & ~zero & (np.signbit(f_a) == np.signbit(f_b))
+    root[same] = 0.0
+    why = dict.fromkeys(np.flatnonzero(nan).tolist(), "NaN value encountered")
+    why.update(dict.fromkeys(np.flatnonzero(same).tolist(), "the bracket ends have the same sign"))
+    lanes = np.flatnonzero(~(nan | zero | same))
+    x_pre, x_cur, f_pre, f_cur = a[lanes], b[lanes], f_a[lanes], f_b[lanes]
+    x_blk = f_blk = s_pre = s_cur = np.zeros(len(lanes))
+    for _ in range(maxiter):
+        if not len(lanes):
+            break
+        flip = (f_cur != 0.0) & ((f_pre < 0.0) != (f_cur < 0.0))
+        x_blk, f_blk = np.where(flip, x_pre, x_blk), np.where(flip, f_pre, f_blk)
+        s_pre, s_cur = np.where(flip, x_cur - x_pre, s_pre), np.where(flip, x_cur - x_pre, s_cur)
+        swap = np.abs(f_blk) < np.abs(f_cur)
+        x_pre, x_cur, x_blk = (np.where(swap, x_cur, x_pre), np.where(swap, x_blk, x_cur),
+                               np.where(swap, x_cur, x_blk))
+        f_pre, f_cur, f_blk = (np.where(swap, f_cur, f_pre), np.where(swap, f_blk, f_cur),
+                               np.where(swap, f_cur, f_blk))
+        delta = (xtol + rtol * np.abs(x_cur)) / 2
+        s_bis = (x_blk - x_cur) / 2
+        done = (f_cur == 0.0) | (np.abs(s_bis) < delta)
+        if done.any():
+            root[lanes[done]] = x_cur[done]
+            keep = ~done
+            lanes, x_pre, x_cur, x_blk, f_pre, f_cur, f_blk, s_pre, s_cur, delta, s_bis = (
+                v[keep] for v in (lanes, x_pre, x_cur, x_blk, f_pre, f_cur, f_blk,
+                                  s_pre, s_cur, delta, s_bis))
+            if not len(lanes):
+                break
+        # every lane computes both interpolations, and one that takes neither
+        # may divide by 0 in them (silenced by the caller's np.errstate)
+        d_pre = (f_pre - f_cur) / (x_pre - x_cur)
+        d_blk = (f_blk - f_cur) / (x_blk - x_cur)
+        s_try = np.where(
+            (np.abs(s_pre) > delta) & (np.abs(f_cur) < np.abs(f_pre)),
+            np.where(x_pre == x_blk,  # secant, else inverse quadratic extrapolation
+                     -f_cur * (x_cur - x_pre) / (f_cur - f_pre),
+                     -f_cur * (f_blk * d_blk - f_pre * d_pre) / (d_blk * d_pre * (f_blk - f_pre))),
+            math.inf)  # bisect unless an interpolated step is accepted
+        accept = 2 * np.abs(s_try) < np.minimum(np.abs(s_pre), 3 * np.abs(s_bis) - delta)
+        s_pre, s_cur = np.where(accept, s_cur, s_bis), np.where(accept, s_try, s_bis)
+        x_pre, f_pre = x_cur, f_cur
+        x_cur = x_cur + np.where(np.abs(s_cur) > delta, s_cur, np.where(s_bis > 0, delta, -delta))
+        f_cur = f(lanes, x_cur)
+        nan = np.isnan(f_cur)
+        if nan.any():
+            root[lanes[nan]] = x_cur[nan]
+            why.update(dict.fromkeys(lanes[nan].tolist(), "NaN value encountered"))
+            keep = ~nan
+            lanes, x_pre, x_cur, x_blk, f_pre, f_cur, f_blk, s_pre, s_cur = (
+                v[keep] for v in (lanes, x_pre, x_cur, x_blk, f_pre, f_cur, f_blk, s_pre, s_cur))
+    root[lanes] = x_cur
+    why.update(dict.fromkeys(lanes.tolist(), f"no convergence after {maxiter} iterations"))
+    return root, why
 
 
 def _brentq(f, a: float, b: float, xtol: float, rtol: float,

@@ -17,13 +17,18 @@ from .errors import ConfigError
 
 
 def format_value(v) -> str:
+    kind = type(v)  # exact types first: a grid report is mostly finite floats
+    if kind is float and math.isfinite(v):
+        return "%.12g" % v
+    if kind is str:
+        return v
+    if kind is bool:
+        return "true" if v else "false"
     if v is None:
         return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
     if isinstance(v, int):
         return str(v)
-    if isinstance(v, float):
+    if isinstance(v, float):  # nan, inf, or a float subclass such as np.float64
         if math.isnan(v):
             return "nan"
         if math.isinf(v):

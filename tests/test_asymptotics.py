@@ -729,11 +729,12 @@ def test_closed_form_grid_matches_the_brent_loop(monkeypatch):
     r1s = [0.05 + (1.2 - 0.05) * i / 59 for i in range(60)]
     r2s = [1.2 * j / 59 for j in range(60)]
     gauss_cgf = sources.custom(1.0, 3.0, GMS.sample, theta_max=0.5, log_mgf_x2=GMS.log_mgf_x2)
-    kernels = ("invert_iid_exponent", "rate_function_x2", "iid_nonexcess_exponent")
+    kernels = ("invert_iid_exponent", "invert_iid_exponents", "rate_function_x2",
+               "iid_nonexcess_exponent")
     seen = dict.fromkeys(kernels, 0)
     for name in kernels:
         def counted(*args, _f=getattr(asymptotics, name), _name=name):
-            seen[_name] += 1
+            seen[_name] += len(args[0]) if _name == "invert_iid_exponents" else 1
             return _f(*args)
 
         monkeypatch.setattr(asymptotics, name, counted)
@@ -743,8 +744,10 @@ def test_closed_form_grid_matches_the_brent_loop(monkeypatch):
         asymptotics._rate.cache_clear()
         seen.update(dict.fromkeys(kernels, 0))
         grids.append(asymptotics.exponent_rows(src, r1s, r2s, 0.5, 0.25))
-        assert seen == {"invert_iid_exponent": 5241, "rate_function_x2": 5183,
-                        "iid_nonexcess_exponent": 5310}
+        # 59 column radii plus 5,182 batched cell radii: the 5,241 inversions
+        # (tests/test_cli.py::test_kernel_work_per_benchmark_grid)
+        assert seen == {"invert_iid_exponent": 59, "invert_iid_exponents": 5182,
+                        "rate_function_x2": 5183, "iid_nonexcess_exponent": 172}
     exponents = ("jep_exponent", "l1_exponent", "sep_e1", "sep_e2")
     for closed, brent in zip(*grids):
         assert list(closed) == list(brent)

@@ -705,12 +705,19 @@ BENCH_GRIDS = {
 
 
 @pytest.mark.parametrize("grid, counts", [
-    # the iid exponent fell from 7,392 and 758 when the fixed split's floor
-    # and case-ii threshold moved to once per grid and once per column
-    ("gaussian", {"invert_iid_exponent": 5241, "rate_function_x2": 5183,
-                  "iid_nonexcess_exponent": 5310}),
-    ("discrete", {"invert_iid_exponent": 546, "rate_function_x2": 518,
-                  "iid_nonexcess_exponent": 563}),
+    # Every distinct covering radius is inverted once: the columns' gamma
+    # and gamma2 by the scalar invert_iid_exponent (59 and 29), every cell's
+    # in the one invert_iid_exponents batch (counted per triple).  The iid
+    # exponent fell from 7,392 and 758 when the fixed split's floor and
+    # case-ii threshold moved to once per grid and once per column, then
+    # from 5,310 and 563 when the cells' floors moved to once per distinct
+    # (p, d) pair of the batch (95 and 48 pairs); the rest is one floor per
+    # column radius, one threshold per case-ii column (17 and 8) and layer
+    # 2's floor.
+    ("gaussian", {"invert_iid_exponent": 59, "invert_iid_exponents": 5182,
+                  "rate_function_x2": 5183, "iid_nonexcess_exponent": 172}),
+    ("discrete", {"invert_iid_exponent": 29, "invert_iid_exponents": 517,
+                  "rate_function_x2": 518, "iid_nonexcess_exponent": 86}),
 ])
 def test_kernel_work_per_benchmark_grid(tmp_path, monkeypatch, grid, counts):
     """With cold memos, the benchmark grids make exactly these kernel calls."""
@@ -719,7 +726,7 @@ def test_kernel_work_per_benchmark_grid(tmp_path, monkeypatch, grid, counts):
     seen = dict.fromkeys(counts, 0)
     for name in counts:
         def counted(*args, _f=getattr(asymptotics, name), _name=name):
-            seen[_name] += 1
+            seen[_name] += len(args[0]) if _name == "invert_iid_exponents" else 1
             return _f(*args)
 
         monkeypatch.setattr(asymptotics, name, counted)
@@ -730,6 +737,8 @@ def test_kernel_work_per_benchmark_grid(tmp_path, monkeypatch, grid, counts):
     assert main(["exponent-grid", "--config", cfg, "--out", out]) == 0
     assert len(read_report(out)) == (3600 if grid == "gaussian" else 360)
     assert seen == counts
+    inversions = {"gaussian": 5241, "discrete": 546}[grid]
+    assert seen["invert_iid_exponent"] + seen["invert_iid_exponents"] == inversions
 
 
 class TestCompareCommand:

@@ -18,11 +18,13 @@ from srgauss import asymptotics, core, sources
 from srgauss.core import (
     _bounded_brent_max,
     _brentq,
+    _brentq_lockstep,
     _iid_exponent,
     gaussian_rate_function_x2,
     iid_nonexcess_exponent,
     iid_nonexcess_exponent_tilted,
     invert_iid_exponent,
+    invert_iid_exponents,
     log_gamma_ratio,
     log_iid_nonexcess_asymptotic,
     log_spherical_nonexcess_lower,
@@ -761,10 +763,12 @@ def _outcome(fn, *args):
         return type(exc)
 
 
-def _grid_inversions(monkeypatch, source):
+def _grid_inversions(monkeypatch, source, r1_stride=1, r2_stride=1):
     """(target, p, d) of every inversion made by the 60x60 exponent grid
     r1 in [0.05, 1.2], r2 in [0, 1.2] at (d1, d2) = (0.5, 0.25), its rates
-    spaced as the CLI spaces them."""
+    spaced as the CLI spaces them, or by its subgrid of every r1_stride-th
+    row and r2_stride-th column; point by point, so through the scalar
+    inversion."""
     seen = []
 
     def record(*args):
@@ -777,8 +781,8 @@ def _grid_inversions(monkeypatch, source):
     monkeypatch.setattr(asymptotics, "invert_iid_exponent", record)
     asymptotics._covering_radius.cache_clear()
     try:
-        for r1 in axis(0.05, 1.2):
-            for r2 in axis(0.0, 1.2):
+        for r1 in axis(0.05, 1.2)[::r1_stride]:
+            for r2 in axis(0.0, 1.2)[::r2_stride]:
                 q = asymptotics.RateQuery(r1, r2, source.sigma2, 0.5, 0.25)
                 asymptotics.exponent_point(source, q)
     finally:
@@ -876,6 +880,158 @@ class TestBrentq:
         monkeypatch.setattr(core._brentq, "__defaults__", (3,))
         with pytest.raises(NumericError, match="failed at target=0.1: no convergence after 3"):
             invert_iid_exponent(0.1, 0.25, 0.25)
+
+# (target, p, d) whose bracket ends a root exactly: f(hi) == 0 at hi = 1,
+# and f(lo) == 0 at lo = 1e-12 (w_min = 0)
+EXACT_ROOT_AT_HI = (0.3465735902799727, 0.5, 0.5)
+EXACT_ROOT_AT_LO = (0.09657359027997263, 0.39999999999999997, 0.2)
+FLOOR_AT_P1_D05 = iid_nonexcess_exponent(0.0, 1.0, 0.5)  # log(2)/2 - 1/4
+
+
+def _refusal(fn, *args):
+    """(exception class, message) that fn(*args) raises, or None."""
+    try:
+        fn(*args)
+    except (ConfigError, NumericError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _batch_of_one(target, p, d):
+    return invert_iid_exponents([target], [p], [d])
+
+
+def _vector_exponent(scalar):
+    """An exponent bent for a refusal test, lane by lane on arrays as
+    core._iid_exponents takes them."""
+    return lambda w, p, d: np.array([scalar(*a) for a in zip(w.tolist(), p.tolist(), d.tolist())])
+
+
+class TestInvertBatch:
+    """invert_iid_exponents against invert_iid_exponent, with ==."""
+
+    @staticmethod
+    def assert_equal_to_scalar(triples):
+        got = invert_iid_exponents(*zip(*triples)).tolist()
+        want = [invert_iid_exponent(*a) for a in triples]
+        assert [a for a, x, y in zip(triples, got, want) if x != y] == []
+
+    def test_every_inversion_of_the_benchmark_grids(self, monkeypatch):
+        gaussian = _grid_inversions(monkeypatch, sources.gaussian(1.0))
+        pmf = _grid_inversions(monkeypatch, sources.discrete(
+            [-2.0, -0.5, 0.5, 2.0], [0.1, 0.4, 0.4, 0.1]), r1_stride=5, r2_stride=2)
+        assert (len(gaussian), len(pmf)) == (5241, 546)
+        self.assert_equal_to_scalar(gaussian)
+        self.assert_equal_to_scalar(pmf)
+
+    def test_seeded_random_triples(self):
+        rng = np.random.default_rng(2024)
+        triples, squeezed, his = [], [], []
+        for k in range(2400):
+            p, d = sorted(np.exp(rng.uniform(-6.0, 4.0, 2)).tolist(), reverse=k % 2 == 0)
+            w_min = max(d - p, 0.0)
+            floor = iid_nonexcess_exponent(w_min, p, d)
+            if k % 20 == 0:  # an ulp above the floor: the squeeze against w_min
+                target = math.nextafter(floor, math.inf) if floor > 0.0 else 5e-324
+                squeezed.append(w_min * (1.0 + 1e-9) + 1e-12)
+            else:  # 1e-8 above the floor up to 280 nats, many hi doublings
+                target = floor + math.exp(rng.uniform(math.log(1e-8), math.log(280.0 - floor)))
+            triples.append((target, p, d))
+            his.append(max(2.0 * (w_min * (1.0 + 1e-9) + 1e-12), d + p, 1.0))
+        self.assert_equal_to_scalar(triples)
+        roots = invert_iid_exponents(*zip(*triples))
+        assert roots[::20].tolist() == squeezed
+        # the root lies in (hi/2, hi]: some lane doubled its hi 9 times or more
+        assert (roots / his).max() > 2.0**8
+
+    def test_exact_roots_at_the_bracket_ends(self):
+        assert invert_iid_exponents(*zip(EXACT_ROOT_AT_HI, EXACT_ROOT_AT_LO)).tolist() == [1.0, 1e-12]
+        self.assert_equal_to_scalar([EXACT_ROOT_AT_HI, EXACT_ROOT_AT_LO])
+        self.assert_equal_to_scalar([EXACT_ROOT_AT_HI])  # every lane leaves before the loop
+
+    def test_an_empty_batch(self):
+        roots = invert_iid_exponents([], [], [])
+        assert roots.dtype == np.float64 and roots.shape == (0,)
+        # a grid whose r1s are all 0 inverts no cell radius
+        rows = asymptotics.exponent_rows(sources.gaussian(1.0), [0.0], [0.0, 0.5], 0.5, 0.25)
+        assert rows == [asymptotics.exponent_point(
+            sources.gaussian(1.0), asymptotics.RateQuery(0.0, r2, 1.0, 0.5, 0.25)) for r2 in (0.0, 0.5)]
+
+    @pytest.mark.parametrize("bad", [
+        *[tuple(v if k == i else 0.5 for k in range(3))
+          for i in range(3) for v in (math.nan, math.inf, -math.inf, 0.0, -1.0)],
+        # p > d: the floor, the float below it, and half of it
+        (FLOOR_AT_P1_D05, 1.0, 0.5),
+        (math.nextafter(FLOOR_AT_P1_D05, 0.0), 1.0, 0.5),
+        (FLOOR_AT_P1_D05 / 2, 1.0, 0.5),
+    ])
+    def test_refuses_as_the_scalar_function(self, bad):
+        want = _refusal(invert_iid_exponent, *bad)
+        assert want is not None and want[0] is ConfigError
+        assert _refusal(_batch_of_one, *bad) == want
+        # the first offending triple in input order is the one named
+        good = (1.0, 0.5, 0.25)
+        later = (0.2, -1.0, 0.5)
+        assert _refusal(invert_iid_exponents, *zip(good, bad, good, later)) == want
+
+    def test_numeric_refusal_parity(self, monkeypatch):
+        # the bends of TestBrentq's refusal tests, on both exponents; with
+        # (target, p, d) = (0.1, 0.25, 0.25) the bracket is [1e-12, 1]
+        real = _iid_exponent
+        good, bent = (1.0, 0.5, 0.25), (0.1, 0.25, 0.25)
+        for bend, message in [
+            (lambda w, p, d: real(w, p, d) if w <= 1e-12 or w >= 1.0 else math.nan,
+             "rate inversion failed at target=0.1: NaN value encountered"),
+            (lambda w, p, d: min(real(w, p, d), 0.05) if p == 0.25 else real(w, p, d),
+             "failed to bracket the rate inversion at target=0.1"),
+        ]:
+            monkeypatch.setattr(core, "_iid_exponent", bend)
+            monkeypatch.setattr(core, "_iid_exponents", _vector_exponent(bend))
+            want = _refusal(invert_iid_exponent, *bent)
+            assert want == (NumericError, message)
+            assert _refusal(invert_iid_exponents, *zip(good, bent, good)) == want
+            # ahead of a later config refusal, as a triple-by-triple loop meets it
+            assert _refusal(invert_iid_exponents, *zip(bent, (0.2, -1.0, 0.5))) == want
+        monkeypatch.undo()
+        monkeypatch.setattr(core._brentq, "__defaults__", (3,))
+        monkeypatch.setattr(core._brentq_lockstep, "__defaults__", (3,))
+        want = _refusal(invert_iid_exponent, *bent)
+        assert want == (NumericError, "rate inversion failed at target=0.1: no convergence after 3 iterations")
+        assert _refusal(invert_iid_exponents, *zip(EXACT_ROOT_AT_HI, bent)) == want
+
+
+class TestBrentqLockstep:
+    SHAPES = [
+        (lambda x: x - 1e-9, 0.0, 1.0),
+        (lambda x: x - (1.0 - 1e-9), 0.0, 1.0),
+        (lambda x: 0.3 - x, 0.0, 1.0),
+        (lambda x: x, 0.0, 1.0),  # f(a) == 0
+        (lambda x: x - 1.0, 0.0, 1.0),  # f(b) == 0
+        (lambda x: math.tanh(1e6 * (x - 0.3)), 0.0, 1.0),
+        (lambda x: (x - 0.3) ** 3, 0.0, 1.0),  # runs out of steps at xtol 1e-300
+        (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0),
+        (lambda x: math.cos(x) - x, 0.0, 2.0),
+        (lambda x: x + 1.0, 0.0, 1.0),  # ends of one sign
+        (lambda x: x - 0.5 if x in (0.0, 1.0) else math.nan, 0.0, 1.0),  # NaN inside
+        (lambda x: math.nan if x == 0.0 else x, 0.0, 1.0),  # NaN at an end
+    ]
+
+    @pytest.mark.parametrize("xtol, rtol", [(1e-300, 1e-12), (2e-12, 1e-12), (0.05, 1e-12),
+                                            (1e-300, 4 * np.finfo(float).eps)])
+    @pytest.mark.parametrize("maxiter", [100, 5])
+    def test_every_lane_takes_the_scalar_steps(self, xtol, rtol, maxiter):
+        fs, a, b = zip(*self.SHAPES)
+        a, b = np.array(a), np.array(b)
+
+        def f(lanes, x):
+            return np.array([fs[i](v) for i, v in zip(lanes.tolist(), x.tolist())])
+
+        lanes = np.arange(len(fs))
+        with np.errstate(all="ignore"):
+            roots, why = _brentq_lockstep(f, a, b, f(lanes, a), f(lanes, b), xtol, rtol, maxiter)
+        got = [(r, why.get(i)) for i, r in enumerate(roots.tolist())]
+        assert got == [_brentq(*shape, xtol, rtol, maxiter) for shape in self.SHAPES]
+
 
 class TestCgf:
     def test_gms_closed_form(self):
