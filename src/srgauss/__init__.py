@@ -30,6 +30,7 @@ from .core import (
     iid_nonexcess_exponent,
     iid_nonexcess_exponent_tilted,
     invert_iid_exponent,
+    invert_iid_exponents,
     log_gamma_ratio,
     log_iid_nonexcess_asymptotic,
     optimal_tilt,
@@ -74,6 +75,7 @@ __all__ = [
     "iid_nonexcess_exponent",
     "iid_nonexcess_exponent_tilted",
     "invert_iid_exponent",
+    "invert_iid_exponents",
     "jep_exponent",
     "jep_exponent_lambda1",
     "lambda_for_rates",
