@@ -1032,6 +1032,22 @@ class TestBrentqLockstep:
         got = [(r, why.get(i)) for i, r in enumerate(roots.tolist())]
         assert got == [_brentq(*shape, xtol, rtol, maxiter) for shape in self.SHAPES]
 
+    def test_no_evaluation_once_every_lane_has_left(self):
+        sizes = []
+
+        def f(lanes, x):
+            sizes.append(len(lanes))
+            return x - 0.25
+
+        a, b = np.zeros(2), np.array([1.0, 0.25])  # lane 1 ends on its root
+        with np.errstate(all="ignore"):
+            roots, why = _brentq_lockstep(f, a, b, a - 0.25, b - 0.25, 2e-12, 1e-12)
+        assert roots.tolist() == [0.25, 0.25] and why == {}
+        assert 0 < len(sizes) < 100 and 0 not in sizes
+        sizes.clear()
+        roots, why = _brentq_lockstep(f, a[1:], b[1:], a[1:] - 0.25, b[1:] - 0.25, 2e-12, 1e-12)
+        assert roots.tolist() == [0.25] and sizes == []
+
 
 class TestCgf:
     def test_gms_closed_form(self):
