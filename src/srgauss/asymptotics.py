@@ -18,10 +18,9 @@ Covering radii come from two paths with the same floats.  A grid's cells
 lockstep batch, :func:`core.invert_iid_exponents`.  Its columns and the
 single-point entry points (:func:`exponent_point`, :func:`sep_exponents`,
 :func:`jep_exponent`, :func:`jep_exponent_lambda1`, and through them the
-simulator's prediction) take the memoized scalar :func:`_covering_radius`:
-a batch has a fixed cost near 1 ms, the price of dozens of scalar
-inversions.
-"""
+simulator's prediction) take the scalar :func:`_covering_radius`, not
+memoized: a batch has a fixed cost near 1 ms, the price of dozens of scalar
+inversions, and a grid's columns never repeat a radius."""
 
 from __future__ import annotations
 
@@ -63,12 +62,6 @@ def _dispersion(source: SourceSpec) -> float:
     return source.dispersion
 
 
-# A grid's rows and columns share rate-function arguments, and its columns
-# and repeated single-point calls share covering radii, so both are
-# memoized; 1024 entries hold every repeat of a 60x60 grid.  typed=True
-# keeps an int argument from being answered by a float's entry, so a hit
-# returns exactly what the call would.
-@functools.lru_cache(maxsize=1024, typed=True)
 def _covering_radius(rate: float, p: float, d: float) -> float:
     """Radius w where covering at codeword power p and distortion d costs
     exactly ``rate``.  When p > d the cost has a positive floor at w = 0;
@@ -98,6 +91,10 @@ def _covering_radii(keys: list) -> list[float]:
     return radii
 
 
+# A grid's rows and columns share rate-function arguments, so they are
+# memoized; 1024 entries hold every repeat of a 60x60 grid.  typed=True
+# keeps an int argument from being answered by a float's entry, so a hit
+# returns exactly what the call would.
 @functools.lru_cache(maxsize=1024, typed=True)
 def _rate(source: SourceSpec, t: float) -> float:
     """:func:`rate_function_x2`, memoized per source (specs hash by identity)."""
@@ -292,7 +289,7 @@ def exponent_rows(source: SourceSpec, r1s, r2s, d1: float, d2: float) -> list[di
 def exponent_point(source: SourceSpec, q: RateQuery) -> dict:
     """Every per-point quantity of a rate pair, keyed by report column:
     region, power split and, for r1 > 0, the joint, fixed-split and
-    separate exponents.  Its radii come from the memoized scalar
+    separate exponents.  Its radii come from the scalar
     :func:`_covering_radius` (see the module docstring)."""
     return _rows(source, q.sigma2, q.d1, q.d2, (q.r1,), (q.r2,), batch=False)[0]
 

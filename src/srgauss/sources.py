@@ -89,19 +89,6 @@ class SourceSpec:
 _UNIFORM_SERIES_BELOW = 0.5
 
 
-def _np_sum(terms: list) -> float:
-    """``np.sum`` of a float64 vector, the same float.
-
-    numpy adds fewer than 8 terms one at a time from 0.0, which Python
-    floats do faster; longer vectors go to ``np.sum`` itself."""
-    if len(terms) < 8:
-        s = 0.0
-        for x in terms:
-            s += x
-        return s
-    return float(np.sum(terms))
-
-
 def _log_erfi(z: float) -> float:
     """log erfi(z) for z >= 0, switching to the asymptotic series before
     erfi overflows (around z ~ 26.6)."""
@@ -212,13 +199,14 @@ def discrete(values: Sequence[float], probs: Sequence[float]) -> SourceSpec:
     ``x2_max`` and ``x2_max_mass`` are taken over the atoms of positive
     mass: an atom of probability 0 is outside the essential support.
 
-    The cgf is scipy.special.logsumexp of log p + theta x^2 over those
-    atoms, equal to the last bit, computed on Python floats: only the
-    exponentials and the final log1p go through numpy, whose exp and log1p
-    differ from ``math``'s in the last bit for a few percent of arguments.
-    A bounded memo per source answers the thresholds' shared probes
-    (theta = 1, 2, 4, ... while :func:`~srgauss.core.rate_function_x2`
-    brackets its maximizer, then the same first golden-section points).
+    The cgf is log E[exp(theta X^2)] in plain floats, with weights
+    p / fsum(p) so that it is 0 at theta = 0: log1p of the weighted
+    expm1(theta x^2) where |theta| x2_max <= 1, which keeps its relative
+    accuracy as theta -> 0, else the max-shifted log-sum-exp; either is
+    within 2e-15 relative of a 50-digit oracle.  A bounded memo per source
+    answers the thresholds' shared probes (theta = 1, 2, 4, ... while
+    :func:`~srgauss.core.rate_function_x2` brackets its maximizer, then the
+    same first golden-section points).
     """
     vals = np.asarray(values, dtype=np.float64)
     ps = np.asarray(probs, dtype=np.float64)
@@ -234,25 +222,19 @@ def discrete(values: Sequence[float], probs: Sequence[float]) -> SourceSpec:
     keep = ps > 0
     v2p = v2[keep]
     x2_max = float(v2p.max())
-    logp = np.log(ps[keep]).tolist()
+    w = (ps[keep] / math.fsum(ps[keep].tolist())).tolist()
+    logw = [math.log(q) for q in w]
     x2 = v2p.tolist()
-    # log of the count of maximal terms, by numpy's log as scipy takes it
-    log_count = np.log(np.arange(1.0, len(x2) + 1.0)).tolist()
 
     # typed=True keeps a numpy theta from being answered by an equal Python
     # float's entry, so a hit returns what the call would, type included
     @functools.lru_cache(maxsize=128, typed=True)
     def _mgf(theta: float) -> float:
-        # scipy's formula: the maximal terms held out of the sum (exp(-inf)
-        # keeps their places, so numpy's summation order is the same), the
-        # rest shifted by the max, summed, divided by their count
-        a = [lp + theta * x for lp, x in zip(logp, x2)]
+        if abs(theta) * x2_max <= 1.0:
+            return math.log1p(math.fsum([q * math.expm1(theta * x) for q, x in zip(w, x2)]))
+        a = [lq + theta * x for lq, x in zip(logw, x2)]
         a_max = max(a)
-        m = a.count(a_max)
-        s = _np_sum(np.exp([-math.inf if b == a_max else b - a_max for b in a]).tolist())
-        if s != 0:
-            s = s / m
-        return float(np.log1p(s)) + log_count[m - 1] + a_max
+        return a_max + math.log(math.fsum([math.exp(b - a_max) for b in a]))
 
     return SourceSpec(
         family="discrete",

@@ -498,10 +498,10 @@ class TestExponentPoint:
 
 
 class TestMemos:
-    """The covering-radius and rate-function memos behind exponent_point
-    return exactly what a fresh call would, per source and within bounds."""
+    """The rate-function memo behind exponent_point returns exactly what a
+    fresh call would, per source and within bounds."""
 
-    MEMOS = (asymptotics._covering_radius, asymptotics._rate)
+    MEMOS = (asymptotics._rate,)
 
     def test_sources_with_equal_moments_keep_their_own_rates(self):
         # equal in every compared field, different cgf: a value-keyed memo
@@ -549,7 +549,7 @@ class TestMemos:
 # The per-point calculators as they were written before the grid evaluator
 # (one RateQuery, region, split and three ExponentResults per point), kept
 # verbatim apart from their names so the evaluator is checked against code
-# it does not share.  They reach the kernels through the same memos.
+# it does not share.  They reach the kernels through the same memo.
 
 def _oracle_region(q):
     c1 = q.r1 - 0.5 * math.log(q.sigma2 / q.d1)
@@ -740,7 +740,6 @@ def test_closed_form_grid_matches_the_brent_loop(monkeypatch):
         monkeypatch.setattr(asymptotics, name, counted)
     grids = []
     for src in (GMS, gauss_cgf):
-        asymptotics._covering_radius.cache_clear()
         asymptotics._rate.cache_clear()
         seen.update(dict.fromkeys(kernels, 0))
         grids.append(asymptotics.exponent_rows(src, r1s, r2s, 0.5, 0.25))

@@ -730,7 +730,6 @@ def test_kernel_work_per_benchmark_grid(tmp_path, monkeypatch, grid, counts):
             return _f(*args)
 
         monkeypatch.setattr(asymptotics, name, counted)
-    asymptotics._covering_radius.cache_clear()
     asymptotics._rate.cache_clear()
     cfg = write_config(tmp_path, BENCH_GRIDS[grid])
     out = str(tmp_path / "grid.csv")

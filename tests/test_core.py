@@ -655,8 +655,7 @@ _GAMMA_X2 = sources.custom(
 )
 # X^2 in {0.25, 1, 4} with x2_max left undeclared: theta_max = inf and
 # rate_function_x2 must find its bracket by doubling.  The cgf is the pmf
-# source's, which is scipy's logsumexp bit for bit (test_sources) without
-# its per-call array-API dispatch
+# source's, within 2e-15 relative of a 50-digit oracle (test_sources)
 _LATTICE_X2 = sources.custom(
     1.425, 3.815625, lambda n, rng: rng.choice([0.5, 1.0, 2.0], n, p=[0.3, 0.5, 0.2]),
     log_mgf_x2=sources.discrete([0.5, 1.0, 2.0], [0.3, 0.5, 0.2]).log_mgf_x2,
@@ -764,30 +763,26 @@ def _outcome(fn, *args):
 
 
 def _grid_inversions(monkeypatch, source, r1_stride=1, r2_stride=1):
-    """(target, p, d) of every inversion made by the 60x60 exponent grid
-    r1 in [0.05, 1.2], r2 in [0, 1.2] at (d1, d2) = (0.5, 0.25), its rates
-    spaced as the CLI spaces them, or by its subgrid of every r1_stride-th
-    row and r2_stride-th column; point by point, so through the scalar
-    inversion."""
-    seen = []
+    """(target, p, d) of every distinct inversion made by the 60x60
+    exponent grid r1 in [0.05, 1.2], r2 in [0, 1.2] at (d1, d2) =
+    (0.5, 0.25), its rates spaced as the CLI spaces them, or by its subgrid
+    of every r1_stride-th row and r2_stride-th column, in first-call order;
+    point by point, so through the scalar inversion."""
+    seen = {}
 
     def record(*args):
-        seen.append(args)
+        seen[args] = None
         return invert_iid_exponent(*args)
 
     def axis(lo, hi):
         return [lo + (hi - lo) * i / 59 for i in range(60)]
 
     monkeypatch.setattr(asymptotics, "invert_iid_exponent", record)
-    asymptotics._covering_radius.cache_clear()
-    try:
-        for r1 in axis(0.05, 1.2)[::r1_stride]:
-            for r2 in axis(0.0, 1.2)[::r2_stride]:
-                q = asymptotics.RateQuery(r1, r2, source.sigma2, 0.5, 0.25)
-                asymptotics.exponent_point(source, q)
-    finally:
-        asymptotics._covering_radius.cache_clear()
-    return seen
+    for r1 in axis(0.05, 1.2)[::r1_stride]:
+        for r2 in axis(0.0, 1.2)[::r2_stride]:
+            q = asymptotics.RateQuery(r1, r2, source.sigma2, 0.5, 0.25)
+            asymptotics.exponent_point(source, q)
+    return list(seen)
 
 
 class TestBrentq:

@@ -2,12 +2,13 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import logsumexp
 
 from srgauss import sources
+from srgauss.core import rate_function_x2
 from srgauss.errors import ConfigError
 from srgauss.montecarlo import trial_stream
 
@@ -94,7 +95,7 @@ PMFS = {
     "single_atom": ([1.7], [1.0]),
     "nine_atoms": (list(np.linspace(-2.0, 3.0, 9)), [k / 25.0 for k in (1, 2, 3, 4, 5, 4, 3, 2, 1)]),
     # +-x atoms of equal mass: ties in x^2, and tied maximal terms as theta
-    # grows; tables of 8 atoms or more are summed by np.sum itself
+    # grows
     "twenty_atoms_tied": (
         [s * 0.25 * k for s in (-1, 1) for k in range(1, 11)],
         [k / 110.0 for _ in (-1, 1) for k in range(1, 11)],
@@ -106,29 +107,76 @@ PMFS = {
 }
 
 
+def _mp_pmf(values, probs):
+    """The atoms of positive mass as 50-digit (weight, x^2) pairs, the
+    weights p / sum(p) of the binary floats."""
+    atoms = [(mp.mpf(float(p)), mp.mpf(float(v)) ** 2) for v, p in zip(values, probs) if p > 0]
+    total = mp.fsum(p for p, _ in atoms)
+    return [(p / total, x2) for p, x2 in atoms]
+
+
+def _mp_log_mgf(atoms, theta):
+    """log E[exp(theta X^2)] at the working precision; below |theta| = 1 as
+    log1p of the weighted expm1, which keeps all 50 digits at theta = 1e-300."""
+    theta = mp.mpf(theta)
+    if abs(theta) < 1:
+        return mp.log1p(mp.fsum(p * mp.expm1(theta * x2) for p, x2 in atoms))
+    return mp.log(mp.fsum(p * mp.exp(theta * x2) for p, x2 in atoms))
+
+
 @pytest.mark.parametrize("pmf", list(PMFS))
-def test_discrete_log_mgf_matches_scipy_logsumexp(pmf):
-    """The discrete cgf is scipy's logsumexp of log p + theta * x^2 over the
-    atoms of positive mass, equal to the last bit, ties at the max included."""
-    values, probs = PMFS[pmf]
-    spec = sources.discrete(values, probs)
-    keep = np.asarray(probs) > 0
-    logp = np.log(np.asarray(probs)[keep])
-    v2p = (np.asarray(values) ** 2)[keep]
+def test_discrete_log_mgf_matches_mpmath(pmf):
+    """The discrete cgf is within 2e-15 relative of a 50-digit oracle, from
+    theta = 1e-300 to the bracket's doublings, ties at the max included."""
+    spec = sources.discrete(*PMFS[pmf])
     # rate_function_x2 brackets a pmf's maximizer at theta = 1, 2, 4, ...
     doublings = [2.0**j for j in range(51)]
-    for theta in [0.0, *np.linspace(-50.0, 50.0, 3001), *doublings]:
-        theta = float(theta)
-        assert spec.log_mgf_x2(theta) == float(logsumexp(logp + theta * v2p)), theta
+    with mp.workdps(50):
+        atoms = _mp_pmf(*PMFS[pmf])
+        for theta in [*np.linspace(-50.0, 50.0, 3001), *doublings, 1e-12, -1e-12, 1e-300]:
+            theta = float(theta)
+            exact = _mp_log_mgf(atoms, theta)
+            assert abs(spec.log_mgf_x2(theta) - exact) <= 2e-15 * abs(exact), theta
+    assert spec.log_mgf_x2(0.0) == 0.0
 
 
-def test_np_sum_is_numpys_summation():
-    # below 8 terms the discrete cgf sums one at a time, as numpy does; a
-    # numpy release that changes that order fails here before it moves a golden
-    rng = np.random.default_rng(11)
-    for n in range(1, 9):
-        terms = np.exp(rng.normal(0.0, 8.0, n))
-        assert sources._np_sum(terms.tolist()) == float(np.sum(terms)), n
+def test_discrete_rate_just_above_mean_vs_mpmath():
+    # the maximizer is theta ~ (t - sigma2) / Var[X^2], where the cgf's
+    # log1p form keeps its relative accuracy; the rate keeps about ten digits
+    values, probs = PMFS["benchmark"]
+    spec = sources.discrete(values, probs)
+    with mp.workdps(50):
+        atoms = _mp_pmf(values, probs)
+
+        def tilted_mean(th):
+            return (mp.fsum(p * x2 * mp.exp(th * x2) for p, x2 in atoms)
+                    / mp.fsum(p * mp.exp(th * x2) for p, x2 in atoms))
+
+        var = spec.zeta - spec.sigma2**2
+        for eps in (1e-5, 1e-4, 1e-3):
+            t = mp.mpf(spec.sigma2 * (1.0 + eps))
+            th = mp.findroot(lambda th: tilted_mean(th) - t, (t - spec.sigma2) / var)
+            exact = float(th * t - _mp_log_mgf(atoms, th))
+            assert rate_function_x2(spec, float(t)) == pytest.approx(exact, rel=1e-9, abs=0.0), eps
+
+
+def test_discrete_log_mgf_is_continuous_at_its_switch():
+    """A pmf whose float sum is not 1 has cgf(0) = 0 and no step where the
+    cgf switches from its log1p form to the log-sum-exp, at
+    |theta| x2_max = 1."""
+    spec = sources.discrete(range(10), [0.1] * 10)
+    assert sum([0.1] * 10) != 1.0
+    assert spec.log_mgf_x2(0.0) == 0.0
+    for side in (1.0, -1.0):
+        # the last theta of the log1p form and the first beyond it
+        below = side / spec.x2_max
+        while abs(math.nextafter(below, side * math.inf)) * spec.x2_max <= 1.0:
+            below = math.nextafter(below, side * math.inf)
+        while abs(below) * spec.x2_max > 1.0:
+            below = math.nextafter(below, 0.0)
+        above = math.nextafter(below, side * math.inf)
+        inner, outer = spec.log_mgf_x2(below), spec.log_mgf_x2(above)
+        assert abs(outer - inner) <= 2e-15 * abs(inner), side
 
 
 def test_discrete_cgf_memo_is_typed_and_bounded():
