@@ -13,18 +13,20 @@ calculators read the same column and cell helpers and return an
 :class:`ExponentResult` bundling the exponent values, the root-found
 auxiliary radii and the case that produced them.
 
-Covering radii come from two paths with the same floats.  A grid's cells
-(:func:`exponent_rows`) invert their thousands of distinct radii in one
-lockstep batch, :func:`core.invert_iid_exponents`.  Its columns and the
-single-point entry points (:func:`exponent_point`, :func:`sep_exponents`,
+Covering radii and their rate functions come from two paths with the same
+floats.  A grid's cells (:func:`exponent_rows`) invert their thousands of
+distinct radii in one lockstep batch, :func:`core.invert_iid_exponents`,
+and take the rate function of X^2 at every distinct radius in another,
+:func:`core.rate_functions_x2`.  Its columns and the single-point entry
+points (:func:`exponent_point`, :func:`sep_exponents`,
 :func:`jep_exponent`, :func:`jep_exponent_lambda1`, and through them the
-simulator's prediction) take the scalar :func:`_covering_radius`, not
-memoized: a batch has a fixed cost near 1 ms, the price of dozens of scalar
-inversions, and a grid's columns never repeat a radius."""
+simulator's prediction) take the scalar :func:`_covering_radius` and
+:func:`core.rate_function_x2`, not memoized: a batch has a fixed cost of
+many numpy calls per iteration, the price of dozens of scalar calls, and a
+grid's columns never repeat a radius."""
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -38,6 +40,7 @@ from .core import (
     log_spherical_nonexcess_lower,
     q_inv,
     rate_function_x2,
+    rate_functions_x2,
 )
 from .errors import ConfigError
 from .sources import SourceSpec
@@ -89,16 +92,6 @@ def _covering_radii(keys: list) -> list[float]:
     for i, w in zip(above, invert_iid_exponents(*inverted.T).tolist()):
         radii[i] = w
     return radii
-
-
-# A grid's rows and columns share rate-function arguments, so they are
-# memoized; 1024 entries hold every repeat of a 60x60 grid.  typed=True
-# keeps an int argument from being answered by a float's entry, so a hit
-# returns exactly what the call would.
-@functools.lru_cache(maxsize=1024, typed=True)
-def _rate(source: SourceSpec, t: float) -> float:
-    """:func:`rate_function_x2`, memoized per source (specs hash by identity)."""
-    return rate_function_x2(source, t)
 
 
 @dataclass(frozen=True)
@@ -182,14 +175,12 @@ class ExponentResult:
         return tuple(v > 0.0 for v in self.values)
 
 
-def _excess(source: SourceSpec, r1: float, p_y: float, target: float,
-            radius=_covering_radius) -> tuple[float, float]:
+def _excess(source: SourceSpec, r1: float, p_y: float, target: float) -> tuple[float, float]:
     """Layer-1 excess exponent at rate r1 and codeword power p_y: the radius
     where covering at distortion ``target`` costs r1, and the rate function
-    of X^2 there.  Every exponent below is this kernel at some target.
-    ``radius`` answers (r1, p_y, target) as :func:`_covering_radius` does."""
-    alpha = radius(r1, p_y, target)
-    return alpha, _rate(source, alpha)
+    of X^2 there.  Every exponent below is this kernel at some target."""
+    alpha = _covering_radius(r1, p_y, target)
+    return alpha, rate_function_x2(source, alpha)
 
 
 def _sep_column(sigma2, d1, d2, r2, branch) -> tuple[float, float, float | None, float]:
@@ -202,12 +193,13 @@ def _sep_column(sigma2, d1, d2, r2, branch) -> tuple[float, float, float | None,
     return lam, sigma2 - lam * d1, gamma, lam * d1 if gamma is None else gamma
 
 
-def _sep_cell(source, r1, d1, p_y, gamma, target2, radius=_covering_radius) -> tuple:
+def _sep_cell(source, r1, d1, p_y, gamma, target2, excess=_excess) -> tuple:
     """(case, layer 1's (alpha, exponent), layer 2's, the binding layer's)
     at one cell; see :func:`sep_exponents`.  Layer 2 binds the joint
-    exponent at or below the branch rate, layer 1 above it."""
-    layer1 = _excess(source, r1, p_y, d1, radius)
-    layer2 = _excess(source, r1, p_y, target2, radius)
+    exponent at or below the branch rate, layer 1 above it.  ``excess``
+    answers as :func:`_excess` does."""
+    layer1 = excess(source, r1, p_y, d1)
+    layer2 = excess(source, r1, p_y, target2)
     if gamma is None:
         return "low_r2", layer1, layer2, layer2
     return "high_r2", layer1, layer2, layer1
@@ -279,9 +271,10 @@ def jep_exponent_lambda1(source: SourceSpec, q: RateQuery) -> ExponentResult:
 
 def exponent_rows(source: SourceSpec, r1s, r2s, d1: float, d2: float) -> list[dict]:
     """:func:`exponent_point` at every pair of a rate grid, row by row (r1
-    outer).  Per-r2 quantities are computed once per column, and every
-    cell's covering radii in one :func:`_covering_radii` batch, so a cell
-    costs its region and at most three rate-function lookups."""
+    outer).  Per-r2 quantities are computed once per column, every cell's
+    covering radii in one :func:`_covering_radii` batch and their rate
+    functions in one :func:`core.rate_functions_x2` batch, so a cell costs
+    its region and at most three table lookups."""
     _check_rates(r1s, r2s)
     return _rows(source, source.sigma2, d1, d2, r1s, r2s, batch=True)
 
@@ -298,14 +291,15 @@ def _rows(source: SourceSpec, sigma2, d1, d2, r1s, r2s, batch: bool) -> list[dic
     """The evaluator behind :func:`exponent_rows` (``batch``) and
     :func:`exponent_point`.  With ``batch`` a first pass collects the
     distinct covering radii of every cell with r1 > 0 (layer 1, layer 2 and
-    the fixed split above its threshold) and inverts them together."""
+    the fixed split above its threshold), inverts them together and takes
+    the rate function of every distinct radius together."""
     _check_distortions(sigma2, d1, d2)
     branch = 0.5 * math.log(d1 / d2)
     edge1, edge2 = 0.5 * math.log(sigma2 / d1), 0.5 * math.log(sigma2 / d2)
     floor2, p_y1 = _layer2_floor(d1, d2), sigma2 - d1
     columns = [(_sep_column(sigma2, d1, d2, r2, branch),
                 _fixed_column(sigma2, d1, d2, r2, branch, floor2)) for r2 in r2s]
-    radius = _covering_radius
+    excess = _excess
     if batch:
         keys = {}
         for r1 in r1s:
@@ -315,7 +309,12 @@ def _rows(source: SourceSpec, sigma2, d1, d2, r1s, r2s, batch: bool) -> list[dic
                     if r1 > threshold:
                         keys[r1, p_y1, target] = None
         table = dict(zip(keys, _covering_radii(list(keys))))
-        radius = lambda *key: table[key]  # noqa: E731
+        distinct = list(dict.fromkeys(table.values()))
+        rates = dict(zip(distinct, rate_functions_x2(source, distinct).tolist()))
+
+        def excess(_, *key):
+            alpha = table[key]
+            return alpha, rates[alpha]
     rows = []
     for r1 in r1s:
         c1 = r1 - edge1
@@ -324,10 +323,10 @@ def _rows(source: SourceSpec, sigma2, d1, d2, r1s, r2s, batch: bool) -> list[dic
             point = {"r1": r1, "r2": r2, "region": region, "eta": eta, "lambda": lam}
             if r1 > 0:
                 case, (_, e1), (_, e2), (alpha, jep) = _sep_cell(
-                    source, r1, d1, p_y, gamma, target2, radius)
+                    source, r1, d1, p_y, gamma, target2, excess)
                 l1_case, target, threshold = fixed
                 above = r1 > threshold  # else case iii
-                l1 = _excess(source, r1, p_y1, target, radius)[1] if above else 0.0
+                l1 = excess(source, r1, p_y1, target)[1] if above else 0.0
                 point.update(
                     alpha_star=alpha, jep_exponent=jep, jep_positive=jep > 0.0,
                     l1_case=l1_case if above else "iii", l1_exponent=l1, l1_positive=l1 > 0.0,

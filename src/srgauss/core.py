@@ -1,11 +1,12 @@
 """Stateless special functions and optimization primitives.
 
 Everything here is a pure function of its arguments, scalars apart from
-:func:`invert_iid_exponents`.  That one inverts a whole batch of covering
-radii in lockstep over numpy arrays, each lane the float of the scalar
-:func:`invert_iid_exponent`; it pays off on an exponent grid's thousands of
-inversions, while a lone inversion is far cheaper through the scalar
-function, which the single-point calculators keep.  Probabilities
+two batches: :func:`invert_iid_exponents` inverts covering radii and
+:func:`rate_functions_x2` takes rate functions, in lockstep over numpy
+arrays, each lane the float of the scalar :func:`invert_iid_exponent` or
+:func:`rate_function_x2`.  They pay off on an exponent grid's thousands of
+radii, while a lone one is far cheaper through the scalar function, which
+the single-point calculators keep.  Probabilities
 that can underflow (cap areas, covering bounds) are computed in log space;
 ``log_*`` variants expose the log-scale value and the linear-scale variants
 exponentiate at the boundary.
@@ -504,7 +505,9 @@ def rate_function_x2(source, t: float) -> float:
     one with the Gaussian cgf included, goes through Brent's bounded
     maximization of the concave objective over [0, hi]: scipy's loop
     transcribed into plain floats (:func:`_bounded_brent_max`), which
-    returns scipy's value bit for bit.
+    returns scipy's value bit for bit.  :func:`rate_functions_x2` takes
+    the same steps on a batch of thresholds; this function is its
+    reference.
 
     Zero for t <= E[X^2]; +inf beyond the essential supremum of X^2.
     """
@@ -544,6 +547,152 @@ def rate_function_x2(source, t: float) -> float:
     if failure:
         raise NumericError(f"rate function maximization failed at t={t}: {failure}")
     return max(0.0, best)
+
+
+# numpy warns where Python floats stay silent (parabolic steps a lane does
+# not take, a NaN cgf, thresholds at +inf)
+@np.errstate(all="ignore")
+def rate_functions_x2(source, ts) -> np.ndarray:
+    """:func:`rate_function_x2` at every threshold of a sequence, in one
+    lockstep batch over numpy arrays, each the scalar function's float bit
+    for bit.
+
+    The same special cases, lane by lane; the bracket's doublings share
+    theta = 1, 2, 4, ..., so each takes one cgf value for every lane still
+    doubling; then :func:`_bounded_brent_max_lockstep` with the cgf on
+    arrays (``source.log_mgfs_x2``).  A batch refuses as the scalar function
+    would on its first offending threshold in input order, with the same
+    exception and message.
+    """
+    t = np.asarray(ts, dtype=float)
+    error = None
+    if not (t < 0).any():
+        try:
+            rate, failed = _rate_lanes(source, t)
+            if not failed:
+                return rate
+        except Exception as exc:  # the cgf's own refusal, whatever its type
+            error = exc
+    for x in ts:
+        rate_function_x2(source, x)  # raises the first refusal in input order
+    raise error or NumericError("the rate batch failed where rate_function_x2 does not")
+
+
+def _rate_lanes(source, t: np.ndarray) -> tuple[np.ndarray, bool]:
+    """(the rates of :func:`rate_functions_x2`, whether a maximization
+    failed) for thresholds t, none of them negative."""
+    sigma2, theta_max, x2_max = source.sigma2, source.theta_max, source.x2_max
+    rate = np.zeros(len(t))
+    run = ~(t <= sigma2)
+    if source.family == "gaussian":
+        rate[run] = [gaussian_rate_function_x2(x, sigma2) for x in t[run].tolist()]
+        return rate, False
+    if theta_max <= 0.0:
+        return rate, False
+    if math.isfinite(x2_max):
+        mass = source.x2_max_mass
+        rate[run & (t > x2_max)] = math.inf
+        rate[run & (t == x2_max)] = math.inf if mass <= 0.0 else -math.log(mass)
+        run &= ~(t >= x2_max)
+    lanes = np.flatnonzero(run)
+    if not len(lanes):
+        return rate, False
+    if math.isfinite(theta_max):
+        hi = np.full(len(lanes), theta_max * (1.0 - 1e-9))
+    else:
+        hi = _doubled_brackets(source, t[lanes])
+        rate[lanes[hi == math.inf]] = math.inf
+        lanes, hi = lanes[hi < math.inf], hi[hi < math.inf]
+    best, failed = _bounded_brent_max_lockstep(
+        lambda i, x: x * t[lanes[i]] - source.log_mgfs_x2(x),
+        hi, np.where(1e-12 * hi > 1e-14, 1e-12 * hi, 1e-14), 500)
+    rate[lanes] = np.where(best > 0.0, best, 0.0)
+    return rate, bool(failed.any())
+
+
+def _doubled_brackets(source, t: np.ndarray) -> np.ndarray:
+    """:func:`rate_function_x2`'s bracket for an infinite theta_max, at
+    every threshold of t: hi doubles from 1 while the objective grows, and
+    is +inf where it passes 1e15 (the rate is then +inf)."""
+    hi = np.ones(len(t))
+    g_hi = 1.0 * t - source.log_mgf_x2(1.0)
+    grow = np.arange(len(t))
+    theta = 1.0
+    while len(grow) and theta <= 1e15:
+        theta *= 2.0
+        g_next = theta * t[grow] - source.log_mgf_x2(theta)
+        hi[grow] = theta
+        up = g_next > g_hi[grow]
+        g_hi[grow[up]] = g_next[up]
+        grow = grow[up]
+    hi[grow] = math.inf
+    return hi
+
+
+def _bounded_brent_max_lockstep(g, b: np.ndarray, xatol: np.ndarray,
+                                maxfun: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_bounded_brent_max` on arrays of upper bounds b and
+    tolerances xatol, every lane taking the scalar loop's steps, so the same
+    maximum bit for bit.  g(i, x) evaluates lanes i (an index array) at
+    points x.  Returns (maxima, whether each lane failed)."""
+    best, failed = np.empty(len(b)), np.zeros(len(b), dtype=bool)
+    lanes = np.arange(len(b))
+    a = np.zeros(len(b))
+    nfc = xf = fulc = _GOLDEN * b
+    rat = e = np.zeros(len(b))
+    fx = -g(lanes, xf)
+    fu = np.full(len(b), math.inf)
+    ffulc = fnfc = fx
+    num = 1
+    while len(lanes):
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * np.abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        done = ~(np.abs(xf - xm) > tol2 - 0.5 * (b - a))
+        if num > 1 and num >= maxfun:  # the scalar loop checks after each step
+            failed[lanes] = True
+            done[:] = True
+        if done.any():
+            best[lanes[done]] = -fx[done]
+            failed[lanes[done]] |= np.isnan(xf[done]) | np.isnan(fx[done]) | np.isnan(fu[done])
+            keep = ~done
+            lanes, a, b, xatol, nfc, xf, fulc, rat, e, fx, fu, ffulc, fnfc, xm, tol1, tol2 = (
+                v[keep] for v in (lanes, a, b, xatol, nfc, xf, fulc, rat, e, fx, fu, ffulc,
+                                  fnfc, xm, tol1, tol2))
+            if not len(lanes):
+                break
+        # every lane computes the parabolic fit and the golden step, and
+        # keeps the one the scalar loop takes
+        fit = np.abs(e) > tol1
+        r = (xf - nfc) * (fx - ffulc)
+        q = (xf - fulc) * (fx - fnfc)
+        p = (xf - fulc) * q - (xf - nfc) * r
+        q = 2.0 * (q - r)
+        p = np.where(q > 0.0, -p, p)
+        q = np.abs(q)
+        r, e = e, np.where(fit, rat, e)  # r is read only where fit holds
+        fit &= (np.abs(p) < np.abs(0.5 * q * r)) & (p > q * (a - xf)) & (p < q * (b - xf))
+        rat_fit = (p + 0.0) / q
+        x = xf + rat_fit
+        edge = (x - a < tol2) | (b - x < tol2)
+        rat_fit = np.where(edge, np.where(xm - xf < 0.0, -tol1, tol1), rat_fit)
+        e = np.where(fit, e, np.where(xf >= xm, a - xf, b - xf))
+        rat = np.where(fit, rat_fit, _GOLDEN * e)
+        step = np.maximum(np.abs(rat), tol1)
+        x = np.where(rat < 0.0, xf - step, xf + step)
+        fu = -g(lanes, x)
+        num += 1
+        better, right, left = fu <= fx, x >= xf, x < xf
+        a = np.where(better, np.where(right, xf, a), np.where(left, x, a))
+        b = np.where(better, np.where(right, b, xf), np.where(left, b, x))
+        near = ~better & ((fu <= fnfc) | (nfc == xf))
+        far = ~better & ~near & ((fu <= ffulc) | (fulc == xf) | (fulc == nfc))
+        fulc, ffulc = (np.where(better | near, nfc, np.where(far, x, fulc)),
+                       np.where(better | near, fnfc, np.where(far, fu, ffulc)))
+        nfc, fnfc = (np.where(better, xf, np.where(near, x, nfc)),
+                     np.where(better, fx, np.where(near, fu, fnfc)))
+        xf, fx = np.where(better, x, xf), np.where(better, fu, fx)
+    return best, failed
 
 
 def gaussian_rate_function_x2(t: float, sigma2: float) -> float:

@@ -11,7 +11,6 @@ cares about E[X^2], not the mean.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -23,6 +22,7 @@ from .errors import ConfigError
 
 Sampler = Callable[[int, np.random.Generator], np.ndarray]
 LogMgf = Callable[[float], float]
+LogMgfs = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True, eq=False)
@@ -30,8 +30,7 @@ class SourceSpec:
     """A memoryless source with exact moments of X^2.
 
     Specs compare and hash by identity: two sources with equal moments may
-    still differ in their cgf, and the exponent calculators memoize per
-    source.
+    still differ in their cgf.
 
     sigma2:        E[X^2]
     zeta:          E[X^4]
@@ -50,6 +49,7 @@ class SourceSpec:
     x2_max_mass: float = 0.0
     _sampler: Optional[Sampler] = field(repr=False, compare=False, default=None)
     _log_mgf_x2: Optional[LogMgf] = field(repr=False, compare=False, default=None)
+    _log_mgfs_x2: Optional[LogMgfs] = field(repr=False, compare=False, default=None)
 
     def __post_init__(self):
         if not self.sigma2 > 0:
@@ -76,6 +76,21 @@ class SourceSpec:
                 "log_mgf_x2 when constructing a custom source"
             )
         return self._log_mgf_x2(theta)
+
+    def log_mgfs_x2(self, thetas) -> np.ndarray:
+        """:meth:`log_mgf_x2` at every theta of a float array, each the
+        scalar method's float.  A family with an array routine runs it;
+        any other maps its scalar cgf over the distinct thetas (bit
+        patterns, so 0.0 and -0.0 stay apart).  Refuses as the scalar method
+        would on the first offending theta."""
+        thetas = np.asarray(thetas, dtype=float)
+        if self._log_mgf_x2 is None or ((thetas > 0) & (thetas >= self.theta_max)).any():
+            for theta in thetas.tolist():
+                self.log_mgf_x2(theta)  # raises at the first theta it refuses
+        if self._log_mgfs_x2 is not None:
+            return self._log_mgfs_x2(thetas)
+        bits, lane = np.unique(thetas.view(np.int64), return_inverse=True)
+        return np.array([self._log_mgf_x2(th) for th in bits.view(float).tolist()])[lane]
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """n i.i.d. draws, deterministic given the generator state."""
@@ -203,10 +218,12 @@ def discrete(values: Sequence[float], probs: Sequence[float]) -> SourceSpec:
     p / fsum(p) so that it is 0 at theta = 0: log1p of the weighted
     expm1(theta x^2) where |theta| x2_max <= 1, which keeps its relative
     accuracy as theta -> 0, else the max-shifted log-sum-exp; either is
-    within 2e-15 relative of a 50-digit oracle.  A bounded memo per source
-    answers the thresholds' shared probes (theta = 1, 2, 4, ... while
-    :func:`~srgauss.core.rate_function_x2` brackets its maximizer, then the
-    same first golden-section points).
+    within 2e-15 relative of a 50-digit oracle.  The array cgf
+    (:meth:`SourceSpec.log_mgfs_x2`) takes the same steps on a theta per
+    row and an atom per column: numpy's products, sums and maxima round as
+    Python's do, while its exp, expm1, log and log1p can differ from
+    ``math``'s in the last bit, so those, and ``math.fsum``, run element by
+    element.
     """
     vals = np.asarray(values, dtype=np.float64)
     ps = np.asarray(probs, dtype=np.float64)
@@ -225,16 +242,25 @@ def discrete(values: Sequence[float], probs: Sequence[float]) -> SourceSpec:
     w = (ps[keep] / math.fsum(ps[keep].tolist())).tolist()
     logw = [math.log(q) for q in w]
     x2 = v2p.tolist()
+    w_row, logw_row = np.array(w), np.array(logw)
 
-    # typed=True keeps a numpy theta from being answered by an equal Python
-    # float's entry, so a hit returns what the call would, type included
-    @functools.lru_cache(maxsize=128, typed=True)
     def _mgf(theta: float) -> float:
         if abs(theta) * x2_max <= 1.0:
             return math.log1p(math.fsum([q * math.expm1(theta * x) for q, x in zip(w, x2)]))
         a = [lq + theta * x for lq, x in zip(logw, x2)]
         a_max = max(a)
         return a_max + math.log(math.fsum([math.exp(b - a_max) for b in a]))
+
+    def _mgfs(thetas: np.ndarray) -> np.ndarray:
+        out = np.empty(len(thetas))
+        small = np.abs(thetas) * x2_max <= 1.0
+        terms = w_row * _elementwise(math.expm1, thetas[small, None] * v2p)
+        out[small] = _elementwise(math.log1p, _row_fsums(terms))
+        a = logw_row + thetas[~small, None] * v2p
+        a_max = a.max(axis=1)
+        sums = _row_fsums(_elementwise(math.exp, a - a_max[:, None]))
+        out[~small] = a_max + _elementwise(math.log, sums)
+        return out
 
     return SourceSpec(
         family="discrete",
@@ -244,7 +270,18 @@ def discrete(values: Sequence[float], probs: Sequence[float]) -> SourceSpec:
         x2_max_mass=float(ps[keep][v2p == x2_max].sum()),
         _sampler=lambda n, rng: rng.choice(vals, size=n, p=ps),
         _log_mgf_x2=_mgf,
+        _log_mgfs_x2=_mgfs,
     )
+
+
+def _elementwise(f, m: np.ndarray) -> np.ndarray:
+    """The float function f at every element of a float array."""
+    return np.fromiter(map(f, m.ravel().tolist()), float, m.size).reshape(m.shape)
+
+
+def _row_fsums(m: np.ndarray) -> np.ndarray:
+    """math.fsum of every row of a 2-d float array."""
+    return np.fromiter(map(math.fsum, m.tolist()), float, len(m))
 
 
 def custom(

@@ -32,6 +32,9 @@ from srgauss.core import (
 from srgauss.errors import ConfigError
 
 GMS = sources.gaussian(1.0)
+# the Gaussian cgf on a custom source: its rate function takes the bounded
+# Brent loop with a finite theta_max, where GMS takes the closed form
+GAUSSIAN_CGF = sources.custom(1.0, 3.0, GMS.sample, theta_max=0.5, log_mgf_x2=GMS.log_mgf_x2)
 
 
 def rq(r1, r2, sigma2=1.0, d1=0.5, d2=0.25):
@@ -498,58 +501,33 @@ class TestExponentPoint:
 
 
 class TestMemos:
-    """The rate-function memo behind exponent_point returns exactly what a
-    fresh call would, per source and within bounds."""
-
-    MEMOS = (asymptotics._rate,)
+    """Sources with equal moments keep their own rates, on the scalar path
+    and in the grid evaluator's rate table."""
 
     def test_sources_with_equal_moments_keep_their_own_rates(self):
         # equal in every compared field, different cgf: a value-keyed memo
         # would hand the second source the first one's rate
-        gauss_cgf = sources.custom(1.0, 3.0, GMS.sample, theta_max=0.5,
-                                   log_mgf_x2=GMS.log_mgf_x2)
         point_mass_cgf = sources.custom(1.0, 3.0, GMS.sample, theta_max=0.5,
                                         log_mgf_x2=lambda theta: theta * 1.0)
         q = rq(0.8, 0.2)
-        a = jep_exponent(gauss_cgf, q)
+        a = jep_exponent(GAUSSIAN_CGF, q)
         b = jep_exponent(point_mass_cgf, q)
         alpha = a.auxiliaries["alpha_star"]
         assert alpha == b.auxiliaries["alpha_star"] > 1.0
-        assert a.value == rate_function_x2(gauss_cgf, alpha)
+        assert a.value == rate_function_x2(GAUSSIAN_CGF, alpha)
         assert b.value == rate_function_x2(point_mass_cgf, alpha)
         assert a.value != b.value
-
-    @pytest.mark.parametrize("family", ["gaussian", "discrete"])
-    def test_cleared_memos_give_identical_points(self, family):
-        src = FAMILIES[family]
-        axis = np.linspace(0.05, 1.2, 20)
-
-        def grid():
-            return [exponent_point(src, rq(float(r1), float(r2))) for r1 in axis for r2 in axis]
-
-        for memo in self.MEMOS:
-            memo.cache_clear()
-        cold = grid()
-        misses = [memo.cache_info().misses for memo in self.MEMOS]
-        assert grid() == cold
-        # the second pass was answered from the memos alone
-        assert [memo.cache_info().misses for memo in self.MEMOS] == misses
-
-    def test_memos_stay_bounded_on_a_60x60_grid(self):
-        src = sources.discrete([-2.0, -0.5, 0.5, 2.0], [0.1, 0.4, 0.4, 0.1])
-        for r1 in np.linspace(0.05, 1.2, 60):
-            for r2 in np.linspace(0.0, 1.2, 60):
-                exponent_point(src, rq(float(r1), float(r2)))
-        for memo in self.MEMOS:
-            info = memo.cache_info()
-            assert info.maxsize == 1024 and 0 < info.currsize <= info.maxsize
+        # the grid evaluator, one source after the other
+        for src, want in ((GAUSSIAN_CGF, a), (point_mass_cgf, b)):
+            row, = asymptotics.exponent_rows(src, [0.8], [0.2], 0.5, 0.25)
+            assert (row["alpha_star"], row["jep_exponent"]) == (alpha, want.value)
 
 
 # --- frozen oracle ----------------------------------------------------------
 # The per-point calculators as they were written before the grid evaluator
 # (one RateQuery, region, split and three ExponentResults per point), kept
 # verbatim apart from their names so the evaluator is checked against code
-# it does not share.  They reach the kernels through the same memo.
+# it does not share.  They reach the kernels through the same _excess.
 
 def _oracle_region(q):
     c1 = q.r1 - 0.5 * math.log(q.sigma2 / q.d1)
@@ -645,12 +623,14 @@ class TestGridEvaluatorAgainstOracle:
     """exponent_rows, exponent_point and the four calculators against the
     frozen oracle, with ==, on every cell of a grid that holds the edge rates."""
 
-    SOURCES = ["gaussian", "uniform", "laplace", "discrete"]
+    # two_point puts the rate batch on t > x2_max, gaussian_cgf on a
+    # finite theta_max
+    SOURCES = ["gaussian", "uniform", "laplace", "two_point", "discrete", "gaussian_cgf"]
 
     @pytest.mark.parametrize("d1, d2", [(0.5, 0.25), (0.6, 0.2)])
     @pytest.mark.parametrize("family", SOURCES)
     def test_every_column_and_case_tag(self, family, d1, d2):
-        src = FAMILIES[family]
+        src = {**FAMILIES, "gaussian_cgf": GAUSSIAN_CGF}[family]
         r1s, r2s, floor2 = _edge_axes(src.sigma2, d1, d2)
         assert 0.0 in r1s and 0.0 in r2s and floor2 in r2s
         rows = asymptotics.exponent_rows(src, r1s, r2s, d1, d2)
@@ -725,28 +705,30 @@ def test_closed_form_grid_matches_the_brent_loop(monkeypatch):
     """The benchmark's 60x60 Gaussian grid at d = (0.5, 0.25), once with the
     closed-form rate function (a gaussian source) and once through the Brent
     loop on the same cgf (a custom source): the same cells, radii and
-    kernel calls, exponents within 5e-12 relative."""
+    kernel calls, exponents within 5e-12 relative.  The rate batch is
+    counted per threshold, as the inversion batch is per triple."""
     r1s = [0.05 + (1.2 - 0.05) * i / 59 for i in range(60)]
     r2s = [1.2 * j / 59 for j in range(60)]
-    gauss_cgf = sources.custom(1.0, 3.0, GMS.sample, theta_max=0.5, log_mgf_x2=GMS.log_mgf_x2)
     kernels = ("invert_iid_exponent", "invert_iid_exponents", "rate_function_x2",
-               "iid_nonexcess_exponent")
+               "rate_functions_x2", "iid_nonexcess_exponent")
+    batches = {"invert_iid_exponents": 0, "rate_functions_x2": 1}  # the batched argument
     seen = dict.fromkeys(kernels, 0)
     for name in kernels:
         def counted(*args, _f=getattr(asymptotics, name), _name=name):
-            seen[_name] += len(args[0]) if _name == "invert_iid_exponents" else 1
+            seen[_name] += len(args[batches[_name]]) if _name in batches else 1
             return _f(*args)
 
         monkeypatch.setattr(asymptotics, name, counted)
     grids = []
-    for src in (GMS, gauss_cgf):
-        asymptotics._rate.cache_clear()
+    for src in (GMS, GAUSSIAN_CGF):
         seen.update(dict.fromkeys(kernels, 0))
         grids.append(asymptotics.exponent_rows(src, r1s, r2s, 0.5, 0.25))
         # 59 column radii plus 5,182 batched cell radii: the 5,241 inversions
-        # (tests/test_cli.py::test_kernel_work_per_benchmark_grid)
+        # (tests/test_cli.py::test_kernel_work_per_benchmark_grid); the
+        # 5,183 distinct cell radii take their rate functions in one batch
         assert seen == {"invert_iid_exponent": 59, "invert_iid_exponents": 5182,
-                        "rate_function_x2": 5183, "iid_nonexcess_exponent": 172}
+                        "rate_function_x2": 0, "rate_functions_x2": 5183,
+                        "iid_nonexcess_exponent": 172}
     exponents = ("jep_exponent", "l1_exponent", "sep_e1", "sep_e2")
     for closed, brent in zip(*grids):
         assert list(closed) == list(brent)

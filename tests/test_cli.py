@@ -713,24 +713,29 @@ BENCH_GRIDS = {
     # from 5,310 and 563 when the cells' floors moved to once per distinct
     # (p, d) pair of the batch (95 and 48 pairs); the rest is one floor per
     # column radius, one threshold per case-ii column (17 and 8) and layer
-    # 2's floor.
+    # 2's floor.  Every distinct cell radius (5,183 and 518) takes its rate
+    # function once, in the one rate_functions_x2 batch (counted per
+    # threshold); no scalar rate function runs.
     ("gaussian", {"invert_iid_exponent": 59, "invert_iid_exponents": 5182,
-                  "rate_function_x2": 5183, "iid_nonexcess_exponent": 172}),
+                  "rate_function_x2": 0, "rate_functions_x2": 5183,
+                  "iid_nonexcess_exponent": 172}),
     ("discrete", {"invert_iid_exponent": 29, "invert_iid_exponents": 517,
-                  "rate_function_x2": 518, "iid_nonexcess_exponent": 86}),
+                  "rate_function_x2": 0, "rate_functions_x2": 518,
+                  "iid_nonexcess_exponent": 86}),
 ])
 def test_kernel_work_per_benchmark_grid(tmp_path, monkeypatch, grid, counts):
-    """With cold memos, the benchmark grids make exactly these kernel calls."""
+    """The benchmark grids make exactly these kernel calls, a batch counted
+    per lane."""
     from srgauss import asymptotics
 
+    batches = {"invert_iid_exponents": 0, "rate_functions_x2": 1}  # the batched argument
     seen = dict.fromkeys(counts, 0)
     for name in counts:
         def counted(*args, _f=getattr(asymptotics, name), _name=name):
-            seen[_name] += len(args[0]) if _name == "invert_iid_exponents" else 1
+            seen[_name] += len(args[batches[_name]]) if _name in batches else 1
             return _f(*args)
 
         monkeypatch.setattr(asymptotics, name, counted)
-    asymptotics._rate.cache_clear()
     cfg = write_config(tmp_path, BENCH_GRIDS[grid])
     out = str(tmp_path / "grid.csv")
     assert main(["exponent-grid", "--config", cfg, "--out", out]) == 0

@@ -17,6 +17,7 @@ from scipy.special import betainc, logsumexp
 from srgauss import asymptotics, core, sources
 from srgauss.core import (
     _bounded_brent_max,
+    _bounded_brent_max_lockstep,
     _brentq,
     _brentq_lockstep,
     _iid_exponent,
@@ -32,6 +33,7 @@ from srgauss.core import (
     q_func,
     q_inv,
     rate_function_x2,
+    rate_functions_x2,
     spherical_cap_exponent,
     spherical_nonexcess_lower,
     spherical_nonexcess_upper,
@@ -1042,6 +1044,165 @@ class TestBrentqLockstep:
         sizes.clear()
         roots, why = _brentq_lockstep(f, a[1:], b[1:], a[1:] - 0.25, b[1:] - 0.25, 2e-12, 1e-12)
         assert roots.tolist() == [0.25] and sizes == []
+
+
+def _any_refusal(fn, *args):
+    """(exception class, message) that fn(*args) raises, of any type, or None."""
+    try:
+        fn(*args)
+    except Exception as exc:  # noqa: BLE001 - a cgf may raise anything
+        return type(exc), str(exc)
+    return None
+
+
+def _bits(xs):
+    """Floats as hex strings, so 0.0 and -0.0 differ and a NaN equals a NaN."""
+    return [float(x).hex() for x in xs]
+
+
+# name: (source, the top of its thresholds).  Every family, a finite
+# theta_max on the Brent path (the Gaussian cgf on a custom source) and the
+# bracket's 1e15 cap (a pmf cgf declared without x2_max: above its top atom,
+# 4, the objective grows without bound).
+RATE_BATCH_SOURCES = {
+    "gaussian": (sources.gaussian(1.3), 15.6),
+    "uniform": (sources.uniform(1.7), 1.7**2),
+    "laplace": (sources.laplace(0.8), 15.0),
+    "two_point": (sources.two_point(1.3), 1.3**2),
+    "discrete": (sources.discrete([-2.0, -0.5, 0.5, 2.0], [0.1, 0.4, 0.4, 0.1]), 4.0),
+    "custom-gaussian-cgf": (GAUSSIAN_CGF_1_3, 15.6),
+    "custom-no-x2-max": (_LATTICE_X2, 4.0),
+}
+
+
+class TestRateBatch:
+    """rate_functions_x2 against rate_function_x2, with ==."""
+
+    @staticmethod
+    def assert_equal_to_scalar(source, ts):
+        got = rate_functions_x2(source, ts).tolist()
+        want = [rate_function_x2(source, t) for t in ts]
+        assert [(t, x, y) for t, x, y in zip(ts, got, want) if x != y] == []
+        return got
+
+    @pytest.mark.parametrize("name", RATE_BATCH_SOURCES)
+    def test_seeded_sweep(self, name):
+        # a slip in the loop's state (say, nfc, xf and x as one array updated
+        # in place) still gives plausible rates everywhere; only == on
+        # thousands of thresholds shows it
+        source, top = RATE_BATCH_SOURCES[name]
+        rng = np.random.default_rng(77)
+        ts = np.concatenate([
+            source.sigma2 * (1.0 + np.abs(rng.normal(0.0, 1e-3, 1000))),
+            rng.uniform(0.0, 1.25 * top, 1000),  # below the mean, across and beyond the top
+            top * (1.0 + rng.normal(0.0, 1e-3, 1000)),  # both sides of the top
+        ]).tolist()
+        got = self.assert_equal_to_scalar(source, ts)
+        # laplace's rates are all 0 (theta_max = 0), two_point's 0 or inf;
+        # the finite supports and the 1e15 cap reach inf
+        assert any(0.0 < r < math.inf for r in got) == (name not in ("laplace", "two_point"))
+        reaches_inf = ("uniform", "two_point", "discrete", "custom-no-x2-max")
+        assert (math.inf in got) == (name in reaches_inf)
+
+    @pytest.mark.parametrize("name", RATE_BATCH_SOURCES)
+    def test_edge_thresholds(self, name):
+        source, top = RATE_BATCH_SOURCES[name]
+        edges = [source.sigma2] + ([source.x2_max] if math.isfinite(source.x2_max) else [])
+        ts = [0.0, math.inf] + [x for e in edges
+                                for x in (math.nextafter(e, 0.0), e, math.nextafter(e, math.inf))]
+        self.assert_equal_to_scalar(source, ts)
+
+    def test_batches_of_zero_and_one(self):
+        for source, top in RATE_BATCH_SOURCES.values():
+            empty = rate_functions_x2(source, [])
+            assert empty.dtype == np.float64 and empty.shape == (0,)
+            for t in (0.5 * source.sigma2, 1.5 * source.sigma2, top):
+                assert rate_functions_x2(source, [t]).tolist() == [rate_function_x2(source, t)]
+        # an empty batch evaluates no cgf, so one without a cgf refuses nothing
+        assert rate_functions_x2(sources.custom(1.0, 3.0, None), []).shape == (0,)
+
+    def test_refuses_as_the_scalar_function(self):
+        source = RATE_BATCH_SOURCES["discrete"][0]
+        # a negative threshold behind a valid one
+        want = _any_refusal(rate_function_x2, source, -1.0)
+        assert want == (ConfigError, "requires threshold t >= 0, got -1.0")
+        assert _any_refusal(rate_functions_x2, source, [2.0, -1.0, 3.0]) == want
+        # a cgf that returns NaN: the first threshold above the mean is named,
+        # ahead of a later negative one and behind an earlier one
+        nan_cgf = sources.custom(1.0, 3.0, None, theta_max=0.5, log_mgf_x2=lambda th: math.nan)
+        want = _any_refusal(rate_function_x2, nan_cgf, 2.0)
+        assert want == (NumericError,
+                        "rate function maximization failed at t=2.0: NaN result encountered")
+        assert _any_refusal(rate_functions_x2, nan_cgf, [0.5, 2.0, 3.0, -1.0]) == want
+        assert _any_refusal(rate_functions_x2, nan_cgf, [0.5, -1.0, 2.0]) == (
+            ConfigError, "requires threshold t >= 0, got -1.0")
+        # a cgf's own refusal, whatever its type: none at all, and an
+        # overflow while the bracket doubles
+        for cgf in (None, lambda th: math.exp(800.0 * th)):
+            spec = sources.custom(1.0, 3.0, None, log_mgf_x2=cgf)
+            want = _any_refusal(rate_function_x2, spec, 2.0)
+            assert want is not None
+            assert _any_refusal(rate_functions_x2, spec, [0.5, 2.0, -1.0]) == want
+
+    @pytest.mark.parametrize("name", ["uniform", "custom-gaussian-cgf"])
+    def test_array_cgf_of_a_mapped_family(self, name):
+        # repeats and signed zeros in, each theta's scalar float out
+        source = RATE_BATCH_SOURCES[name][0]
+        thetas = [0.0, -0.0, 0.3, -2.0, 0.3, 1e-300, 0.0, -0.0]
+        assert _bits(source.log_mgfs_x2(np.array(thetas))) == _bits(map(source.log_mgf_x2, thetas))
+        if math.isfinite(source.theta_max):  # beyond the boundary, behind a valid theta
+            want = _any_refusal(source.log_mgf_x2, 0.6)
+            assert want[0] is ConfigError
+            assert _any_refusal(source.log_mgfs_x2, np.array([0.1, 0.6, 0.7])) == want
+
+    @pytest.mark.parametrize("values, probs", [
+        ([-2.0, -0.5, 0.5, 2.0], [0.1, 0.4, 0.4, 0.1]),
+        (range(10), [0.1] * 10),
+        ([0.0, 1.0, 5.0], [0.5, 0.5, 0.0]),
+        ([3.0], [1.0]),
+    ])
+    def test_discrete_array_cgf_equals_its_scalar_cgf(self, values, probs):
+        spec = sources.discrete(values, probs)
+        # the last theta of the log1p form and the first beyond it, each side
+        switch = []
+        for side in (1.0, -1.0):
+            below = side / spec.x2_max
+            while abs(math.nextafter(below, side * math.inf)) * spec.x2_max <= 1.0:
+                below = math.nextafter(below, side * math.inf)
+            while abs(below) * spec.x2_max > 1.0:
+                below = math.nextafter(below, 0.0)
+            switch += [below, math.nextafter(below, side * math.inf)]
+        thetas = [0.0, -0.0, 1e-300, -1e-12, *switch,
+                  *np.random.default_rng(3).uniform(-50.0, 50.0, 400).tolist()]
+        assert _bits(spec.log_mgfs_x2(np.array(thetas))) == _bits(map(spec.log_mgf_x2, thetas))
+        assert spec.log_mgfs_x2(np.array([])).shape == (0,)
+
+
+class TestBoundedBrentLockstep:
+    SHAPES = [
+        (lambda x: -(x - 0.3) ** 2, 1.0),
+        (lambda x: x, 5.0),  # maximum on the upper bound
+        (lambda x: -x, 5.0),  # maximum on the lower bound
+        (lambda x: math.sin(x), 20.0),  # several local maxima
+        (lambda x: -abs(x - 1e-3), 1e6),
+        (lambda x: math.nan, 1.0),  # NaN from the start
+        (lambda x: math.nan if 0.5 < x < 0.6 else -(x - 0.55) ** 2, 1.0),  # NaN on the way
+    ]
+
+    @pytest.mark.parametrize("xatol", [1e-14, 1e-8, 1e-5])
+    @pytest.mark.parametrize("maxfun", [500, 5, 2, 1])
+    def test_every_lane_takes_the_scalar_steps(self, xatol, maxfun):
+        gs, bs = zip(*self.SHAPES)
+
+        def g(lanes, x):
+            return np.array([gs[i](v) for i, v in zip(lanes.tolist(), x.tolist())])
+
+        with np.errstate(all="ignore"):
+            best, failed = _bounded_brent_max_lockstep(
+                g, np.array(bs), np.full(len(bs), xatol), maxfun)
+        want = [_bounded_brent_max(*shape, xatol, maxfun) for shape in self.SHAPES]
+        assert _bits(best) == _bits(v for v, _ in want)
+        assert failed.tolist() == [why is not None for _, why in want]
 
 
 class TestCgf:

@@ -179,23 +179,6 @@ def test_discrete_log_mgf_is_continuous_at_its_switch():
         assert abs(outer - inner) <= 2e-15 * abs(inner), side
 
 
-def test_discrete_cgf_memo_is_typed_and_bounded():
-    """A repeated theta is a memo hit with the same float; an int or numpy
-    theta is not answered by the equal float's entry; at most 128 entries."""
-    spec = sources.discrete(*PMFS["benchmark"])
-    memo = spec._log_mgf_x2
-    assert memo.cache_info().maxsize == 128
-    for theta in (2.0, 16.0, -3.0):
-        first = spec.log_mgf_x2(theta)
-        misses = memo.cache_info().misses
-        assert spec.log_mgf_x2(theta) == first
-        assert memo.cache_info().misses == misses
-        for same in (int(theta), np.float64(theta)):
-            assert spec.log_mgf_x2(same) == first
-            misses += 1
-            assert memo.cache_info().misses == misses
-
-
 class TestSampling:
     def test_two_point_support(self):
         spec = sources.two_point(1.0)
