@@ -37,7 +37,6 @@ from .core import (
     q_func,
     q_inv,
     rate_function_x2,
-    rate_functions_x2,
     spherical_cap_exponent,
     spherical_nonexcess_lower,
     spherical_nonexcess_upper,
@@ -88,7 +87,6 @@ __all__ = [
     "q_func",
     "q_inv",
     "rate_function_x2",
-    "rate_functions_x2",
     "region_contains",
     "run_trial",
     "second_order_plan",
