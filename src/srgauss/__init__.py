@@ -13,8 +13,8 @@ from .asymptotics import (
     RateQuery,
     RegionResult,
     SecondOrderPlan,
+    exponent_columns,
     exponent_point,
-    exponent_rows,
     jep_exponent,
     jep_exponent_lambda1,
     lambda_for_rates,
@@ -69,8 +69,8 @@ __all__ = [
     "encode_layer",
     "estimate",
     "estimate_nonexcess",
+    "exponent_columns",
     "exponent_point",
-    "exponent_rows",
     "gaussian_rate_function_x2",
     "iid_nonexcess_exponent",
     "iid_nonexcess_exponent_tilted",

@@ -6,16 +6,17 @@ power-split coding schemes.
 All rates are in nats.  Every large-deviations exponent is one kernel,
 :func:`_excess`: the rate function of X^2 at the radius where layer-1
 covering at a target distortion costs r1.  The schemes and their cases
-differ only in that target.  One evaluator, :func:`exponent_rows`, gives
-every per-point quantity of a rate grid, computing what depends on r2 alone
-once per column; :func:`exponent_point` is its one cell.  The exponent
-calculators read the same column and cell helpers and return an
+differ only in that target.  One evaluator, :func:`exponent_columns`,
+gives every per-point quantity of a rate grid as one list per report
+column, computing what depends on r2 alone once per column and the cells
+as numpy arrays; :func:`exponent_point` is its 1x1 grid.  The exponent
+calculators read the same column helpers and return an
 :class:`ExponentResult` bundling the exponent values, the root-found
 auxiliary radii and the case that produced them.
 
 Covering radii and their rate functions come from two paths with the same
-floats.  A grid's cells (:func:`exponent_rows`) invert their thousands of
-distinct radii in one lockstep batch, :func:`core.invert_iid_exponents`,
+floats.  A grid's cells (:func:`exponent_columns`) invert their thousands
+of distinct radii in one lockstep batch, :func:`core.invert_iid_exponents`,
 and take the rate function of X^2 at every distinct radius in another,
 :func:`core.rate_functions_x2`.  Its columns and the single-point entry
 points (:func:`exponent_point`, :func:`sep_exponents`,
@@ -77,20 +78,16 @@ def _covering_radius(rate: float, p: float, d: float) -> float:
     return invert_iid_exponent(rate, p, d)
 
 
-def _covering_radii(keys: list) -> list[float]:
-    """:func:`_covering_radius` of every distinct (rate, p, d) key, the
-    floor once per (p, d) pair and the inversions above it in one
+def _covering_radii(keys: np.ndarray) -> np.ndarray:
+    """:func:`_covering_radius` of every (rate, p, d) row of ``keys``, the
+    floor once per distinct (p, d) pair and the inversions above it in one
     :func:`invert_iid_exponents` batch."""
-    floors = {}
-    for _, p, d in keys:
-        if (p, d) not in floors:
-            w_min = max(d - p, 0.0)
-            floors[p, d] = w_min, iid_nonexcess_exponent(w_min, p, d)
-    radii = [floors[p, d][0] for _, p, d in keys]
-    above = [i for i, (rate, p, d) in enumerate(keys) if rate > floors[p, d][1]]
-    inverted = np.array(keys, dtype=float).reshape(-1, 3)[above]
-    for i, w in zip(above, invert_iid_exponents(*inverted.T).tolist()):
-        radii[i] = w
+    pairs, pair = _first_unique(keys[:, 1:])
+    w_min = np.maximum(pairs[:, 1] - pairs[:, 0], 0.0)
+    floors = np.array([iid_nonexcess_exponent(w, p, d)
+                       for w, (p, d) in zip(w_min.tolist(), pairs.tolist())])
+    radii, above = w_min[pair], keys[:, 0] > floors[pair]
+    radii[above] = invert_iid_exponents(*keys[above].T)
     return radii
 
 
@@ -127,24 +124,26 @@ class RegionResult:
     eta: float | None  # power-split witness from the union form, inside only
 
 
-def _region(c1, c2, r1, r2, sigma2, d1, d2) -> tuple[str, float | None]:
-    """Location of a rate pair from its margins c1, c2 over the two faces
-    and, inside, the power-split witness of the union form."""
-    if c1 < -_REGION_TOL or c2 < -_REGION_TOL:
-        return "outside", None
-    if min(c1, c2) <= _REGION_TOL:
-        return "boundary", None
-    lo = max(d2 / d1, sigma2 * math.exp(-2.0 * r1) / d1)
-    hi = min(d2 * math.exp(2.0 * r2) / d1, 1.0)
-    return "inside", (hi if hi >= lo and hi > d2 / d1 else None)
+def _regions(r1s, r2s, lam, sigma2, d1, d2) -> tuple[np.ndarray, np.ndarray]:
+    """Location of every pair of a rate grid against the two half-planes
+    r1 >= 0.5*log(sigma2/d1) and r1 + r2 >= 0.5*log(sigma2/d2), and where
+    it is inside with the power split ``lam`` (per r2) the union form's
+    witness."""
+    r1 = np.array(r1s, dtype=float)[:, None]
+    c1 = r1 - 0.5 * math.log(sigma2 / d1)
+    c2 = r1 + np.array(r2s, dtype=float) - 0.5 * math.log(sigma2 / d2)
+    outside = (c1 < -_REGION_TOL) | (c2 < -_REGION_TOL)
+    boundary = ~outside & ((c1 <= _REGION_TOL) | (c2 <= _REGION_TOL))
+    lo = np.array([max(d2 / d1, sigma2 * math.exp(-2.0 * r) / d1) for r in r1s]).reshape(-1, 1)
+    region = np.where(outside, "outside", np.where(boundary, "boundary", "inside"))
+    return region, ~(outside | boundary) & (lam >= lo) & (lam > d2 / d1)
 
 
 def region_contains(q: RateQuery) -> RegionResult:
-    """Classify a rate pair against the two half-planes
-    r1 >= 0.5*log(sigma2/d1) and r1 + r2 >= 0.5*log(sigma2/d2)."""
-    c1 = q.r1 - 0.5 * math.log(q.sigma2 / q.d1)
-    c2 = q.r1 + q.r2 - 0.5 * math.log(q.sigma2 / q.d2)
-    return RegionResult(*_region(c1, c2, q.r1, q.r2, q.sigma2, q.d1, q.d2))
+    """Classify a rate pair against the region's two half-planes."""
+    lam = lambda_for_rates(q.r2, q.d1, q.d2)
+    region, witness = _regions((q.r1,), (q.r2,), lam, q.sigma2, q.d1, q.d2)
+    return RegionResult(str(region[0, 0]), lam if witness[0, 0] else None)
 
 
 def lambda_for_rates(r2: float, d1: float, d2: float) -> float:
@@ -193,42 +192,35 @@ def _sep_column(sigma2, d1, d2, r2, branch) -> tuple[float, float, float | None,
     return lam, sigma2 - lam * d1, gamma, lam * d1 if gamma is None else gamma
 
 
-def _sep_cell(source, r1, d1, p_y, gamma, target2, excess=_excess) -> tuple:
-    """(case, layer 1's (alpha, exponent), layer 2's, the binding layer's)
-    at one cell; see :func:`sep_exponents`.  Layer 2 binds the joint
-    exponent at or below the branch rate, layer 1 above it.  ``excess``
-    answers as :func:`_excess` does."""
-    layer1 = excess(source, r1, p_y, d1)
-    layer2 = excess(source, r1, p_y, target2)
-    if gamma is None:
-        return "low_r2", layer1, layer2, layer2
-    return "high_r2", layer1, layer2, layer1
-
-
 def _layer2_floor(d1: float, d2: float) -> float:
     """Layer 2's floor: the rate it needs to cover the weakest residual."""
     p_z = d1 - d2
     return iid_nonexcess_exponent(max(d2 - p_z, 0.0), p_z, d2)
 
 
-def _fixed_column(sigma2, d1, d2, r2, branch, floor2) -> tuple[str, float | None, float]:
+def _fixed_column(sigma2, d1, d2, r2, branch, floor2) -> tuple[str, float, float]:
     """The fixed split's part of an r2 column: (case, layer-1 target
-    min(d1, gamma2), the rate r1 must exceed for it, else case ``iii``);
-    gamma2 >= d1 exactly at or above the branch rate."""
+    min(d1, gamma2), the rate r1 must exceed for it), case ``iii`` with nan
+    and inf; gamma2 >= d1 exactly at or above the branch rate."""
     if r2 >= branch:
         return "i", d1, 0.5 * math.log(sigma2 / d1)
     if r2 > floor2:
         gamma2 = _covering_radius(r2, d1 - d2, d2)
         return "ii", gamma2, iid_nonexcess_exponent(sigma2, sigma2 - d1, gamma2)
-    return "iii", None, math.inf
+    return "iii", math.nan, math.inf
 
 
 def _sep_query(source: SourceSpec, q: RateQuery) -> tuple:
-    """(gamma, :func:`_sep_cell`'s tuple) of one rate pair."""
+    """(gamma, (case, layer 1's (alpha, exponent), layer 2's, the binding
+    layer's)) of one rate pair; see :func:`sep_exponents`.  Layer 2 binds
+    the joint exponent at or below the branch rate, layer 1 above it."""
     if q.r1 <= 0:
         raise ConfigError(f"requires r1 > 0, got {q.r1}")
     _, p_y, gamma, target2 = _sep_column(q.sigma2, q.d1, q.d2, q.r2, 0.5 * math.log(q.d1 / q.d2))
-    return gamma, _sep_cell(source, q.r1, q.d1, p_y, gamma, target2)
+    layer1, layer2 = _excess(source, q.r1, p_y, q.d1), _excess(source, q.r1, p_y, target2)
+    if gamma is None:
+        return gamma, ("low_r2", layer1, layer2, layer2)
+    return gamma, ("high_r2", layer1, layer2, layer1)
 
 
 def sep_exponents(source: SourceSpec, q: RateQuery) -> ExponentResult:
@@ -269,72 +261,82 @@ def jep_exponent_lambda1(source: SourceSpec, q: RateQuery) -> ExponentResult:
     return ExponentResult(aux, (value,), case)
 
 
-def exponent_rows(source: SourceSpec, r1s, r2s, d1: float, d2: float) -> list[dict]:
-    """:func:`exponent_point` at every pair of a rate grid, row by row (r1
-    outer).  Per-r2 quantities are computed once per column, every cell's
-    covering radii in one :func:`_covering_radii` batch and their rate
-    functions in one :func:`core.rate_functions_x2` batch, so a cell costs
-    its region and at most three table lookups."""
+def exponent_columns(source: SourceSpec, r1s, r2s, d1: float, d2: float) -> dict[str, list]:
+    """:func:`exponent_point` at every pair of a rate grid, one list per
+    report column in r1-major order (None in the exponent columns where r1
+    = 0), every cell's radii from one :func:`_covering_radii` batch and
+    their rate functions from one :func:`core.rate_functions_x2` batch."""
     _check_rates(r1s, r2s)
-    return _rows(source, source.sigma2, d1, d2, r1s, r2s, batch=True)
+    return _columns(source, source.sigma2, d1, d2, r1s, r2s, batch=True)
 
 
 def exponent_point(source: SourceSpec, q: RateQuery) -> dict:
     """Every per-point quantity of a rate pair, keyed by report column:
-    region, power split and, for r1 > 0, the joint, fixed-split and
-    separate exponents.  Its radii come from the scalar
-    :func:`_covering_radius` (see the module docstring)."""
-    return _rows(source, q.sigma2, q.d1, q.d2, (q.r1,), (q.r2,), batch=False)[0]
+    region, power split and, for r1 > 0, the joint, fixed-split and separate
+    exponents; the 1x1 grid of :func:`exponent_columns` on the scalar kernels."""
+    table = _columns(source, q.sigma2, q.d1, q.d2, (q.r1,), (q.r2,), batch=False)
+    return {key: col[0] for key, col in list(table.items())[:None if q.r1 > 0 else 5]}
 
 
-def _rows(source: SourceSpec, sigma2, d1, d2, r1s, r2s, batch: bool) -> list[dict]:
-    """The evaluator behind :func:`exponent_rows` (``batch``) and
-    :func:`exponent_point`.  With ``batch`` a first pass collects the
-    distinct covering radii of every cell with r1 > 0 (layer 1, layer 2 and
-    the fixed split above its threshold), inverts them together and takes
-    the rate function of every distinct radius together."""
+def _first_unique(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-d float array, by bit pattern, in order of
+    first appearance, and the index of each row of ``a`` among them."""
+    rows = np.ascontiguousarray(a).view(np.dtype((np.void, a.itemsize * a.shape[1])))
+    first = {}
+    index = [first.setdefault(row, len(first)) for row in rows.ravel().tolist()]
+    return np.frombuffer(b"".join(first)).reshape(-1, a.shape[1]), np.array(index, dtype=np.intp)
+
+
+def _columns(source: SourceSpec, sigma2, d1, d2, r1s, r2s, batch: bool) -> dict[str, list]:
+    """The evaluator behind :func:`exponent_columns` (``batch``) and
+    :func:`exponent_point` on an (r1, r2) array of cells.  Every cell with
+    r1 > 0 has an (r1, p, target) key for layer 1, for layer 2 and, above
+    its threshold, for the fixed split; each distinct key, in order of
+    first appearance, gets its radius and rate once."""
     _check_distortions(sigma2, d1, d2)
     branch = 0.5 * math.log(d1 / d2)
-    edge1, edge2 = 0.5 * math.log(sigma2 / d1), 0.5 * math.log(sigma2 / d2)
     floor2, p_y1 = _layer2_floor(d1, d2), sigma2 - d1
-    columns = [(_sep_column(sigma2, d1, d2, r2, branch),
-                _fixed_column(sigma2, d1, d2, r2, branch, floor2)) for r2 in r2s]
-    excess = _excess
-    if batch:
-        keys = {}
-        for r1 in r1s:
-            if r1 > 0:
-                for (_, p_y, _, target2), (_, target, threshold) in columns:
-                    keys[r1, p_y, d1] = keys[r1, p_y, target2] = None
-                    if r1 > threshold:
-                        keys[r1, p_y1, target] = None
-        table = dict(zip(keys, _covering_radii(list(keys))))
-        distinct = list(dict.fromkeys(table.values()))
-        rates = dict(zip(distinct, rate_functions_x2(source, distinct).tolist()))
+    columns = np.array([(*_sep_column(sigma2, d1, d2, r2, branch),
+                         *_fixed_column(sigma2, d1, d2, r2, branch, floor2)) for r2 in r2s],
+                       dtype=object).reshape(len(r2s), 7)
+    lam, p_y, target2, target, threshold = columns[:, [0, 1, 3, 5, 6]].T.astype(float)
+    low, l1_case = np.equal(columns[:, 2], None), columns[:, 4]  # low: no gamma
+    region, eta = _regions(r1s, r2s, lam, sigma2, d1, d2)
+    shape, r1 = region.shape, np.array(r1s, dtype=float)[:, None]
+    pos, above = r1 > 0, r1 > threshold  # above: else case iii
+    kinds = [(p_y, d1), (p_y, target2), (p_y1, target)]  # layer 1, layer 2, the fixed split
+    keys = np.stack([np.stack(np.broadcast_arrays(r1, p, t), axis=-1) for p, t in kinds], axis=2)
+    valid = np.stack(np.broadcast_arrays(pos, pos, pos & above), axis=2)
+    distinct, index = _first_unique(keys[valid])
+    if batch:  # the rate of every distinct radius once
+        alpha = _covering_radii(distinct)
+        radii, at = _first_unique(alpha[:, None])
+        excess = alpha, rate_functions_x2(source, radii[:, 0].tolist())[at]
+    else:
+        excess = np.array([_excess(source, *key) for key in distinct.tolist()]).reshape(-1, 2).T
+    alpha, rate = np.full((2,) + valid.shape, np.nan)
+    alpha[valid], rate[valid] = (v[index] for v in excess)
+    # layer 2 binds the joint exponent at or below the branch rate, layer 1 above it
+    jep, e1, e2 = np.where(low, rate[..., 1], rate[..., 0]), rate[..., 0], rate[..., 1]
+    l1 = np.where(above, rate[..., 2], 0.0)
 
-        def excess(_, *key):
-            alpha = table[key]
-            return alpha, rates[alpha]
-    rows = []
-    for r1 in r1s:
-        c1 = r1 - edge1
-        for r2, ((lam, p_y, gamma, target2), fixed) in zip(r2s, columns):
-            region, eta = _region(c1, r1 + r2 - edge2, r1, r2, sigma2, d1, d2)
-            point = {"r1": r1, "r2": r2, "region": region, "eta": eta, "lambda": lam}
-            if r1 > 0:
-                case, (_, e1), (_, e2), (alpha, jep) = _sep_cell(
-                    source, r1, d1, p_y, gamma, target2, excess)
-                l1_case, target, threshold = fixed
-                above = r1 > threshold  # else case iii
-                l1 = excess(source, r1, p_y1, target)[1] if above else 0.0
-                point.update(
-                    alpha_star=alpha, jep_exponent=jep, jep_positive=jep > 0.0,
-                    l1_case=l1_case if above else "iii", l1_exponent=l1, l1_positive=l1 > 0.0,
-                    sep_case=case, sep_e1=e1, sep_e2=e2,
-                    sep_e1_positive=e1 > 0.0, sep_e2_positive=e2 > 0.0,
-                )
-            rows.append(point)
-    return rows
+    def cells(a, keep=True) -> list:
+        out = np.broadcast_to(a, shape).astype(object)
+        out[~np.broadcast_to(keep, shape)] = None
+        return out.ravel().tolist()
+
+    return {
+        "r1": np.repeat(np.array(r1s, dtype=object), len(r2s)).tolist(),
+        "r2": np.tile(np.array(r2s, dtype=object), len(r1s)).tolist(),
+        "region": cells(region), "eta": cells(lam, eta), "lambda": cells(lam),
+        "alpha_star": cells(np.where(low, alpha[..., 1], alpha[..., 0]), pos),
+        "jep_exponent": cells(jep, pos), "jep_positive": cells(jep > 0.0, pos),
+        "l1_case": cells(np.where(above, l1_case, "iii"), pos),
+        "l1_exponent": cells(l1, pos), "l1_positive": cells(l1 > 0.0, pos),
+        "sep_case": cells(np.where(low, "low_r2", "high_r2"), pos),
+        "sep_e1": cells(e1, pos), "sep_e2": cells(e2, pos),
+        "sep_e1_positive": cells(e1 > 0.0, pos), "sep_e2_positive": cells(e2 > 0.0, pos),
+    }
 
 
 @dataclass(frozen=True)

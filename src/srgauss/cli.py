@@ -24,12 +24,14 @@ import math
 import sys
 from functools import partial
 
+import numpy as np
+
 from . import report, sources
 from .asymptotics import (
     ModerateQuery,
     RateQuery,
     code_size,
-    exponent_rows,
+    exponent_columns,
     jep_exponent,
     lambda_for_rates,
     moderate_constants,
@@ -201,11 +203,11 @@ ASYMPTOTICS_COLUMNS = [
 ]
 
 
-def cmd_asymptotics(cp, args) -> tuple[list[dict], list[str]]:
+def cmd_asymptotics(cp, args) -> tuple[dict[str, list], list[str]]:
     source = _source(cp)
     d1, d2 = (_get(cp, "distortion", k) for k in ("d1", "d2"))
     r1s, r2s = _rate_axes(cp)
-    extra = {}
+    extra = dict.fromkeys(ASYMPTOTICS_COLUMNS[16:])  # None where a section is absent
     columns = ASYMPTOTICS_COLUMNS[:16]
     if cp.has_section("second_order"):
         so = partial(_get, cp, "second_order")
@@ -224,10 +226,8 @@ def cmd_asymptotics(cp, args) -> tuple[list[dict], list[str]]:
         v_jep, v1, v2 = moderate_constants(source, mq)
         extra.update(v_jep=v_jep, v1=v1, v2=v2)
         columns = ASYMPTOTICS_COLUMNS
-    rows = exponent_rows(source, r1s, r2s, d1, d2)
-    for row in rows:
-        row.update(extra)
-    return rows, columns
+    table = exponent_columns(source, r1s, r2s, d1, d2)
+    return table | {c: [extra[c]] * len(table["r1"]) for c in columns[16:]}, columns
 
 
 SIMULATE_COLUMNS = [
@@ -288,7 +288,7 @@ def _scheme_points(cp, source) -> list[tuple[SchemeConfig, dict]]:
     return points
 
 
-def cmd_simulate(cp, args) -> tuple[list[dict], list[str]]:
+def cmd_simulate(cp, args) -> tuple[dict[str, list], list[str]]:
     source = _source(cp)
     sim = partial(_get, cp, "simulate")
     mode = sim("mode", "scheme")
@@ -341,7 +341,7 @@ def cmd_simulate(cp, args) -> tuple[list[dict], list[str]]:
                 "trials": trials, "seed": seed,
                 "estimate": est, "lo": lo, "hi": hi, "pred_rate": pred,
             })
-        return rows, PSIPHI_COLUMNS
+        return report.transpose(rows, PSIPHI_COLUMNS), PSIPHI_COLUMNS
 
     rows = []
     for i, (cfg, extra) in enumerate(points):
@@ -364,7 +364,7 @@ def cmd_simulate(cp, args) -> tuple[list[dict], list[str]]:
             # an over-budget run is refused up front, never truncated
             "partial": False, **extra,
         })
-    return rows, SIMULATE_COLUMNS
+    return report.transpose(rows, SIMULATE_COLUMNS), SIMULATE_COLUMNS
 
 
 EXPONENT_GRID_COLUMNS = [
@@ -379,22 +379,26 @@ _GRID_AT_R1_ZERO = dict.fromkeys(("jep_exponent", "l1_exponent", "sep_e1", "sep_
     "jep_positive": False, "l1_case": "iii"}
 
 
-def cmd_exponent_grid(cp, args) -> tuple[list[dict], list[str]]:
+def cmd_exponent_grid(cp, args) -> tuple[dict[str, list], list[str]]:
     source = _source(cp)
     d1, d2 = (_get(cp, "distortion", k) for k in ("d1", "d2"))
     r1s, r2s = _rate_axes(cp)
-    columns = EXPONENT_GRID_COLUMNS[:-1]
-    rows = []
-    for point in exponent_rows(source, r1s, r2s, d1, d2):
-        if point["r1"] == 0:
-            point.update(_GRID_AT_R1_ZERO)
-        rows.append({c: point[c] for c in columns})
-    # mark the edge of the zero set: zero cells adjacent to a positive cell
-    jep, m = [row["jep_exponent"] for row in rows], len(r2s)
-    for k, row in enumerate(rows):
-        near = (k - m, k + m, k - 1 if k % m else -1, k + 1 if (k + 1) % m else -1)
-        row["zero_edge"] = jep[k] == 0.0 and any(0 <= i < len(jep) and jep[i] > 0.0 for i in near)
-    return rows, EXPONENT_GRID_COLUMNS
+    table, m = exponent_columns(source, r1s, r2s, d1, d2), len(r2s)
+    for i in np.flatnonzero(np.array(r1s) == 0):
+        for c, value in _GRID_AT_R1_ZERO.items():
+            table[c][i * m:(i + 1) * m] = [value] * m
+    table["zero_edge"] = _zero_edge(table["jep_exponent"], m)
+    return table, EXPONENT_GRID_COLUMNS
+
+
+def _zero_edge(jep: list[float], m: int) -> list[bool]:
+    """The edge of the zero set of an r1-major grid with m columns: the zero
+    cells with a positive cell above, below, left or right of them."""
+    grid = np.array(jep, dtype=float).reshape(-1, m)
+    positive = np.zeros((len(grid) + 2, m + 2), dtype=bool)  # a zero border
+    positive[1:-1, 1:-1] = grid > 0.0
+    near = positive[:-2, 1:-1] | positive[2:, 1:-1] | positive[1:-1, :-2] | positive[1:-1, 2:]
+    return ((grid == 0.0) & near).ravel().tolist()
 
 
 COMPARE_COLUMNS = [
@@ -404,7 +408,7 @@ COMPARE_COLUMNS = [
 ]
 
 
-def cmd_compare(cp, args) -> tuple[list[dict], list[str]]:
+def cmd_compare(cp, args) -> tuple[dict[str, list], list[str]]:
     sim_path = _get(cp, "compare", "simulation")
     if not sim_path:
         raise ConfigError("compare requires simulation = <path to a simulate report>")
@@ -473,7 +477,7 @@ def cmd_compare(cp, args) -> tuple[list[dict], list[str]]:
             ),
         )
     rows.append(slope_row)
-    return rows, COMPARE_COLUMNS
+    return report.transpose(rows, COMPARE_COLUMNS), COMPARE_COLUMNS
 
 
 def main(argv=None) -> int:
@@ -499,8 +503,8 @@ def main(argv=None) -> int:
 
     try:
         cp = _load(args.config)
-        rows, columns = handlers[args.command](cp, args)
-        report.write(rows, columns, args.format, args.out)
+        table, columns = handlers[args.command](cp, args)
+        report.write(table, columns, args.format, args.out)
     except BudgetError as exc:
         print(f"budget refusal: {exc}", file=sys.stderr)
         return 4

@@ -1,9 +1,11 @@
 """Report serialization with a byte-stable numeric policy.
 
-CSV uses '.' decimals, no thousands separators, 12 significant digits;
-JSON mirrors the same rows and column order with floats passed through the
-same 12-digit formatting.  Nothing time- or host-dependent is ever emitted,
-so a report is a pure function of (config, seed).
+A report is a table, one equal-length list per column, rendered column by
+column; :func:`transpose` makes one from rows.  CSV uses '.' decimals, no
+thousands separators, 12 significant digits; JSON mirrors the same rows
+and column order with floats passed through the same 12-digit formatting.
+Nothing time- or host-dependent is ever emitted, so a report is a pure
+function of (config, seed).
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from itertools import chain
 from typing import Sequence
 
 from .errors import ConfigError
@@ -45,28 +48,43 @@ def _json_value(v):
     return v
 
 
-def render(rows: Sequence[dict], columns: Sequence[str], fmt: str) -> str:
-    """Render rows (dicts keyed by column) to a csv or json string."""
-    for row in rows:
-        missing = set(row) - set(columns)
-        if missing:
-            raise ConfigError(f"row carries unknown columns {sorted(missing)}")
+def transpose(rows: Sequence[dict], columns: Sequence[str]) -> dict[str, list]:
+    """Rows (dicts keyed by column) as a table, one list per column; a cell
+    a row leaves out is None, and a key outside ``columns`` is refused."""
+    unknown = set().union(*rows) - set(columns)
+    if unknown:
+        raise ConfigError(f"row carries unknown columns {sorted(unknown)}")
+    return {c: [row.get(c) for row in rows] for c in columns}
+
+
+def _csv_column(col: list) -> tuple[str, list]:
+    """(format spec, values) that print a column's cells as format_value
+    does: floats go to %.12g as they are, any other column as strings."""
+    kinds = set(map(type, col))
+    if kinds <= {float}:
+        return "%.12g", col
+    if kinds == {bool}:
+        return "%s", ["true" if v else "false" for v in col]
+    return "%s", list(map(format_value, col))
+
+
+def render(table: dict[str, list], columns: Sequence[str], fmt: str) -> str:
+    """Render the ``columns`` of a table (one equal-length list per column,
+    see :func:`transpose`) to csv, one format call over all cells, or json."""
+    cols = [table[c] for c in columns]
     if fmt == "csv":
-        lines = [",".join(columns)]
-        for row in rows:
-            lines.append(",".join(format_value(row.get(c)) for c in columns))
-        return "\n".join(lines) + "\n"
+        specs, values = zip(*map(_csv_column, cols))
+        body = ((",".join(specs) + "\n") * len(cols[0])) % tuple(chain.from_iterable(zip(*values)))
+        return ",".join(columns) + "\n" + body
     if fmt == "json":
-        payload = {
-            "columns": list(columns),
-            "rows": [{c: _json_value(row.get(c)) for c in columns} for row in rows],
-        }
+        cells = zip(*(map(_json_value, col) for col in cols))
+        payload = {"columns": list(columns), "rows": [dict(zip(columns, row)) for row in cells]}
         return json.dumps(payload, indent=2) + "\n"
     raise ConfigError(f"format must be 'csv' or 'json', got {fmt!r}")
 
 
-def write(rows: Sequence[dict], columns: Sequence[str], fmt: str, out: str | None) -> None:
-    text = render(rows, columns, fmt)
+def write(table: dict[str, list], columns: Sequence[str], fmt: str, out: str | None) -> None:
+    text = render(table, columns, fmt)
     if out is None:
         sys.stdout.write(text)
     else:

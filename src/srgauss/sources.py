@@ -242,7 +242,13 @@ def discrete(values: Sequence[float], probs: Sequence[float]) -> SourceSpec:
     w = (ps[keep] / math.fsum(ps[keep].tolist())).tolist()
     logw = [math.log(q) for q in w]
     x2 = v2p.tolist()
-    w_row, logw_row = np.array(w), np.array(logw)
+    w_row = np.array(w)
+    # the array cgf calls expm1 once per distinct x^2 and exp once per
+    # distinct (log w, x^2) pair, and gathers the terms back per atom
+    x2_ids, pair_ids = {}, {}
+    x2_of = np.array([x2_ids.setdefault(x, len(x2_ids)) for x in x2])
+    pair_of = np.array([pair_ids.setdefault(p, len(pair_ids)) for p in zip(logw, x2)])
+    x2_set, pairs = np.array(list(x2_ids)), np.array(list(pair_ids))
 
     def _mgf(theta: float) -> float:
         if abs(theta) * x2_max <= 1.0:
@@ -254,11 +260,11 @@ def discrete(values: Sequence[float], probs: Sequence[float]) -> SourceSpec:
     def _mgfs(thetas: np.ndarray) -> np.ndarray:
         out = np.empty(len(thetas))
         small = np.abs(thetas) * x2_max <= 1.0
-        terms = w_row * _elementwise(math.expm1, thetas[small, None] * v2p)
-        out[small] = _elementwise(math.log1p, _row_fsums(terms))
-        a = logw_row + thetas[~small, None] * v2p
+        expm1s = _elementwise(math.expm1, thetas[small, None] * x2_set)
+        out[small] = _elementwise(math.log1p, _row_fsums(w_row * expm1s[:, x2_of]))
+        a = pairs[:, 0] + thetas[~small, None] * pairs[:, 1]
         a_max = a.max(axis=1)
-        sums = _row_fsums(_elementwise(math.exp, a - a_max[:, None]))
+        sums = _row_fsums(_elementwise(math.exp, a - a_max[:, None])[:, pair_of])
         out[~small] = a_max + _elementwise(math.log, sums)
         return out
 

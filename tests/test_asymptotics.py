@@ -519,8 +519,8 @@ class TestMemos:
         assert a.value != b.value
         # the grid evaluator, one source after the other
         for src, want in ((GAUSSIAN_CGF, a), (point_mass_cgf, b)):
-            row, = asymptotics.exponent_rows(src, [0.8], [0.2], 0.5, 0.25)
-            assert (row["alpha_star"], row["jep_exponent"]) == (alpha, want.value)
+            table = asymptotics.exponent_columns(src, [0.8], [0.2], 0.5, 0.25)
+            assert (table["alpha_star"], table["jep_exponent"]) == ([alpha], [want.value])
 
 
 # --- frozen oracle ----------------------------------------------------------
@@ -598,6 +598,16 @@ def _oracle_point(source, q):
     return point
 
 
+def _cell(table, k):
+    """Cell k of an exponent_columns table, keyed as exponent_point keys a
+    point: at r1 = 0 the exponent columns hold None and are left out."""
+    cell = {c: col[k] for c, col in table.items()}
+    if cell["r1"] == 0:
+        tail = list(cell)[5:]
+        assert [cell.pop(c) for c in tail] == [None] * len(tail)
+    return cell
+
+
 def _edge_axes(sigma2, d1, d2):
     """A 25-point axis on [0, 1.2] for each rate, plus the rates where a case
     or the region changes and their neighbouring floats: r1 at the layer-1
@@ -620,7 +630,7 @@ def _edge_axes(sigma2, d1, d2):
 
 
 class TestGridEvaluatorAgainstOracle:
-    """exponent_rows, exponent_point and the four calculators against the
+    """exponent_columns, exponent_point and the four calculators against the
     frozen oracle, with ==, on every cell of a grid that holds the edge rates."""
 
     # two_point puts the rate batch on t > x2_max, gaussian_cgf on a
@@ -633,10 +643,11 @@ class TestGridEvaluatorAgainstOracle:
         src = {**FAMILIES, "gaussian_cgf": GAUSSIAN_CGF}[family]
         r1s, r2s, floor2 = _edge_axes(src.sigma2, d1, d2)
         assert 0.0 in r1s and 0.0 in r2s and floor2 in r2s
-        rows = asymptotics.exponent_rows(src, r1s, r2s, d1, d2)
-        assert len(rows) == len(r1s) * len(r2s)
+        table = asymptotics.exponent_columns(src, r1s, r2s, d1, d2)
+        assert {len(col) for col in table.values()} == {len(r1s) * len(r2s)}
         cases = set()
-        for row, (r1, r2) in zip(rows, [(a, b) for a in r1s for b in r2s]):
+        for k, (r1, r2) in enumerate([(a, b) for a in r1s for b in r2s]):
+            row = _cell(table, k)
             q = rq(r1, r2, sigma2=src.sigma2, d1=d1, d2=d2)
             want = _oracle_point(src, q)
             assert row == want, (r1, r2)
@@ -672,25 +683,25 @@ class TestGridEvaluatorAgainstOracle:
             ([0.5, math.inf], [0.2, -0.3], (0.5, -0.3)),
         ]:
             with pytest.raises(ConfigError) as err:
-                asymptotics.exponent_rows(GMS, r1s, r2s, 0.5, 0.25)
+                asymptotics.exponent_columns(GMS, r1s, r2s, 0.5, 0.25)
             assert str(err.value) == f"requires finite r1, r2 >= 0, got ({bad[0]}, {bad[1]})"
             # the message a RateQuery of that pair gives
             with pytest.raises(ConfigError) as one:
                 rq(*bad)
             assert str(one.value) == str(err.value)
         with pytest.raises(ConfigError, match="requires sigma2 > d1 > d2 > 0"):
-            asymptotics.exponent_rows(GMS, [0.5], [0.2], 0.25, 0.25)
+            asymptotics.exponent_columns(GMS, [0.5], [0.2], 0.25, 0.25)
 
     def test_refuses_the_first_rate_above_300_nats(self):
         top = math.nextafter(300.0, math.inf)
-        assert len(asymptotics.exponent_rows(GMS, [300.0], [0.2, 300.0], 0.5, 0.25)) == 2
+        assert len(asymptotics.exponent_columns(GMS, [300.0], [0.2, 300.0], 0.5, 0.25)["r1"]) == 2
         for r1s, r2s, bad in [
             ([0.5, 400.0], [0.2, top], (0.5, top)),
             ([0.5, 1e300], [0.2, 0.3], (1e300, 0.2)),
             ([top], [400.0], (top, 400.0)),
         ]:
             with pytest.raises(ConfigError) as err:
-                asymptotics.exponent_rows(GMS, r1s, r2s, 0.5, 0.25)
+                asymptotics.exponent_columns(GMS, r1s, r2s, 0.5, 0.25)
             assert str(err.value) == f"requires r1, r2 <= 300 nats, got ({bad[0]}, {bad[1]})"
             with pytest.raises(ConfigError) as one:
                 rq(*bad)
@@ -698,7 +709,31 @@ class TestGridEvaluatorAgainstOracle:
         # a non-finite or negative rate is named first, even behind a rate
         # above the bound
         with pytest.raises(ConfigError, match=r"requires finite r1, r2 >= 0, got \(400.0, -1.0\)"):
-            asymptotics.exponent_rows(GMS, [400.0, 0.5], [0.2, -1.0], 0.5, 0.25)
+            asymptotics.exponent_columns(GMS, [400.0, 0.5], [0.2, -1.0], 0.5, 0.25)
+
+
+@pytest.mark.parametrize("family", ["gaussian", "uniform", "discrete"])
+def test_exponent_columns_are_exponent_point_cell_by_cell(family):
+    """Every cell of exponent_columns equals exponent_point at its pair, in
+    value and in exact Python type: a numpy scalar in a column (an np.bool_
+    prints True, not true) fails here."""
+    src = FAMILIES[family]
+    d1, d2 = 0.5, 0.25
+    edge1, branch = 0.5 * math.log(src.sigma2 / d1), 0.5 * math.log(d1 / d2)
+    floor2 = asymptotics._layer2_floor(d1, d2)
+    r1s = [0.0, 0.2, edge1, 0.6, 1.1]
+    r2s = [0.0, floor2 / 2, (floor2 + branch) / 2, branch, 0.6, 1.0]
+    table = asymptotics.exponent_columns(src, r1s, r2s, d1, d2)
+    seen = set()
+    for k, (r1, r2) in enumerate([(a, b) for a in r1s for b in r2s]):
+        point = exponent_point(src, rq(r1, r2, sigma2=src.sigma2, d1=d1, d2=d2))
+        assert list(point) == list(table)[:len(point)] and len(point) == (16 if r1 else 5)
+        for c, col in table.items():
+            got, want = col[k], point.get(c)
+            assert type(got) is type(want) and got == want, (r1, r2, c)
+            assert type(got) in (float, bool, str, type(None)), (r1, r2, c)
+        seen |= {point["region"], point.get("l1_case"), point.get("sep_case")}
+    assert seen == {"outside", "boundary", "inside", "i", "ii", "iii", "low_r2", "high_r2", None}
 
 
 def test_closed_form_grid_matches_the_brent_loop(monkeypatch):
@@ -722,7 +757,7 @@ def test_closed_form_grid_matches_the_brent_loop(monkeypatch):
     grids = []
     for src in (GMS, GAUSSIAN_CGF):
         seen.update(dict.fromkeys(kernels, 0))
-        grids.append(asymptotics.exponent_rows(src, r1s, r2s, 0.5, 0.25))
+        grids.append(asymptotics.exponent_columns(src, r1s, r2s, 0.5, 0.25))
         # 59 column radii plus 5,182 batched cell radii: the 5,241 inversions
         # (tests/test_cli.py::test_kernel_work_per_benchmark_grid); the
         # 5,183 distinct cell radii take their rate functions in one batch
@@ -730,10 +765,10 @@ def test_closed_form_grid_matches_the_brent_loop(monkeypatch):
                         "rate_function_x2": 0, "rate_functions_x2": 5183,
                         "iid_nonexcess_exponent": 172}
     exponents = ("jep_exponent", "l1_exponent", "sep_e1", "sep_e2")
-    for closed, brent in zip(*grids):
-        assert list(closed) == list(brent)
-        for key in closed:
-            if key in exponents:
-                assert closed[key] == pytest.approx(brent[key], rel=5e-12, abs=0.0), key
-            else:
-                assert closed[key] == brent[key], key
+    closed, brent = grids
+    assert list(closed) == list(brent)
+    for key in closed:
+        if key in exponents:
+            assert closed[key] == pytest.approx(brent[key], rel=5e-12, abs=0.0), key
+        else:
+            assert closed[key] == brent[key], key

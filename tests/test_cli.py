@@ -1,6 +1,7 @@
 """Command-line contracts: exit codes, schema stability, byte determinism,
 golden files on fixed seeds."""
 
+import hashlib
 import json
 import math
 import os
@@ -10,6 +11,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from srgauss import report, sources
@@ -21,8 +23,10 @@ from srgauss.cli import (
     EXPONENT_GRID_COLUMNS,
     PSIPHI_COLUMNS,
     SIMULATE_COLUMNS,
+    _zero_edge,
     main,
 )
+from srgauss.errors import ConfigError
 from srgauss.report import read_report
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -141,6 +145,29 @@ r2_steps = 20
             pts.sort()
             vals = [v for _, v in pts]
             assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("sections", ["", "second_order", "moderate"])
+    def test_an_absent_optional_section_prints_empty_cells(self, tmp_path, fmt, sections):
+        """With one optional section or none, each row is the full report's
+        row: its listed columns carry the same cells, and a column of an
+        absent section that a later section lists (second order, when only
+        [moderate] is given) prints empty."""
+        text = {"": "", "second_order": FULL_SECTIONS.split("[moderate]")[0],
+                "moderate": "[moderate]" + FULL_SECTIONS.split("[moderate]")[1]}[sections]
+        full, part = tmp_path / f"full.{fmt}", tmp_path / f"part.{fmt}"
+        for out, extra in ((full, FULL_SECTIONS), (part, text)):
+            cfg = write_config(tmp_path, BASE + SMALL_AXES + extra)
+            assert main(["asymptotics", "--config", cfg, "--format", fmt, "--out", str(out)]) == 0
+        columns = {"": ASYMPTOTICS_COLUMNS[:16], "second_order": ASYMPTOTICS_COLUMNS[:21],
+                   "moderate": ASYMPTOTICS_COLUMNS}[sections]
+        absent = ASYMPTOTICS_COLUMNS[16:21] if sections == "moderate" else []
+        expected = [{c: None if c in absent else row[c] for c in columns}
+                    for row in read_report(str(full))]
+        assert read_report(str(part)) == expected
+        header = part.read_text().splitlines()[0] if fmt == "csv" else (
+            json.loads(part.read_text())["columns"])
+        assert header == (",".join(columns) if fmt == "csv" else columns)
 
     def test_malformed_config_exit_2(self, tmp_path, capsys):
         cfg = write_config(
@@ -412,8 +439,9 @@ def test_start_up_leaves_out_the_optimizer(tmp_path):
 
 def test_report_writes_infinities():
     rows, columns = [{"a": math.inf, "b": -math.inf}], ["a", "b"]
-    assert report.render(rows, columns, "csv") == "a,b\ninf,-inf\n"
-    assert json.loads(report.render(rows, columns, "json"))["rows"] == [{"a": "inf", "b": "-inf"}]
+    table = report.transpose(rows, columns)
+    assert report.render(table, columns, "csv") == "a,b\ninf,-inf\n"
+    assert json.loads(report.render(table, columns, "json"))["rows"] == [{"a": "inf", "b": "-inf"}]
 
 
 @pytest.mark.parametrize("case", ["out-dir-missing", "compare-simulation-missing"])
@@ -743,6 +771,106 @@ def test_kernel_work_per_benchmark_grid(tmp_path, monkeypatch, grid, counts):
     assert seen == counts
     inversions = {"gaussian": 5241, "discrete": 546}[grid]
     assert seen["invert_iid_exponent"] + seen["invert_iid_exponents"] == inversions
+
+
+# SHA-256 of the exponent-grid report of each benchmark grid, pinned when
+# the grid evaluator and the renderer went column by column; a change that
+# moves a printed digit on purpose updates them
+BENCH_GRID_SHA256 = {
+    ("gaussian", "csv"): "3c4b2598ae8273d74487fe7d9ad77fb4de7ba62002581c941b6581375691cd61",
+    ("gaussian", "json"): "7af436fe228a06c84992e1693690d3d7d30da2dd13b9ddb0e98cd734817302b8",
+    ("discrete", "csv"): "573e59af524c555cb887127fa4c8f413f1eb4d8cab2ebd0ac2bcb4d83cd1ec9d",
+    ("discrete", "json"): "b400bfd3724443ae224689fa2ad55d5f9aacc99c4c76d525cd02a30af577b412",
+}
+
+
+@pytest.mark.parametrize("grid, fmt", list(BENCH_GRID_SHA256))
+def test_benchmark_grid_reports_are_pinned(tmp_path, grid, fmt):
+    cfg = write_config(tmp_path, BENCH_GRIDS[grid])
+    out = tmp_path / f"grid.{fmt}"
+    assert main(["exponent-grid", "--config", cfg, "--format", fmt, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == BENCH_GRID_SHA256[grid, fmt]
+
+
+def _render_by_row(rows, columns, fmt):
+    """The row-by-row renderer the columnar one replaced, cell by cell
+    through format_value and _json_value."""
+    if fmt == "csv":
+        lines = [",".join(columns)]
+        lines += [",".join(report.format_value(row.get(c)) for c in columns) for row in rows]
+        return "\n".join(lines) + "\n"
+    payload = {"columns": list(columns),
+               "rows": [{c: report._json_value(row.get(c)) for c in columns} for row in rows]}
+    return json.dumps(payload, indent=2) + "\n"
+
+
+class TestColumnarRenderer:
+    FLOATS = [1.0, 0.1, -0.0, 0.0, 1e-300, -1e-300, 5e-324, 1e20, 123456789.123456789,
+              -2.5, math.nan, math.inf, -math.inf, -math.nan, 2.0 / 3.0]
+    MIXED = [1.5, math.nan, np.float64(0.1), np.float64(-math.inf), 7, -3, True, False,
+             None, "inside", "", -0.0, 1e-300, np.float64(-0.0), math.inf, 2**70]
+
+    def table_rows(self):
+        n = len(self.FLOATS)
+        cols = {
+            "floats": self.FLOATS,
+            "np_floats": [np.float64(v) for v in self.FLOATS],
+            "floats_and_none": [None if k % 4 == 1 else v for k, v in enumerate(self.FLOATS)],
+            "ints": list(range(-7, n - 8)) + [10**13],
+            "bools": [k % 3 == 0 for k in range(n)],
+            "bools_and_none": [None if k % 5 == 2 else k % 2 == 0 for k in range(n)],
+            "nones": [None] * n,
+            "strs": ["outside", "boundary", "inside", "iii", "low_r2"] * (n // 5),
+            "mixed": self.MIXED[:n],
+        }
+        return [{c: col[k] for c, col in cols.items()} for k in range(n)], list(cols)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_renders_what_the_cells_render(self, fmt):
+        rows, columns = self.table_rows()
+        assert report.render(report.transpose(rows, columns), columns, fmt) == (
+            _render_by_row(rows, columns, fmt))
+        # a row that leaves out a column renders it empty; no rows, a header
+        short = rows[:3] + [{"floats": 1.0}]
+        assert report.render(report.transpose(short, columns), columns, fmt) == (
+            _render_by_row(short, columns, fmt))
+        assert report.render(report.transpose([], columns), columns, fmt) == (
+            _render_by_row([], columns, fmt))
+
+    def test_a_float_column_goes_to_the_format_call_as_it_is(self):
+        # every float (nan and both infinities too) prints as format_value prints it
+        spec, values = report._csv_column(self.FLOATS)
+        assert values is self.FLOATS
+        assert [spec % v for v in values] == [report.format_value(v) for v in self.FLOATS]
+        # a cell that holds a format spec is not read as one
+        assert report.render({"a": ["%s", "%%"], "b": [1.5, 2.0]}, ["a", "b"], "csv") == (
+            "a,b\n%s,1.5\n%%,2\n")
+
+    def test_a_row_with_an_unknown_key_is_refused(self):
+        rows = [{"a": 1.0}, {"a": 2.0, "zeta": 3.0, "b": None}]
+        with pytest.raises(ConfigError, match=r"row carries unknown columns \['zeta'\]"):
+            report.transpose(rows, ["a", "b"])
+
+
+def _zero_edge_by_cell(jep, m):
+    """The per-cell neighbour rule cmd_exponent_grid applied before the
+    columnar one."""
+    edges = []
+    for k in range(len(jep)):
+        near = (k - m, k + m, k - 1 if k % m else -1, k + 1 if (k + 1) % m else -1)
+        edges.append(jep[k] == 0.0 and any(0 <= i < len(jep) and jep[i] > 0.0 for i in near))
+    return edges
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (5, 7)])
+def test_zero_edge_is_the_per_cell_rule(shape):
+    rng = np.random.default_rng(sum(shape))
+    values = [0.0, -0.0, 0.25, 1e-300, math.nan, math.inf]
+    for _ in range(200):
+        jep = [values[k] for k in rng.integers(0, len(values), shape[0] * shape[1])]
+        edge = _zero_edge(jep, shape[1])
+        assert edge == _zero_edge_by_cell(jep, shape[1])
+        assert {type(v) for v in edge} == {bool}
 
 
 class TestCompareCommand:

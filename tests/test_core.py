@@ -950,9 +950,10 @@ class TestInvertBatch:
         roots = invert_iid_exponents([], [], [])
         assert roots.dtype == np.float64 and roots.shape == (0,)
         # a grid whose r1s are all 0 inverts no cell radius
-        rows = asymptotics.exponent_rows(sources.gaussian(1.0), [0.0], [0.0, 0.5], 0.5, 0.25)
-        assert rows == [asymptotics.exponent_point(
-            sources.gaussian(1.0), asymptotics.RateQuery(0.0, r2, 1.0, 0.5, 0.25)) for r2 in (0.0, 0.5)]
+        table = asymptotics.exponent_columns(sources.gaussian(1.0), [0.0], [0.0, 0.5], 0.5, 0.25)
+        points = [asymptotics.exponent_point(sources.gaussian(1.0), asymptotics.RateQuery(
+            0.0, r2, 1.0, 0.5, 0.25)) for r2 in (0.0, 0.5)]
+        assert table == {c: [point.get(c) for point in points] for c in table}
 
     @pytest.mark.parametrize("bad", [
         *[tuple(v if k == i else 0.5 for k in range(3))
@@ -1160,6 +1161,9 @@ class TestRateBatch:
         (range(10), [0.1] * 10),
         ([0.0, 1.0, 5.0], [0.5, 0.5, 0.0]),
         ([3.0], [1.0]),
+        # shared x^2 with other weights, and a repeated (weight, x^2) atom
+        ([-1.0, 1.0, 2.0, -2.0], [0.1, 0.4, 0.2, 0.3]),
+        ([1.0, 1.0, -1.0, 0.5], [0.25, 0.25, 0.375, 0.125]),
     ])
     def test_discrete_array_cgf_equals_its_scalar_cgf(self, values, probs):
         spec = sources.discrete(values, probs)
