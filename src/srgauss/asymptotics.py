@@ -78,16 +78,19 @@ def _covering_radius(rate: float, p: float, d: float) -> float:
     return invert_iid_exponent(rate, p, d)
 
 
-def _covering_radii(keys: np.ndarray) -> np.ndarray:
-    """:func:`_covering_radius` of every (rate, p, d) row of ``keys``, the
-    floor once per distinct (p, d) pair and the inversions above it in one
+def _covering_radii(rates: np.ndarray, pairs: np.ndarray, pair: np.ndarray) -> np.ndarray:
+    """:func:`_covering_radius` of every rate against its (p, d) row of
+    ``pairs`` (rates[k] against row pair[k]), the floor once per row some
+    rate uses and the inversions above it in one
     :func:`invert_iid_exponents` batch."""
-    pairs, pair = _first_unique(keys[:, 1:])
+    used = np.zeros(len(pairs), dtype=bool)
+    used[pair] = True
     w_min = np.maximum(pairs[:, 1] - pairs[:, 0], 0.0)
-    floors = np.array([iid_nonexcess_exponent(w, p, d)
-                       for w, (p, d) in zip(w_min.tolist(), pairs.tolist())])
-    radii, above = w_min[pair], keys[:, 0] > floors[pair]
-    radii[above] = invert_iid_exponents(*keys[above].T)
+    floors = np.zeros(len(pairs))  # read only where used
+    floors[used] = [iid_nonexcess_exponent(w, p, d)
+                    for w, (p, d) in zip(w_min[used].tolist(), pairs[used].tolist())]
+    radii, above = w_min[pair], rates > floors[pair]
+    radii[above] = invert_iid_exponents(rates[above], *pairs[pair[above]].T)
     return radii
 
 
@@ -109,13 +112,25 @@ class RateQuery:
 def _check_rates(r1s, r2s) -> None:
     """Refuse the first rate pair, in row-major order, not finite and >= 0,
     then the first with a rate above _MAX_RATE."""
-    bad = next(((a, b) for a in r1s for b in r2s
-                if not (0 <= a < math.inf and 0 <= b < math.inf)), None)
+    bad = _first_pair(r1s, r2s, lambda v: not 0 <= v < math.inf)
     if bad:
         raise ConfigError(f"requires finite r1, r2 >= 0, got ({bad[0]}, {bad[1]})")
-    big = next(((a, b) for a in r1s for b in r2s if max(a, b) > _MAX_RATE), None)
+    big = _first_pair(r1s, r2s, lambda v: v > _MAX_RATE)
     if big:
         raise ConfigError(f"requires r1, r2 <= {_MAX_RATE:g} nats, got ({big[0]}, {big[1]})")
+
+
+def _first_pair(r1s, r2s, bad) -> tuple | None:
+    """The first (r1, r2) pair of the grid, in row-major order, with a bad
+    rate, from the first bad rate of each axis: row r1s[0] holds it unless
+    r1s[0] and every r2 are good."""
+    if not (len(r1s) and len(r2s)):
+        return None
+    i = next((k for k, a in enumerate(r1s) if bad(a)), None)
+    j = next((k for k, b in enumerate(r2s) if bad(b)), None)
+    if j is None or i == 0:
+        return None if i is None else (r1s[i], r2s[0])
+    return r1s[0], r2s[j]
 
 
 @dataclass(frozen=True)
@@ -287,12 +302,25 @@ def _first_unique(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.frombuffer(b"".join(first)).reshape(-1, a.shape[1]), np.array(index, dtype=np.intp)
 
 
+def _distinct_pairs(rows: np.ndarray, cols: np.ndarray, shape) -> tuple:
+    """The distinct (row, col) pairs of two index arrays into a table of
+    ``shape``, row by row, and the index of each pair among them; its
+    scratch tables are freed before the grid's kernel batches run."""
+    used = np.zeros(shape, dtype=bool)
+    used[rows, cols] = True
+    key_row, key_col = np.nonzero(used)
+    slot = np.zeros(shape, dtype=np.intp)
+    slot[key_row, key_col] = np.arange(len(key_row))
+    return key_row, key_col, slot[rows, cols]
+
+
 def _columns(source: SourceSpec, sigma2, d1, d2, r1s, r2s, batch: bool) -> dict[str, list]:
     """The evaluator behind :func:`exponent_columns` (``batch``) and
     :func:`exponent_point` on an (r1, r2) array of cells.  Every cell with
     r1 > 0 has an (r1, p, target) key for layer 1, for layer 2 and, above
-    its threshold, for the fixed split; each distinct key, in order of
-    first appearance, gets its radius and rate once."""
+    its threshold, for the fixed split, held as (r1 index, column pair
+    index) over the distinct r1s and the distinct (p, target) pairs of the
+    r2 columns; each distinct key gets its radius and rate once."""
     _check_distortions(sigma2, d1, d2)
     branch = 0.5 * math.log(d1 / d2)
     floor2, p_y1 = _layer2_floor(d1, d2), sigma2 - d1
@@ -305,15 +333,21 @@ def _columns(source: SourceSpec, sigma2, d1, d2, r1s, r2s, batch: bool) -> dict[
     shape, r1 = region.shape, np.array(r1s, dtype=float)[:, None]
     pos, above = r1 > 0, r1 > threshold  # above: else case iii
     kinds = [(p_y, d1), (p_y, target2), (p_y1, target)]  # layer 1, layer 2, the fixed split
-    keys = np.stack([np.stack(np.broadcast_arrays(r1, p, t), axis=-1) for p, t in kinds], axis=2)
+    pairs, pair = _first_unique(
+        np.stack([np.stack(np.broadcast_arrays(p, t), axis=-1) for p, t in kinds], axis=1)
+        .reshape(-1, 2))
+    rates, row = _first_unique(r1)
     valid = np.stack(np.broadcast_arrays(pos, pos, pos & above), axis=2)
-    distinct, index = _first_unique(keys[valid])
+    key_row, key_pair, index = _distinct_pairs(  # the distinct keys and each valid cell's
+        *(a[valid] for a in np.broadcast_arrays(row[:, None, None], pair.reshape(1, -1, 3))),
+        (len(rates), len(pairs)))
     if batch:  # the rate of every distinct radius once
-        alpha = _covering_radii(distinct)
+        alpha = _covering_radii(rates[key_row, 0], pairs, key_pair)
         radii, at = _first_unique(alpha[:, None])
         excess = alpha, rate_functions_x2(source, radii[:, 0].tolist())[at]
     else:
-        excess = np.array([_excess(source, *key) for key in distinct.tolist()]).reshape(-1, 2).T
+        excess = np.array([_excess(source, r, p, t) for r, (p, t) in zip(
+            rates[key_row, 0].tolist(), pairs[key_pair].tolist())]).reshape(-1, 2).T
     alpha, rate = np.full((2,) + valid.shape, np.nan)
     alpha[valid], rate[valid] = (v[index] for v in excess)
     # layer 2 binds the joint exponent at or below the branch rate, layer 1 above it

@@ -34,7 +34,7 @@ _INVERT_RTOL = 1e-12  # relative tolerance of invert_iid_exponent's root
 _SQRT_EPS = math.sqrt(2.2e-16)  # Brent's relative x tolerance, as scipy sets it
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 # 1/(2k + 3) for k = 11, ..., 0: Horner coefficients of the atanh series in
-# gaussian_rate_function_x2
+# _atanh_rate
 _ATANH_SERIES = tuple(1.0 / (2 * k + 3) for k in reversed(range(12)))
 
 
@@ -584,8 +584,11 @@ def _rate_lanes(source, t: np.ndarray) -> tuple[np.ndarray, bool]:
     sigma2, theta_max, x2_max = source.sigma2, source.theta_max, source.x2_max
     rate = np.zeros(len(t))
     run = ~(t <= sigma2)
-    if source.family == "gaussian":
-        rate[run] = [gaussian_rate_function_x2(x, sigma2) for x in t[run].tolist()]
+    if source.family == "gaussian":  # gaussian_rate_function_x2 on the lanes
+        u = (t[run] - sigma2) / sigma2
+        lanes, big = _atanh_rate(u), u >= 0.5
+        lanes[big] = [_log1p_rate(x) for x in u[big].tolist()]
+        rate[run] = lanes
         return rate, False
     if theta_max <= 0.0:
         return rate, False
@@ -712,10 +715,17 @@ def gaussian_rate_function_x2(t: float, sigma2: float) -> float:
     if t <= sigma2:
         return 0.0
     u = (t - sigma2) / sigma2  # t - sigma2 is exact for t <= 2*sigma2
-    if u == math.inf:
-        return math.inf
-    if u >= 0.5:
-        return 0.5 * (u - math.log1p(u))
+    return _log1p_rate(u) if u >= 0.5 else _atanh_rate(u)
+
+
+def _log1p_rate(u: float) -> float:
+    """0.5*(u - log1p(u)) for u >= 1/2, +inf at u = inf."""
+    return math.inf if u == math.inf else 0.5 * (u - math.log1p(u))
+
+
+def _atanh_rate(u):
+    """0.5*(u - log1p(u)) for 0 < u < 1/2 by the atanh series, on a float
+    or elementwise on an array: numpy's +, * and / round as Python's do."""
     r = u / (2.0 + u)
     y = r * r
     acc = 0.0

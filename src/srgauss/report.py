@@ -14,6 +14,7 @@ import json
 import math
 import sys
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 from .errors import ConfigError
@@ -59,27 +60,85 @@ def transpose(rows: Sequence[dict], columns: Sequence[str]) -> dict[str, list]:
 
 def _csv_column(col: list) -> tuple[str, list]:
     """(format spec, values) that print a column's cells as format_value
-    does: floats go to %.12g as they are, any other column as strings."""
+    does: floats go to %.12g and strings to %s as they are, any other
+    column as strings."""
     kinds = set(map(type, col))
     if kinds <= {float}:
         return "%.12g", col
+    if kinds == {str}:
+        return "%s", col
     if kinds == {bool}:
         return "%s", ["true" if v else "false" for v in col]
     return "%s", list(map(format_value, col))
 
 
+def _json_floats(col: list) -> list[str]:
+    """A float column's cells as json writes their _json_value: %.12g is
+    already repr's text where it has a '.' and no exponent, any other cell
+    is read back and repr'd, nan and the infinities as strings."""
+    cells = ("%.12g " * len(col) % tuple(col)).split()
+    return [c if "." in c and "e" not in c else _json_float(c) for c in cells]
+
+
+def _json_float(c: str) -> str:
+    c = float.__repr__(float(c))
+    return c if c[-1].isdigit() else f'"{c}"'
+
+
+def _json_dumps(col: list) -> list[str]:
+    """Any column's cells through json.dumps, indented as in a report row."""
+    return [json.dumps(_json_value(v), indent=2).replace("\n", "\n      ") for v in col]
+
+
+_JSON_KINDS = {
+    float: _json_floats,
+    bool: lambda col: ["true" if v else "false" for v in col],
+    str: lambda col: list(map(encode_basestring_ascii, col)),
+    type(None): lambda col: ["null"] * len(col),
+}
+
+
+def _json_column(col: list) -> list[str]:
+    """A column's cells as ``json.dumps(..., indent=2)`` writes their
+    _json_value in a report row: the cells of each kind (finite floats,
+    bools, None and strings in one pass each) as a column of their own,
+    json.dumps itself for any other kind."""
+    kinds = set(map(type, col))
+    if len(kinds) == 1:
+        return _JSON_KINDS.get(kinds.pop(), _json_dumps)(col)
+    out = [""] * len(col)
+    for kind in kinds:
+        at = [k for k, v in enumerate(col) if type(v) is kind]
+        for k, cell in zip(at, _json_column([col[k] for k in at])):
+            out[k] = cell
+    return out
+
+
+def _render_json(cols: list[list], columns: Sequence[str]) -> str:
+    """``json.dumps({"columns": ..., "rows": [one dict per row]}, indent=2)``
+    of a table, one format call over all cells."""
+    if not (cols and cols[0]) or len(set(columns)) < len(columns):  # no cell, or merged keys
+        rows = zip(*(map(_json_value, col) for col in cols))
+        payload = {"columns": list(columns), "rows": [dict(zip(columns, row)) for row in rows]}
+        return json.dumps(payload, indent=2) + "\n"
+    names = [encode_basestring_ascii(c).replace("%", "%%") for c in columns]
+    row = "    {\n" + ",\n".join("      " + n + ": %s" for n in names) + "\n    }"
+    text = ('{\n  "columns": [\n    ' + ",\n    ".join(names) + '\n  ],\n  "rows": [\n'
+            + ",\n".join([row] * len(cols[0])) + "\n  ]\n}\n")
+    return text % tuple(chain.from_iterable(zip(*map(_json_column, cols))))
+
+
 def render(table: dict[str, list], columns: Sequence[str], fmt: str) -> str:
     """Render the ``columns`` of a table (one equal-length list per column,
-    see :func:`transpose`) to csv, one format call over all cells, or json."""
+    see :func:`transpose`) to csv or json, one format call over all cells."""
     cols = [table[c] for c in columns]
     if fmt == "csv":
         specs, values = zip(*map(_csv_column, cols))
-        body = ((",".join(specs) + "\n") * len(cols[0])) % tuple(chain.from_iterable(zip(*values)))
-        return ",".join(columns) + "\n" + body
+        # the header in the format string, so the report is built once
+        text = ",".join(columns).replace("%", "%%") + "\n" + (",".join(specs) + "\n") * len(cols[0])
+        return text % tuple(chain.from_iterable(zip(*values)))
     if fmt == "json":
-        cells = zip(*(map(_json_value, col) for col in cols))
-        payload = {"columns": list(columns), "rows": [dict(zip(columns, row)) for row in cells]}
-        return json.dumps(payload, indent=2) + "\n"
+        return _render_json(cols, columns)
     raise ConfigError(f"format must be 'csv' or 'json', got {fmt!r}")
 
 

@@ -711,6 +711,39 @@ class TestGridEvaluatorAgainstOracle:
         with pytest.raises(ConfigError, match=r"requires finite r1, r2 >= 0, got \(400.0, -1.0\)"):
             asymptotics.exponent_columns(GMS, [400.0, 0.5], [0.2, -1.0], 0.5, 0.25)
 
+    @staticmethod
+    def _pairwise_refusal(r1s, r2s):
+        """The message of the pair-by-pair check the per-axis one replaced:
+        two walks over every (r1, r2) pair in row-major order."""
+        bad = next(((a, b) for a in r1s for b in r2s
+                    if not (0 <= a < math.inf and 0 <= b < math.inf)), None)
+        if bad:
+            return f"requires finite r1, r2 >= 0, got ({bad[0]}, {bad[1]})"
+        big = next(((a, b) for a in r1s for b in r2s if max(a, b) > 300.0), None)
+        if big:
+            return f"requires r1, r2 <= 300 nats, got ({big[0]}, {big[1]})"
+        return None
+
+    def test_refusal_order_matches_the_pairwise_walk(self):
+        def refusal(r1s, r2s):
+            try:
+                asymptotics._check_rates(r1s, r2s)
+            except ConfigError as exc:
+                return str(exc)
+            return None
+
+        # r1s[0] bad and a later r2 bad: the first bad pair is (r1s[0], r2s[0])
+        assert refusal([math.nan, 0.5], [0.2, -1.0]) == (
+            "requires finite r1, r2 >= 0, got (nan, 0.2)")
+        assert refusal([301.0, 0.5], [0.2, 400.0]) == (
+            "requires r1, r2 <= 300 nats, got (301.0, 0.2)")
+        values = [0.0, 0.5, 2.0, math.nan, math.inf, -1.0, 301.0]
+        rng = np.random.default_rng(24)
+        for _ in range(20_000):  # empty axes included
+            r1s, r2s = ([values[k] for k in rng.integers(0, len(values), rng.integers(0, 5))]
+                        for _ in range(2))
+            assert refusal(r1s, r2s) == self._pairwise_refusal(r1s, r2s), (r1s, r2s)
+
 
 @pytest.mark.parametrize("family", ["gaussian", "uniform", "discrete"])
 def test_exponent_columns_are_exponent_point_cell_by_cell(family):

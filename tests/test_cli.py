@@ -846,6 +846,26 @@ class TestColumnarRenderer:
         assert report.render({"a": ["%s", "%%"], "b": [1.5, 2.0]}, ["a", "b"], "csv") == (
             "a,b\n%s,1.5\n%%,2\n")
 
+    def test_json_is_json_dumps_of_the_rows(self):
+        # random tables of every kind of cell, alone and mixed in a column:
+        # floats that %.12g writes as repr does and ones it does not (1.0,
+        # 1.5e13, 5e-324, -0.0), escapes and '%' in cells and names, values
+        # json.dumps indents, a repeated column name, no rows and no columns
+        pool = self.FLOATS + self.MIXED + [1e13, 1.5e13, 1e-5, 2.0000000000001, 1.5e20,
+                                           'q"\\\n', "é%s", "%%", [1, [2.5, "x"]], {"k": (1, None)}]
+        names = ["a", "b%s", "é", 'q"', "r1"]
+        rng = np.random.default_rng(23)
+        for _ in range(2000):
+            columns = [names[k] for k in rng.integers(0, len(names), rng.integers(0, 5))]
+            n, table = int(rng.integers(0, 6)), {}
+            for c in columns:  # one to three kinds of cell per column
+                kinds = rng.choice(len(pool), rng.integers(1, 4))
+                table[c] = [pool[k] for k in rng.choice(kinds, n)]
+            rows = zip(*(map(report._json_value, table[c]) for c in columns))
+            want = json.dumps({"columns": columns, "rows": [dict(zip(columns, r)) for r in rows]},
+                              indent=2) + "\n"
+            assert report.render(table, columns, "json") == want, (table, columns)
+
     def test_a_row_with_an_unknown_key_is_refused(self):
         rows = [{"a": 1.0}, {"a": 2.0, "zeta": 3.0, "b": None}]
         with pytest.raises(ConfigError, match=r"row carries unknown columns \['zeta'\]"):

@@ -754,7 +754,7 @@ def _scipy_invert(target, p, d):
         raise NumericError("no bracket")
     if f(lo) > 0.0:
         return lo
-    return float(brentq(f, lo, hi, xtol=1e-300, rtol=1e-12))
+    return float(brentq(f, lo, hi, xtol=1e-300, rtol=core._INVERT_RTOL))
 
 
 def _outcome(fn, *args):
@@ -1112,6 +1112,23 @@ class TestRateBatch:
         ts = [0.0, math.inf] + [x for e in edges
                                 for x in (math.nextafter(e, 0.0), e, math.nextafter(e, math.inf))]
         self.assert_equal_to_scalar(source, ts)
+
+    def test_gaussian_lanes_are_the_scalar_closed_form(self):
+        # the closed form on arrays, bit for bit (NaN sign included): 30,000
+        # log-uniform thresholds, sigma2 in [1e-3, 1e3] and t - sigma2 in
+        # [1e-10, 1e3]*sigma2, 100 sources of 300 each, and every source's
+        # edges: t = sigma2 and its successor, both sides of u = 1/2, inf, nan
+        rng = np.random.default_rng(30_000)
+        for sigma2 in 10.0 ** rng.uniform(-3.0, 3.0, 100):
+            half = 1.5 * sigma2
+            ts = (sigma2 * (1.0 + 10.0 ** rng.uniform(-10.0, 3.0, 300))).tolist() + [
+                sigma2, math.nextafter(sigma2, math.inf), math.nextafter(half, 0.0), half,
+                math.nextafter(half, math.inf), math.inf, math.nan]
+            source = sources.gaussian(sigma2)
+            got = rate_functions_x2(source, ts)
+            want = np.array([rate_function_x2(source, t) for t in ts])
+            assert (got.view(np.uint64) != want.view(np.uint64)).sum() == 0, sigma2
+            assert {(t - sigma2) / sigma2 < 0.5 for t in ts[:300]} == {True, False}
 
     def test_batches_of_zero_and_one(self):
         for source, top in RATE_BATCH_SOURCES.values():
