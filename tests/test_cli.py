@@ -792,6 +792,56 @@ def test_benchmark_grid_reports_are_pinned(tmp_path, grid, fmt):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == BENCH_GRID_SHA256[grid, fmt]
 
 
+@pytest.mark.parametrize("grid", list(BENCH_GRIDS))
+def test_benchmark_grid_csv_formats_no_cell_by_cell(tmp_path, monkeypatch, grid):
+    """Every column of a benchmark grid's CSV report is all floats, all
+    bools or all strings, so no cell goes through format_value."""
+    calls = []
+
+    def counted(v, _f=report.format_value):
+        calls.append(v)
+        return _f(v)
+
+    monkeypatch.setattr(report, "format_value", counted)
+    cfg = write_config(tmp_path, BENCH_GRIDS[grid])
+    assert main(["exponent-grid", "--config", cfg, "--out", str(tmp_path / "grid.csv")]) == 0
+    assert calls == []
+
+
+NAN = object()  # a nan cell, which == would not match with a nan
+
+
+def nan_marked(rows):
+    return [{c: NAN if v != v else v for c, v in row.items()} for row in rows]
+
+
+class TestReadReport:
+    def read_both(self, tmp_path, command, cfg):
+        """A command's report written as csv and as json, each read back."""
+        rows = []
+        for fmt in ("csv", "json"):
+            out = str(tmp_path / f"report.{fmt}")
+            assert main([command, "--config", cfg, "--format", fmt, "--out", out]) == 0
+            rows.append(nan_marked(read_report(out)))
+        return rows
+
+    @pytest.mark.parametrize("command", ["exponent-grid", "asymptotics"])
+    def test_json_reads_back_to_the_csv_rows(self, tmp_path, command):
+        cfg = write_config(tmp_path, DISCRETE_BASE.replace("d1 = 0.5", "d1 = 0.6").replace(
+            "d2 = 0.25", "d2 = 0.4") + "\n[rates]\nr1 = 0 0.3 1.5 3 6\nr2 = 0 0.2 1.0\n")
+        csv_rows, json_rows = self.read_both(tmp_path, command, cfg)
+        assert math.inf in [v for row in csv_rows for v in row.values()]
+        assert json_rows == csv_rows
+
+    def test_a_nan_stderr_reads_back_as_nan(self, tmp_path):
+        sim = simulate_report(tmp_path, PLAN_SIM.replace("n = 12", "n = 10 12"))
+        cfg = write_config(tmp_path, f"[compare]\nsimulation = {sim}\nquantity = jep\n",
+                           name="cmp.ini")
+        csv_rows, json_rows = self.read_both(tmp_path, "compare", cfg)
+        assert json_rows[-1]["slope_stderr"] is NAN
+        assert json_rows == csv_rows
+
+
 def _render_by_row(rows, columns, fmt):
     """The row-by-row renderer the columnar one replaced, cell by cell
     through format_value and _json_value."""
@@ -865,6 +915,17 @@ class TestColumnarRenderer:
             want = json.dumps({"columns": columns, "rows": [dict(zip(columns, r)) for r in rows]},
                               indent=2) + "\n"
             assert report.render(table, columns, "json") == want, (table, columns)
+
+    def test_cells_print_these_strings(self):
+        cells = [(None, ""), (True, "true"), (False, "false"), (0, "0"),
+                 (2**70, "1180591620717411303424"), (np.int64(-3), "-3"), (1.0, "1"),
+                 (-0.0, "-0"), (0.1, "0.1"), (5e-324, "4.94065645841e-324"), (1e20, "1e+20"),
+                 (math.nan, "nan"), (-math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"),
+                 (np.float64(-math.inf), "-inf"), ("inside", "inside"), ("", "")]
+        assert [report.format_value(v) for v, _ in cells] == [s for _, s in cells]
+        json_cells = [(0.1, "0.1"), (1.23456789012345, "1.23456789012"),
+                      (math.nan, "'nan'"), (math.inf, "'inf'"), (-math.inf, "'-inf'")]
+        assert [repr(report._json_value(v)) for v, _ in json_cells] == [s for _, s in json_cells]
 
     def test_a_row_with_an_unknown_key_is_refused(self):
         rows = [{"a": 1.0}, {"a": 2.0, "zeta": 3.0, "b": None}]
