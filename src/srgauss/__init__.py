@@ -14,7 +14,6 @@ from .asymptotics import (
     RegionResult,
     SecondOrderPlan,
     exponent_columns,
-    exponent_point,
     jep_exponent,
     jep_exponent_lambda1,
     lambda_for_rates,
@@ -70,7 +69,6 @@ __all__ = [
     "estimate",
     "estimate_nonexcess",
     "exponent_columns",
-    "exponent_point",
     "gaussian_rate_function_x2",
     "iid_nonexcess_exponent",
     "iid_nonexcess_exponent_tilted",

@@ -6,25 +6,21 @@ power-split coding schemes.
 All rates are in nats.  Every large-deviations exponent is one kernel,
 :func:`_excess`: the rate function of X^2 at the radius where layer-1
 covering at a target distortion costs r1.  The schemes and their cases
-differ only in that target.  One evaluator, :func:`exponent_columns`,
-gives every per-point quantity of a rate grid as one list per report
-column, computing what depends on r2 alone once per column and the cells
-as numpy arrays; :func:`exponent_point` is its 1x1 grid.  The exponent
-calculators read the same column helpers and return an
-:class:`ExponentResult` bundling the exponent values, the root-found
-auxiliary radii and the case that produced them.
+differ only in that target.
 
-Covering radii and their rate functions come from two paths with the same
-floats.  A grid's cells (:func:`exponent_columns`) invert their thousands
-of distinct radii in one lockstep batch, :func:`core.invert_iid_exponents`,
-and take the rate function of X^2 at every distinct radius in another,
-:func:`core.rate_functions_x2`.  Its columns and the single-point entry
-points (:func:`exponent_point`, :func:`sep_exponents`,
-:func:`jep_exponent`, :func:`jep_exponent_lambda1`, and through them the
-simulator's prediction) take the scalar :func:`_covering_radius` and
-:func:`core.rate_function_x2`, not memoized: a batch has a fixed cost of
-many numpy calls per iteration, the price of dozens of scalar calls, and a
-grid's columns never repeat a radius."""
+A point goes through the calculators (:func:`sep_exponents`,
+:func:`jep_exponent`, :func:`jep_exponent_lambda1`,
+:func:`region_contains`, and through them the simulator's prediction),
+each on the scalar kernels, :func:`_covering_radius` and
+:func:`core.rate_function_x2`, and each returning the exponent values,
+the root-found auxiliary radii and the case that produced them.  A rate
+grid goes through :func:`exponent_columns`: one list per report column,
+what depends on r2 alone computed once per column, the cells as numpy
+arrays, and their thousands of distinct radii inverted in one lockstep
+batch, :func:`core.invert_iid_exponents`, with the rate function of X^2
+at every distinct radius in another, :func:`core.rate_functions_x2`.
+Both give the same floats; a batch has a fixed cost of many numpy calls
+per iteration, the price of dozens of scalar calls."""
 
 from __future__ import annotations
 
@@ -225,19 +221,6 @@ def _fixed_column(sigma2, d1, d2, r2, branch, floor2) -> tuple[str, float, float
     return "iii", math.nan, math.inf
 
 
-def _sep_query(source: SourceSpec, q: RateQuery) -> tuple:
-    """(gamma, (case, layer 1's (alpha, exponent), layer 2's, the binding
-    layer's)) of one rate pair; see :func:`sep_exponents`.  Layer 2 binds
-    the joint exponent at or below the branch rate, layer 1 above it."""
-    if q.r1 <= 0:
-        raise ConfigError(f"requires r1 > 0, got {q.r1}")
-    _, p_y, gamma, target2 = _sep_column(q.sigma2, q.d1, q.d2, q.r2, 0.5 * math.log(q.d1 / q.d2))
-    layer1, layer2 = _excess(source, q.r1, p_y, q.d1), _excess(source, q.r1, p_y, target2)
-    if gamma is None:
-        return gamma, ("low_r2", layer1, layer2, layer2)
-    return gamma, ("high_r2", layer1, layer2, layer1)
-
-
 def sep_exponents(source: SourceSpec, q: RateQuery) -> ExponentResult:
     """Separate excess-distortion exponents (layer 1, layer 2) of the
     rate-adaptive scheme: the excess exponents at target d1 and, for layer
@@ -245,18 +228,25 @@ def sep_exponents(source: SourceSpec, q: RateQuery) -> ExponentResult:
     0.5*log(d1/d2) (case ``low_r2``), or above it, where lambda is 1 (its
     float can round to 1 - 2**-53), at the largest residual power gamma
     that layer 2 still covers at r2 (case ``high_r2``)."""
-    gamma, (case, (alpha1, e1), (alpha2, e2), _) = _sep_query(source, q)
-    aux = {"alpha1_star": alpha1, "gamma_star": gamma, "alpha2_star": alpha2}
+    if q.r1 <= 0:
+        raise ConfigError(f"requires r1 > 0, got {q.r1}")
+    _, p_y, gamma, target2 = _sep_column(q.sigma2, q.d1, q.d2, q.r2, 0.5 * math.log(q.d1 / q.d2))
+    alpha1, e1 = _excess(source, q.r1, p_y, q.d1)
+    alpha2, e2 = _excess(source, q.r1, p_y, target2)
     if gamma is None:
-        del aux["gamma_star"]
-    return ExponentResult(auxiliaries=aux, values=(e1, e2), case_tag=case)
+        return ExponentResult({"alpha1_star": alpha1, "alpha2_star": alpha2}, (e1, e2), "low_r2")
+    aux = {"alpha1_star": alpha1, "gamma_star": gamma, "alpha2_star": alpha2}
+    return ExponentResult(aux, (e1, e2), "high_r2")
 
 
 def jep_exponent(source: SourceSpec, q: RateQuery) -> ExponentResult:
     """Joint excess-distortion exponent of the rate-adaptive scheme: the
     binding layer's separate exponent, layer 2's at or below the branch
     rate and layer 1's above it."""
-    _, (_, _, _, (alpha, value)) = _sep_query(source, q)
+    if q.r1 <= 0:
+        raise ConfigError(f"requires r1 > 0, got {q.r1}")
+    _, p_y, gamma, target2 = _sep_column(q.sigma2, q.d1, q.d2, q.r2, 0.5 * math.log(q.d1 / q.d2))
+    alpha, value = _excess(source, q.r1, p_y, target2 if gamma is None else q.d1)
     return ExponentResult({"alpha_star": alpha}, (value,), "adaptive")
 
 
@@ -274,23 +264,6 @@ def jep_exponent_lambda1(source: SourceSpec, q: RateQuery) -> ExponentResult:
     alpha, value = _excess(source, q.r1, q.sigma2 - q.d1, target)
     aux = {"alpha1": alpha} if case == "i" else {"gamma2": target, "alpha2": alpha}
     return ExponentResult(aux, (value,), case)
-
-
-def exponent_columns(source: SourceSpec, r1s, r2s, d1: float, d2: float) -> dict[str, list]:
-    """:func:`exponent_point` at every pair of a rate grid, one list per
-    report column in r1-major order (None in the exponent columns where r1
-    = 0), every cell's radii from one :func:`_covering_radii` batch and
-    their rate functions from one :func:`core.rate_functions_x2` batch."""
-    _check_rates(r1s, r2s)
-    return _columns(source, source.sigma2, d1, d2, r1s, r2s, batch=True)
-
-
-def exponent_point(source: SourceSpec, q: RateQuery) -> dict:
-    """Every per-point quantity of a rate pair, keyed by report column:
-    region, power split and, for r1 > 0, the joint, fixed-split and separate
-    exponents; the 1x1 grid of :func:`exponent_columns` on the scalar kernels."""
-    table = _columns(source, q.sigma2, q.d1, q.d2, (q.r1,), (q.r2,), batch=False)
-    return {key: col[0] for key, col in list(table.items())[:None if q.r1 > 0 else 5]}
 
 
 def _first_unique(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -314,13 +287,18 @@ def _distinct_pairs(rows: np.ndarray, cols: np.ndarray, shape) -> tuple:
     return key_row, key_col, slot[rows, cols]
 
 
-def _columns(source: SourceSpec, sigma2, d1, d2, r1s, r2s, batch: bool) -> dict[str, list]:
-    """The evaluator behind :func:`exponent_columns` (``batch``) and
-    :func:`exponent_point` on an (r1, r2) array of cells.  Every cell with
-    r1 > 0 has an (r1, p, target) key for layer 1, for layer 2 and, above
-    its threshold, for the fixed split, held as (r1 index, column pair
-    index) over the distinct r1s and the distinct (p, target) pairs of the
-    r2 columns; each distinct key gets its radius and rate once."""
+def exponent_columns(source: SourceSpec, r1s, r2s, d1: float, d2: float) -> dict[str, list]:
+    """Every per-point quantity of a rate grid, one list per report column
+    in r1-major order: region, power split and, where r1 > 0 (None
+    elsewhere), the joint, fixed-split and separate exponents.  Every cell
+    with r1 > 0 has an (r1, p, target) key for layer 1, for layer 2 and,
+    above its threshold, for the fixed split, held as (r1 index, column
+    pair index) over the distinct r1s and the distinct (p, target) pairs of
+    the r2 columns; the distinct keys take their radii from one
+    :func:`_covering_radii` batch and their rates from one
+    :func:`core.rate_functions_x2` batch, each distinct radius once."""
+    _check_rates(r1s, r2s)
+    sigma2 = source.sigma2
     _check_distortions(sigma2, d1, d2)
     branch = 0.5 * math.log(d1 / d2)
     floor2, p_y1 = _layer2_floor(d1, d2), sigma2 - d1
@@ -341,15 +319,11 @@ def _columns(source: SourceSpec, sigma2, d1, d2, r1s, r2s, batch: bool) -> dict[
     key_row, key_pair, index = _distinct_pairs(  # the distinct keys and each valid cell's
         *(a[valid] for a in np.broadcast_arrays(row[:, None, None], pair.reshape(1, -1, 3))),
         (len(rates), len(pairs)))
-    if batch:  # the rate of every distinct radius once
-        alpha = _covering_radii(rates[key_row, 0], pairs, key_pair)
-        radii, at = _first_unique(alpha[:, None])
-        excess = alpha, rate_functions_x2(source, radii[:, 0].tolist())[at]
-    else:
-        excess = np.array([_excess(source, r, p, t) for r, (p, t) in zip(
-            rates[key_row, 0].tolist(), pairs[key_pair].tolist())]).reshape(-1, 2).T
+    key_alpha = _covering_radii(rates[key_row, 0], pairs, key_pair)
+    radii, at = _first_unique(key_alpha[:, None])
+    key_rate = rate_functions_x2(source, radii[:, 0].tolist())[at]
     alpha, rate = np.full((2,) + valid.shape, np.nan)
-    alpha[valid], rate[valid] = (v[index] for v in excess)
+    alpha[valid], rate[valid] = key_alpha[index], key_rate[index]
     # layer 2 binds the joint exponent at or below the branch rate, layer 1 above it
     jep, e1, e2 = np.where(low, rate[..., 1], rate[..., 0]), rate[..., 0], rate[..., 1]
     l1 = np.where(above, rate[..., 2], 0.0)

@@ -179,11 +179,17 @@ def _source(cp) -> SourceSpec:
 
 
 def _rate_axes(cp) -> tuple[list[float], list[float]]:
-    """Each axis is a list (r1 = 0.5 0.7) or a grid (r1_min/r1_max/r1_steps)."""
+    """Each axis is a list (r1 = 0.5 0.7) or a grid (r1_min/r1_max/r1_steps),
+    not both."""
     rates = partial(_get, cp, "rates")
     axes = []
     for name in ("r1", "r2"):
         pts = rates(name, None)
+        grid = [f"rates.{name}_{k}" for k in ("min", "max", "steps")
+                if cp.has_option("rates", f"{name}_{k}")]
+        if pts is not None and grid:
+            raise ConfigError(f"rates.{name}, {', '.join(grid)}: give the {name} axis as a list "
+                              "or as a grid, not both")
         if pts is None:
             lo, hi, steps = (rates(f"{name}_{k}") for k in ("min", "max", "steps"))
             if steps < 1:
@@ -266,13 +272,14 @@ def _scheme_points(cp, source) -> list[tuple[SchemeConfig, dict]]:
                 if len(r1s) != 1 or len(r2s) != 1:
                     raise ConfigError("rate-based sizing needs one rates.r1 and one rates.r2")
                 r1, r2 = r1s[0], r2s[0]
+                # refuses a rate above 300 nats before exp(2*r2) or n*r1 can overflow
+                q = RateQuery(r1, r2, source.sigma2, d1, d2)
                 if not r2 > 0:
                     # r2 = 0 puts the power split on d2/d1: no second-layer power
                     raise ConfigError(f"rates.r2: rate-based sizing requires r2 > 0, got {r2}")
                 lam = lambda_for_rates(r2, d1, d2)
                 m1 = code_size(n * r1)
                 m2 = code_size(n * min(r2, 0.5 * math.log(lam * d1 / d2)))
-                q = RateQuery(r1, r2, source.sigma2, d1, d2)
                 if not r1 > 0:
                     raise ConfigError(f"rates.r1: rate-based sizing requires r1 > 0, got {r1}")
                 if (kind1, kind2) == ("iid", "iid"):  # the only codebooks it is derived for

@@ -13,7 +13,6 @@ from srgauss.asymptotics import (
     ModerateQuery,
     RateQuery,
     RegionResult,
-    exponent_point,
     jep_exponent,
     jep_exponent_lambda1,
     lambda_for_rates,
@@ -439,22 +438,28 @@ FAMILIES = {
 }
 
 
+def _grid_cells(src, r1s, r2s, d1=0.5, d2=0.25):
+    """(r1, r2, cell) of every pair of an exponent_columns grid, r1-major."""
+    table = asymptotics.exponent_columns(src, r1s, r2s, d1, d2)
+    pairs = [(a, b) for a in r1s for b in r2s]
+    return [(r1, r2, _cell(table, k)) for k, (r1, r2) in enumerate(pairs)]
+
+
 class TestExponentPoint:
+    """Per-point quantities of the grid evaluator against the calculators."""
+
     @pytest.mark.parametrize("family", list(FAMILIES))
     def test_jep_read_off_sep_is_exact(self, family):
-        # exponent_point takes the joint exponent from sep_exponents; the
-        # independent jep_exponent must agree bit for bit on the whole
-        # criterion-3 grid
+        # exponent_columns reads the joint exponent off the binding layer's
+        # separate exponent; jep_exponent, which computes the binding layer
+        # alone, must agree bit for bit on the whole criterion-3 grid
         src = FAMILIES[family]
-        axis = np.linspace(0.05, 1.2, 20)
-        for r1 in axis:
-            for r2 in axis:
-                q = rq(float(r1), float(r2), sigma2=src.sigma2)
-                point = exponent_point(src, q)
-                jep = jep_exponent(src, q)
-                assert point["jep_exponent"] == jep.value, (r1, r2)
-                assert point["alpha_star"] == jep.auxiliaries["alpha_star"], (r1, r2)
-                assert point["jep_positive"] == jep.positive[0]
+        axis = np.linspace(0.05, 1.2, 20).tolist()
+        for r1, r2, point in _grid_cells(src, axis, axis):
+            jep = jep_exponent(src, rq(r1, r2, sigma2=src.sigma2))
+            assert point["jep_exponent"] == jep.value, (r1, r2)
+            assert point["alpha_star"] == jep.auxiliaries["alpha_star"], (r1, r2)
+            assert point["jep_positive"] == jep.positive[0]
 
     def test_jep_equals_sep_just_above_the_branch_rate(self):
         # a few ulps above r2 = 0.5*log(d1/d2), lambda_for_rates can round
@@ -470,13 +475,15 @@ class TestExponentPoint:
         edge = [p for p in points if lambda_for_rates(p[2], p[0], p[1]) < 1.0]
         assert len(edge) >= 20
         for d1, d2, r2 in edge:
-            for r1 in (0.6, 0.9, 1.3):
+            # the grid evaluator at the same three pairs, one grid per edge rate
+            grid = _grid_cells(GMS, [0.6, 0.9, 1.3], [r2], d1, d2)
+            for r1, _, point in grid:
                 q = rq(r1, r2, d1=d1, d2=d2)
                 sep, jep = sep_exponents(GMS, q), jep_exponent(GMS, q)
                 assert sep.case_tag == "high_r2"
                 assert jep.value == sep.values[0], (r1, d1, d2, r2)
                 assert jep.auxiliaries["alpha_star"] == sep.auxiliaries["alpha1_star"]
-                assert exponent_point(GMS, q)["jep_exponent"] == jep.value
+                assert point["jep_exponent"] == jep.value
 
     @pytest.mark.parametrize("family", list(FAMILIES))
     def test_fixed_split_is_sep_e1_at_full_split(self, family):
@@ -484,19 +491,17 @@ class TestExponentPoint:
         # both schemes aim layer 1 at d1 with the same power, so the shared
         # kernel gives the same float on the criterion-3 grid
         src = FAMILIES[family]
-        axis = np.linspace(0.05, 1.2, 20)
+        axis = np.linspace(0.05, 1.2, 20).tolist()
         count = 0
-        for r1 in axis:
-            for r2 in axis:
-                q = rq(float(r1), float(r2), sigma2=src.sigma2)
-                if lambda_for_rates(q.r2, q.d1, q.d2) == 1.0 and q.r2 >= 0.5 * math.log(2.0):
-                    point = exponent_point(src, q)
-                    assert point["l1_exponent"] == point["sep_e1"], (r1, r2)
-                    count += 1
+        for r1, r2, point in _grid_cells(src, axis, axis):
+            if lambda_for_rates(r2, 0.5, 0.25) == 1.0 and r2 >= 0.5 * math.log(2.0):
+                assert point["l1_exponent"] == point["sep_e1"], (r1, r2)
+                count += 1
         assert count == 300
 
     def test_no_exponents_at_zero_r1(self):
-        point = exponent_point(GMS, rq(0.0, 0.5))
+        # _cell checks that every exponent column holds None at r1 = 0
+        [(_, _, point)] = _grid_cells(GMS, [0.0], [0.5])
         assert set(point) == {"r1", "r2", "region", "eta", "lambda"}
 
 
@@ -599,8 +604,8 @@ def _oracle_point(source, q):
 
 
 def _cell(table, k):
-    """Cell k of an exponent_columns table, keyed as exponent_point keys a
-    point: at r1 = 0 the exponent columns hold None and are left out."""
+    """Cell k of an exponent_columns table, keyed as the frozen oracle keys
+    a point: at r1 = 0 the exponent columns hold None and are left out."""
     cell = {c: col[k] for c, col in table.items()}
     if cell["r1"] == 0:
         tail = list(cell)[5:]
@@ -630,8 +635,8 @@ def _edge_axes(sigma2, d1, d2):
 
 
 class TestGridEvaluatorAgainstOracle:
-    """exponent_columns, exponent_point and the four calculators against the
-    frozen oracle, with ==, on every cell of a grid that holds the edge rates."""
+    """exponent_columns and the four calculators against the frozen oracle,
+    with ==, on every cell of a grid that holds the edge rates."""
 
     # two_point puts the rate batch on t > x2_max, gaussian_cgf on a
     # finite theta_max
@@ -652,7 +657,6 @@ class TestGridEvaluatorAgainstOracle:
             want = _oracle_point(src, q)
             assert row == want, (r1, r2)
             assert list(row) == list(want)
-            assert exponent_point(src, q) == want
             assert region_contains(q) == _oracle_region(q)
             l1, l1_want = jep_exponent_lambda1(src, q), _oracle_lambda1(src, q)
             assert (l1.values, l1.case_tag, l1.auxiliaries) == (
@@ -746,10 +750,10 @@ class TestGridEvaluatorAgainstOracle:
 
 
 @pytest.mark.parametrize("family", ["gaussian", "uniform", "discrete"])
-def test_exponent_columns_are_exponent_point_cell_by_cell(family):
-    """Every cell of exponent_columns equals exponent_point at its pair, in
-    value and in exact Python type: a numpy scalar in a column (an np.bool_
-    prints True, not true) fails here."""
+def test_exponent_columns_cell_types_match_the_oracle(family):
+    """Every cell of exponent_columns equals the frozen oracle's point at its
+    pair, in value and in exact Python type: a numpy scalar in a column (an
+    np.bool_ prints True, not true) fails here."""
     src = FAMILIES[family]
     d1, d2 = 0.5, 0.25
     edge1, branch = 0.5 * math.log(src.sigma2 / d1), 0.5 * math.log(d1 / d2)
@@ -759,7 +763,7 @@ def test_exponent_columns_are_exponent_point_cell_by_cell(family):
     table = asymptotics.exponent_columns(src, r1s, r2s, d1, d2)
     seen = set()
     for k, (r1, r2) in enumerate([(a, b) for a in r1s for b in r2s]):
-        point = exponent_point(src, rq(r1, r2, sigma2=src.sigma2, d1=d1, d2=d2))
+        point = _oracle_point(src, rq(r1, r2, sigma2=src.sigma2, d1=d1, d2=d2))
         assert list(point) == list(table)[:len(point)] and len(point) == (16 if r1 else 5)
         for c, col in table.items():
             got, want = col[k], point.get(c)

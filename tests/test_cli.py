@@ -328,10 +328,20 @@ MALFORMED = [
      "source.family: cannot parse 'cauchy'"),
     ("exponent-grid", BASE + "[rates]\nr1_min = 0.1\nr1_max = 1\nr1_steps = 0\nr2 = 0.3\n",
      "rates.r1_steps: requires >= 1"),
+    # an axis given both as a list and as a grid
+    ("asymptotics", BASE + "[rates]\nr1 = 0.5\nr1_min = 0.1\nr1_max = 1\nr1_steps = 3\nr2 = 0.3\n",
+     "rates.r1, rates.r1_min, rates.r1_max, rates.r1_steps: give the r1 axis as a list"),
+    ("exponent-grid", BASE + "[rates]\nr1 = 0.5\nr2 = 0.3\nr2_steps = 4\n",
+     "rates.r2, rates.r2_steps: give the r2 axis as a list"),
     ("simulate", SIM_SMALL.replace("kinds = spherical,spherical iid,iid", "kinds = spherical"),
      "simulate.kinds: cannot parse 'spherical'"),
     ("simulate", RATES_SIM.replace("r1 = 0.55", "r1 = 0.55 0.6\nr2 = 0.3"),
      "needs one rates.r1 and one rates.r2"),
+    # rate sizing refuses a rate above 300 nats before exp(2*r2) or n*r1 overflows
+    ("simulate", RATES_SIM.replace("r1 = 0.55", "r1 = 0.55\nr2 = 400"),
+     "requires r1, r2 <= 300 nats, got (0.55, 400.0)"),
+    ("simulate", RATES_SIM.replace("r1 = 0.55", "r1 = 350\nr2 = 0.3"),
+     "requires r1, r2 <= 300 nats, got (350.0, 0.3)"),
     # psi/phi blocklengths below 1 and empty list values
     ("simulate", PSI_BASE.replace("n = 8", "n = 0") + "norm_arg = 1.0\n",
      "n >= 1, w >= 0 and trials >= 1, got n=0"),

@@ -769,7 +769,7 @@ def _grid_inversions(monkeypatch, source, r1_stride=1, r2_stride=1):
     exponent grid r1 in [0.05, 1.2], r2 in [0, 1.2] at (d1, d2) =
     (0.5, 0.25), its rates spaced as the CLI spaces them, or by its subgrid
     of every r1_stride-th row and r2_stride-th column, in first-call order;
-    point by point, so through the scalar inversion."""
+    point by point through the calculators, so through the scalar inversion."""
     seen = {}
 
     def record(*args):
@@ -783,7 +783,8 @@ def _grid_inversions(monkeypatch, source, r1_stride=1, r2_stride=1):
     for r1 in axis(0.05, 1.2)[::r1_stride]:
         for r2 in axis(0.0, 1.2)[::r2_stride]:
             q = asymptotics.RateQuery(r1, r2, source.sigma2, 0.5, 0.25)
-            asymptotics.exponent_point(source, q)
+            asymptotics.sep_exponents(source, q)
+            asymptotics.jep_exponent_lambda1(source, q)
     return list(seen)
 
 
@@ -951,9 +952,12 @@ class TestInvertBatch:
         assert roots.dtype == np.float64 and roots.shape == (0,)
         # a grid whose r1s are all 0 inverts no cell radius
         table = asymptotics.exponent_columns(sources.gaussian(1.0), [0.0], [0.0, 0.5], 0.5, 0.25)
-        points = [asymptotics.exponent_point(sources.gaussian(1.0), asymptotics.RateQuery(
-            0.0, r2, 1.0, 0.5, 0.25)) for r2 in (0.0, 0.5)]
-        assert table == {c: [point.get(c) for point in points] for c in table}
+        regions = [asymptotics.region_contains(asymptotics.RateQuery(0.0, r2, 1.0, 0.5, 0.25))
+                   for r2 in (0.0, 0.5)]
+        lams = [asymptotics.lambda_for_rates(r2, 0.5, 0.25) for r2 in (0.0, 0.5)]
+        assert table == dict.fromkeys(table, [None, None]) | {
+            "r1": [0.0, 0.0], "r2": [0.0, 0.5], "region": [r.location for r in regions],
+            "eta": [r.eta for r in regions], "lambda": lams}
 
     @pytest.mark.parametrize("bad", [
         *[tuple(v if k == i else 0.5 for k in range(3))
