@@ -30,6 +30,7 @@ from . import report, sources
 from .asymptotics import (
     ModerateQuery,
     RateQuery,
+    _check_distortions,
     code_size,
     exponent_columns,
     jep_exponent,
@@ -251,42 +252,58 @@ PSIPHI_COLUMNS = [
 ]
 
 
-def _scheme_points(cp, source) -> list[tuple[SchemeConfig, dict]]:
+def _refuse(checks) -> None:
+    """Refuse the first failed (key, value, ok, need) check by its
+    ``simulate`` key: SchemeConfig, estimate, core and estimate_nonexcess
+    would name no key."""
+    for key, value, ok, need in checks:
+        if not ok:
+            raise ConfigError(f"simulate.{key}: requires {need}, got {key}={value}")
+
+
+def _scheme_points(cp, source, ns: list[int], trials: int) -> list[tuple[SchemeConfig, dict]]:
     sim = partial(_get, cp, "simulate")
     d1, d2 = (_get(cp, "distortion", k) for k in ("d1", "d2"))
     sizing = sim("sizing", "plan")
+    kinds = sim("kinds", [("spherical", "spherical")])
+    checks = [("trials", trials, trials >= 1, "trials >= 1"),
+              ("n", min(ns), min(ns) >= 2, "n >= 2")]
+    pred = None
+    if sizing == "plan":
+        so = partial(_get, cp, "second_order")
+        lam, eps, c_log = so("lambda", 1.0), so("epsilon"), so("c_log", 0.0)
+    elif sizing == "rates":
+        r1s, r2s = _rate_axes(cp)
+        if len(r1s) != 1 or len(r2s) != 1:
+            raise ConfigError("rate-based sizing needs one rates.r1 and one rates.r2")
+        (r1,), (r2,) = r1s, r2s
+        # refuses a rate above 300 nats before exp(2*r2) or n*r1 can overflow
+        q = RateQuery(r1, r2, source.sigma2, d1, d2)
+        # r2 = 0 puts the power split on d2/d1: no second-layer power
+        for name, r in (("r2", r2), ("r1", r1)):
+            if not r > 0:
+                raise ConfigError(f"rates.{name}: rate-based sizing requires {name} > 0, got {r}")
+        lam = lambda_for_rates(r2, d1, d2)
+        if ("iid", "iid") in kinds:  # the only codebooks it is derived for
+            pred = jep_exponent(source, q).value
+    else:
+        lam, m1, m2 = sim("lambda", 1.0), sim("m1"), sim("m2")
+        _check_distortions(source.sigma2, d1, d2)  # before d2/d1 is formed
+        checks += [("m1", m1, m1 >= 1, "m1 >= 1"), ("m2", m2, m2 >= 1, "m2 >= 1"),
+                   ("lambda", lam, d2 / d1 < lam <= 1.0, f"lambda in (d2/d1, 1] = ({d2 / d1}, 1]")]
+    _refuse(checks)
     points = []
-    for n in sim("n"):
-        for kind1, kind2 in sim("kinds", [("spherical", "spherical")]):
-            extra = {"target_eps": None, "pred_jep_exponent": None}
+    for n in ns:
+        for kind1, kind2 in kinds:
+            extra = {"target_eps": None,
+                     "pred_jep_exponent": pred if (kind1, kind2) == ("iid", "iid") else None}
             if sizing == "plan":
-                so = partial(_get, cp, "second_order")
-                lam, eps = so("lambda", 1.0), so("epsilon")
-                plan = second_order_plan(
-                    source, d1, d2, lam, eps, n, c_log=so("c_log", 0.0), kind2=kind2
-                )
+                plan = second_order_plan(source, d1, d2, lam, eps, n, c_log=c_log, kind2=kind2)
                 m1, m2 = plan.m1, plan.m2
                 extra["target_eps"] = eps
             elif sizing == "rates":
-                r1s, r2s = _get(cp, "rates", "r1"), _get(cp, "rates", "r2")
-                if len(r1s) != 1 or len(r2s) != 1:
-                    raise ConfigError("rate-based sizing needs one rates.r1 and one rates.r2")
-                r1, r2 = r1s[0], r2s[0]
-                # refuses a rate above 300 nats before exp(2*r2) or n*r1 can overflow
-                q = RateQuery(r1, r2, source.sigma2, d1, d2)
-                if not r2 > 0:
-                    # r2 = 0 puts the power split on d2/d1: no second-layer power
-                    raise ConfigError(f"rates.r2: rate-based sizing requires r2 > 0, got {r2}")
-                lam = lambda_for_rates(r2, d1, d2)
                 m1 = code_size(n * r1)
                 m2 = code_size(n * min(r2, 0.5 * math.log(lam * d1 / d2)))
-                if not r1 > 0:
-                    raise ConfigError(f"rates.r1: rate-based sizing requires r1 > 0, got {r1}")
-                if (kind1, kind2) == ("iid", "iid"):  # the only codebooks it is derived for
-                    extra["pred_jep_exponent"] = jep_exponent(source, q).value
-            else:
-                lam = sim("lambda", 1.0)
-                m1, m2 = sim("m1"), sim("m2")
             cfg = SchemeConfig(
                 n=n, m1=m1, m2=m2, kind1=kind1, kind2=kind2,
                 d1=d1, d2=d2, lam=lam, sigma2=source.sigma2,
@@ -300,20 +317,18 @@ def cmd_simulate(cp, args) -> tuple[dict[str, list], list[str]]:
     sim = partial(_get, cp, "simulate")
     mode = sim("mode", "scheme")
     seed = args.seed if args.seed is not None else sim("seed", 0)
-    trials = sim("trials")
+    trials, ns = sim("trials"), sim("n")
 
     if mode == "scheme":
-        points = _scheme_points(cp, source)
+        points = _scheme_points(cp, source, ns, trials)
         method = sim("method", "direct")
         precision = sim("precision", "double")
         cost = sum(trials * ops_per_trial(cfg, method) for cfg, _ in points)
     else:
-        ns = sim("n")
         kind = sim("kind", "iid")
         arg, power, dist = sim("norm_arg"), sim("power"), sim("distortion")
         spherical = kind == "spherical"
-        # refused here by key: core and estimate_nonexcess would name no key
-        for key, value, ok, need in (
+        _refuse([
             # the wording estimate_nonexcess refused n < 1 with
             ("n", min(ns), min(ns) >= 1, "n >= 1, w >= 0 and trials >= 1"),
             ("trials", trials, trials >= 1, "trials >= 1"),
@@ -321,9 +336,7 @@ def cmd_simulate(cp, args) -> tuple[dict[str, list], list[str]]:
             ("distortion", dist, dist > 0, "distortion > 0"),
             ("norm_arg", arg, arg > 0 if spherical else arg >= 0,
              "norm_arg > 0 for kind = spherical" if spherical else "norm_arg >= 0"),
-        ):
-            if not ok:
-                raise ConfigError(f"simulate.{key}: requires {need}, got {key}={value}")
+        ])
         try:  # what is left to refuse, an infeasible cap, couples three keys
             pred = (spherical_cap_exponent if spherical else iid_nonexcess_exponent)(
                 arg, power, dist)

@@ -5,8 +5,8 @@ of B trials of a run with master seed s uses ``Philox(key=[s, b])``.  A
 ``direct`` block is one trial; a ``radial`` or psi/phi block is
 ``_block(n)`` trials.  Results are therefore bit-identical for any worker
 count, and workers are plain threads running ranges of whole blocks (the
-heavy numpy fills release the GIL).  Each range re-keys one generator per
-block (:func:`trial_stream`).
+heavy numpy fills release the GIL); each block builds its own generator
+(:func:`trial_stream`).
 
 Two trial mechanisms are available:
 
@@ -64,30 +64,12 @@ from .sources import SourceSpec
 _Z95 = 1.959963984540054  # q_inv(0.025)
 
 
-def trial_stream(
-    seed: int, index: int, rng: np.random.Generator | None = None
-) -> np.random.Generator:
-    """The documented per-trial substream: Philox keyed by (seed, index).
-
-    Re-keys ``rng``, a generator over a ``Philox`` bit generator, in place
-    to the state ``Philox(key=[seed, index])`` starts in (counter 0, buffer
-    empty) and returns it: the same draws, without the OS-entropy seed
-    sequence a fresh ``Philox`` builds and the key then overrides.  Without
-    ``rng`` a fresh generator is built and re-keyed.
-    """
+def trial_stream(seed: int, index: int) -> np.random.Generator:
+    """Block ``index``'s stream of a run with master seed ``seed``: a fresh
+    ``Philox`` keyed by the two u64 words (seed, index)."""
     if not 0 <= seed < 2**64:
         raise ConfigError(f"seed must be a u64, got {seed}")
-    if rng is None:
-        rng = np.random.Generator(np.random.Philox(0))
-    rng.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": (0, 0, 0, 0), "key": (seed, index)},
-        "buffer": (0, 0, 0, 0),
-        "buffer_pos": 4,  # the 4-word buffer is empty
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return rng
+    return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
 
 
 def wilson_interval(k: int, n: int) -> tuple[float, float]:
@@ -305,12 +287,11 @@ def _count_blocks(sample, block: int, trials: int, seed: int, workers: int) -> n
     blocks = -(-trials // block)
 
     def count_range(lo: int, hi: int) -> np.ndarray:
-        # one generator per range, re-keyed per block; globals are looked up
-        # per call, so a patched trial_stream, run_trial or gen_codebook is seen
-        rng = np.random.Generator(np.random.Philox(0))
+        # globals are looked up per call, so a patched trial_stream, run_trial
+        # or gen_codebook is seen
         counts = 0
         for b in range(lo, hi):
-            events = sample(trial_stream(seed, b, rng), min(block, trials - b * block))
+            events = sample(trial_stream(seed, b), min(block, trials - b * block))
             counts += np.array([np.count_nonzero(e) for e in events])
         return counts
 

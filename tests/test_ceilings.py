@@ -12,8 +12,19 @@ joint exponents of both schemes are at most the smaller of the two.  The
 ceiling does not depend on the achievability formula, so it checks the
 printed exponents against code they do not share.  Some cells come within
 1e-5 of it; at lambda = 1 the exponents sit far below it, since a
-fixed-power codebook covers only up to a fixed radius.  A violation is a
-bug to report, not a tolerance to widen.
+fixed-power codebook covers only up to a fixed radius.
+
+The second-order and moderate-deviations columns have Gaussian converses
+too.  A code whose excess probability is at most eps needs a backoff of at
+least sqrt(V) * Q^-1(eps) above the rate-distortion function at blocklength
+n (Kostina and Verdu, IEEE T-IT 58(6), 2012; Ingber and Kochman, DCC 2011),
+and under a moderate deviation theta of the rate the excess probability
+decays no faster than exp(-n rho_n^2 theta^2 / (2V)) (Tan, ISIT 2012); the
+Gaussian dispersion V is 1/2 at every sigma2 and distortion.  Layer 1 backs
+off on r1 and layer 2 on the sum rate r1 + r2, so sep_l1 >= sqrt(1/2) *
+Q^-1(eps1), sep_l2 >= sqrt(1/2) * Q^-1(eps2), and every moderate constant
+is at most theta1^2.  Both hold with equality at eps1 = eps2.  A violation
+is a bug to report, not a tolerance to widen.
 """
 
 import math
@@ -24,6 +35,7 @@ import mpmath as mp
 import pytest
 
 from srgauss import asymptotics, sources
+from srgauss.asymptotics import ModerateQuery, moderate_constants, sep_second_order
 from srgauss.report import read_report
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -108,3 +120,32 @@ def test_random_gaussian_sources_under_the_ceiling():
         checked += 4 * len(rows)
         assert any(row["sep_e1"] > 0 for row in rows)
     assert checked == 262_400
+
+
+def backoff_floor(eps: float) -> float:
+    """sqrt(1/2) * Q^-1(eps), at 50 digits: Q^-1(eps) = sqrt(2) * erfinv(1 - 2 eps)."""
+    with mp.workdps(50):
+        return float(mp.erfinv(1 - 2 * mp.mpf(eps)))
+
+
+@pytest.mark.parametrize("sigma2", [0.5, 1.0, 3.0])
+def test_second_order_backoffs_above_the_converse(sigma2):
+    d1, d2 = 0.6 * sigma2, 0.25 * sigma2
+    tight = 0
+    for eps1, eps2 in [(0.1, 0.3), (0.3, 0.1), (0.01, 0.5), (0.7, 0.2), (0.9, 0.6),
+                       (0.2, 0.2), (0.05, 0.05)]:
+        l1, l2 = sep_second_order(sources.gaussian(sigma2), d1, d2, eps1, eps2)
+        for value, floor in ((l1, backoff_floor(eps1)), (l2, backoff_floor(eps2))):
+            assert value >= floor - RTOL * abs(floor) - ATOL, (sigma2, eps1, eps2, value, floor)
+            tight += abs(value - floor) <= RTOL * abs(floor) + ATOL
+    # equal at eps1 = eps2 and at the smaller target of every unequal pair
+    assert tight == 2 * 2 + 5
+
+
+@pytest.mark.parametrize("sigma2", [0.5, 1.0, 3.0])
+def test_moderate_constants_below_the_converse(sigma2):
+    for theta1, theta2 in [(0.0, 0.0), (0.3, 1.0), (1.0, 0.0), (2.5, 0.7)]:
+        mq = ModerateQuery(theta1, theta2, 0.25)
+        for value in moderate_constants(sources.gaussian(sigma2), mq):
+            # at most theta1^2 / (2 * 1/2), and no slack below it
+            assert abs(value - theta1**2) <= RTOL * theta1**2 + ATOL, (sigma2, theta1, value)

@@ -337,6 +337,17 @@ MALFORMED = [
      "simulate.kinds: cannot parse 'spherical'"),
     ("simulate", RATES_SIM.replace("r1 = 0.55", "r1 = 0.55 0.6\nr2 = 0.3"),
      "needs one rates.r1 and one rates.r2"),
+    ("simulate", RATES_SIM.replace("r1 = 0.55", "r1 = 0.55\nr1_min = 5\nr1_max = 9\nr1_steps = 2\n"
+                                   "r2 = 0.3"),
+     "config error: rates.r1, rates.r1_min, rates.r1_max, rates.r1_steps: give the r1 axis"),
+    # scheme-mode ranges are refused by key, as psi/phi's are
+    ("simulate", SIM_SMALL.replace("trials = 400", "trials = 0"),
+     "config error: simulate.trials: requires trials >= 1, got trials=0"),
+    ("simulate", SIM_SMALL.replace("\nn = 8\n", "\nn = 8 1\n"),
+     "simulate.n: requires n >= 2, got n=1"),
+    ("simulate", SIM_SMALL.replace("m1 = 24", "m1 = 0"), "simulate.m1: requires m1 >= 1, got m1=0"),
+    ("simulate", SIM_SMALL.replace("lambda = 1.0", "lambda = 0.3"),
+     "simulate.lambda: requires lambda in (d2/d1, 1] = (0.5, 1], got lambda=0.3"),
     # rate sizing refuses a rate above 300 nats before exp(2*r2) or n*r1 overflows
     ("simulate", RATES_SIM.replace("r1 = 0.55", "r1 = 0.55\nr2 = 400"),
      "requires r1, r2 <= 300 nats, got (0.55, 400.0)"),
@@ -576,6 +587,13 @@ class TestSimulateCommand:
                                                                            f"kinds = {kinds}")
         assert main(["simulate", "--config", write_config(tmp_path, text)]) == 2
         assert "rates.r1: rate-based sizing requires r1 > 0, got 0.0" in capsys.readouterr().err
+
+    def test_rates_sizing_reads_a_grid_axis(self, tmp_path):
+        # a one-point grid axis is the list of its one rate
+        grid = RATES_RADIAL.replace("r1 = 0.55", "r1_min = 0.55\nr1_max = 0.55\nr1_steps = 1")
+        a, b = (simulate_report(tmp_path, text, name) for text, name in
+                ((RATES_RADIAL, "list"), (grid, "grid")))
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_rates_sizing_refuses_oversized_code(self, tmp_path, capsys):
         # n * r1 = 800 overflows exp(); refused like an oversized plan

@@ -154,9 +154,7 @@ class TestWilson:
 class TestTrialStream:
     @pytest.mark.parametrize("seed", [0, 2**63 + 5, 2**64 - 1])
     def test_rekeyed_matches_fresh(self, seed):
-        # one generator re-keyed from whatever state the previous draw left
-        # (a part-used buffer, a cached uint32 half) and a fresh trial_stream,
-        # each against a fresh Philox keyed by the two u64 words (seed, i)
+        # trial_stream against a fresh Philox keyed by the two u64 words (seed, i)
         def fresh(i):
             key = np.array([seed, i], dtype=np.uint64)
             return np.random.Generator(np.random.Philox(key=key))
@@ -168,14 +166,10 @@ class TestTrialStream:
             lambda g: g.standard_normal(5, dtype=np.float32),
             lambda g: g.integers(0, 1000, size=7),
         ]
-        rng = np.random.Generator(np.random.Philox(0))
         for i in range(200):
             for draw in draws:
                 want = draw(fresh(i))
-                assert np.array_equal(draw(trial_stream(seed, i, rng)), want), (i, want)
                 assert np.array_equal(draw(trial_stream(seed, i)), want), (i, want)
-            g = fresh(i)
-            assert trial_stream(seed, i, rng).random(2).tolist() == [g.random(), g.random()]
 
     def test_fresh_calls_are_independent(self):
         a, b = trial_stream(3, 9), trial_stream(3, 9)
@@ -229,8 +223,14 @@ class TestEstimate:
 
     def test_threads_and_ranges_never_exceed_blocks(self, monkeypatch):
         # min(4 * workers, blocks) ranges of whole blocks on min(workers,
-        # ranges) threads; one block, one worker or psi/phi runs inline
-        seen = []
+        # ranges) threads; one block, one worker or psi/phi runs inline; and
+        # each block draws from one stream, keyed (seed, b), built once
+        seen, keys = [], []
+        stream = montecarlo.trial_stream
+
+        def recording_stream(seed, index):
+            keys.append((seed, index))
+            return stream(seed, index)
 
         class Recording(montecarlo.ThreadPoolExecutor):
             def __init__(self, max_workers):
@@ -244,6 +244,7 @@ class TestEstimate:
                 return super().map(fn, lo, hi)
 
         monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(montecarlo, "trial_stream", recording_stream)
         src = sources.gaussian(1.0)
         radial = small_config(n=4096, kind2="spherical", d1=0.99, d2=0.975)
         for cfg, method, trials, workers, want in [
@@ -254,11 +255,15 @@ class TestEstimate:
             (radial, "radial", 100, 1, []),
         ]:
             seen.clear()
+            keys.clear()
             r = estimate(cfg, src, trials=trials, seed=1, workers=workers, method=method)
             assert seen == want and r.trials == trials, (method, trials, workers, seen)
+            blocks = trials if method == "direct" else -(-trials // _block(cfg.n))
+            assert sorted(keys) == [(1, b) for b in range(blocks)], (method, trials, workers)
         seen.clear()
+        keys.clear()
         estimate_nonexcess("iid", 4096, 1.0, 0.5, 1.5, trials=100, seed=1)
-        assert seen == []
+        assert seen == [] and keys == [(1, b) for b in range(4)]  # 3 blocks of 32 and one of 4
 
     def test_loose_targets_never_exceed(self):
         # deterministic source power plus generous code sizes: the excess
