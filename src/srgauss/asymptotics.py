@@ -44,8 +44,8 @@ from .sources import SourceSpec
 
 _REGION_TOL = 1e-12  # half-width of the band about a region face classed as boundary
 # Largest rate (nats) a grid or RateQuery takes: exp(2*r2) in the split
-# overflows above about 354.9, and the covering radius of a huge r1 cannot
-# be bracketed
+# overflows above about 354.9, and the covering radius of a huge r1, about
+# 2*p*r1, near 1e308
 _MAX_RATE = 300.0
 
 

@@ -218,10 +218,11 @@ def cmd_asymptotics(cp, args) -> tuple[dict[str, list], list[str]]:
     columns = ASYMPTOTICS_COLUMNS[:16]
     if cp.has_section("second_order"):
         so = partial(_get, cp, "second_order")
-        eps = so("epsilon")
+        lam, eps, n = so("lambda", 1.0), so("epsilon"), so("n")
+        _check_distortions(source.sigma2, d1, d2)  # before d2/d1 is formed
+        _refuse(_plan_checks(lam, eps, n, "second_order.n", d1, d2))
         plan = second_order_plan(
-            source, d1, d2, so("lambda", 1.0), eps, so("n"),
-            c_log=so("c_log", 0.0), kind2=so("kind2", "spherical"),
+            source, d1, d2, lam, eps, n, c_log=so("c_log", 0.0), kind2=so("kind2", "spherical"),
         )
         l1, l2 = sep_second_order(source, d1, d2, eps, eps)
         extra.update(log_m1=plan.log_m1, log_m2=plan.log_m2, so_case=plan.case,
@@ -253,12 +254,24 @@ PSIPHI_COLUMNS = [
 
 
 def _refuse(checks) -> None:
-    """Refuse the first failed (key, value, ok, need) check by its
-    ``simulate`` key: SchemeConfig, estimate, core and estimate_nonexcess
-    would name no key."""
+    """Refuse the first failed (section.key, value, ok, need) check by its
+    key: SchemeConfig, estimate, core, estimate_nonexcess and
+    second_order_plan would name no key."""
     for key, value, ok, need in checks:
         if not ok:
-            raise ConfigError(f"simulate.{key}: requires {need}, got {key}={value}")
+            raise ConfigError(f"{key}: requires {need}, got {key.split('.')[1]}={value}")
+
+
+def _split_check(key: str, lam: float, d1: float, d2: float) -> tuple:
+    """The power split's range, by the key that set it."""
+    return key, lam, d2 / d1 < lam <= 1.0, f"lambda in (d2/d1, 1] = ({d2 / d1}, 1]"
+
+
+def _plan_checks(lam: float, eps: float, n: int, n_key: str, d1: float, d2: float) -> list:
+    """second_order_plan's refusals, by the keys that set them."""
+    return [_split_check("second_order.lambda", lam, d1, d2),
+            ("second_order.epsilon", eps, 0.0 < eps < 1.0, "epsilon in (0, 1)"),
+            (n_key, n, n >= 8, "n >= 8 so the layer-2 margin is positive")]
 
 
 def _scheme_points(cp, source, ns: list[int], trials: int) -> list[tuple[SchemeConfig, dict]]:
@@ -266,12 +279,14 @@ def _scheme_points(cp, source, ns: list[int], trials: int) -> list[tuple[SchemeC
     d1, d2 = (_get(cp, "distortion", k) for k in ("d1", "d2"))
     sizing = sim("sizing", "plan")
     kinds = sim("kinds", [("spherical", "spherical")])
-    checks = [("trials", trials, trials >= 1, "trials >= 1"),
-              ("n", min(ns), min(ns) >= 2, "n >= 2")]
+    checks = [("simulate.trials", trials, trials >= 1, "trials >= 1"),
+              ("simulate.n", min(ns), min(ns) >= 2, "n >= 2")]
     pred = None
+    _check_distortions(source.sigma2, d1, d2)  # before d2/d1 is formed
     if sizing == "plan":
         so = partial(_get, cp, "second_order")
         lam, eps, c_log = so("lambda", 1.0), so("epsilon"), so("c_log", 0.0)
+        checks += _plan_checks(lam, eps, min(ns), "simulate.n", d1, d2)
     elif sizing == "rates":
         r1s, r2s = _rate_axes(cp)
         if len(r1s) != 1 or len(r2s) != 1:
@@ -288,9 +303,8 @@ def _scheme_points(cp, source, ns: list[int], trials: int) -> list[tuple[SchemeC
             pred = jep_exponent(source, q).value
     else:
         lam, m1, m2 = sim("lambda", 1.0), sim("m1"), sim("m2")
-        _check_distortions(source.sigma2, d1, d2)  # before d2/d1 is formed
-        checks += [("m1", m1, m1 >= 1, "m1 >= 1"), ("m2", m2, m2 >= 1, "m2 >= 1"),
-                   ("lambda", lam, d2 / d1 < lam <= 1.0, f"lambda in (d2/d1, 1] = ({d2 / d1}, 1]")]
+        checks += [("simulate.m1", m1, m1 >= 1, "m1 >= 1"), ("simulate.m2", m2, m2 >= 1, "m2 >= 1"),
+                   _split_check("simulate.lambda", lam, d1, d2)]
     _refuse(checks)
     points = []
     for n in ns:
@@ -330,11 +344,11 @@ def cmd_simulate(cp, args) -> tuple[dict[str, list], list[str]]:
         spherical = kind == "spherical"
         _refuse([
             # the wording estimate_nonexcess refused n < 1 with
-            ("n", min(ns), min(ns) >= 1, "n >= 1, w >= 0 and trials >= 1"),
-            ("trials", trials, trials >= 1, "trials >= 1"),
-            ("power", power, power > 0, "power > 0"),
-            ("distortion", dist, dist > 0, "distortion > 0"),
-            ("norm_arg", arg, arg > 0 if spherical else arg >= 0,
+            ("simulate.n", min(ns), min(ns) >= 1, "n >= 1, w >= 0 and trials >= 1"),
+            ("simulate.trials", trials, trials >= 1, "trials >= 1"),
+            ("simulate.power", power, power > 0, "power > 0"),
+            ("simulate.distortion", dist, dist > 0, "distortion > 0"),
+            ("simulate.norm_arg", arg, arg > 0 if spherical else arg >= 0,
              "norm_arg > 0 for kind = spherical" if spherical else "norm_arg >= 0"),
         ])
         try:  # what is left to refuse, an infeasible cap, couples three keys
@@ -500,6 +514,14 @@ def cmd_compare(cp, args) -> tuple[dict[str, list], list[str]]:
     return report.transpose(rows, COMPARE_COLUMNS), COMPARE_COLUMNS
 
 
+def _workers(raw: str) -> int:
+    """--workers: an int of at least 1, else argparse's refusal (exit 2)."""
+    workers = int(raw)
+    if workers < 1:
+        raise argparse.ArgumentTypeError(f"requires workers >= 1, got {workers}")
+    return workers
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="srgauss",
@@ -514,7 +536,7 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=handlers)
     parser.add_argument("--config", required=True, help="experiment config file")
     parser.add_argument("--seed", type=int, default=None, help="master seed (u64)")
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--workers", type=_workers, default=1)
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     parser.add_argument("--format", default="csv", choices=["csv", "json"])
     parser.add_argument("--budget", type=int, default=10**10,

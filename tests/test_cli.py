@@ -348,6 +348,22 @@ MALFORMED = [
     ("simulate", SIM_SMALL.replace("m1 = 24", "m1 = 0"), "simulate.m1: requires m1 >= 1, got m1=0"),
     ("simulate", SIM_SMALL.replace("lambda = 1.0", "lambda = 0.3"),
      "simulate.lambda: requires lambda in (d2/d1, 1] = (0.5, 1], got lambda=0.3"),
+    # plan sizing and [second_order] refuse second_order_plan's ranges by key,
+    # the distortions first, before d2/d1 is formed
+    ("simulate", PLAN_SIM.replace("n = 12", "n = 4"),
+     "simulate.n: requires n >= 8 so the layer-2 margin is positive, got n=4"),
+    ("simulate", PLAN_SIM.replace("lambda = 1.0", "lambda = 0.3"),
+     "second_order.lambda: requires lambda in (d2/d1, 1] = (0.5, 1], got lambda=0.3"),
+    ("simulate", PLAN_SIM.replace("epsilon = 0.2", "epsilon = 1.5"),
+     "second_order.epsilon: requires epsilon in (0, 1), got epsilon=1.5"),
+    ("simulate", PLAN_SIM.replace("d1 = 0.5", "d1 = 0.2"),
+     "requires sigma2 > d1 > d2 > 0, got (1.0, 0.2, 0.25)"),
+    ("asymptotics", BASE + SMALL_AXES + FULL_SECTIONS.replace("n = 16", "n = 4"),
+     "second_order.n: requires n >= 8 so the layer-2 margin is positive, got n=4"),
+    ("asymptotics", BASE + SMALL_AXES + FULL_SECTIONS.replace("lambda = 1.0", "lambda = 0.3"),
+     "second_order.lambda: requires lambda in (d2/d1, 1] = (0.5, 1], got lambda=0.3"),
+    ("asymptotics", BASE + SMALL_AXES + FULL_SECTIONS.replace("epsilon = 0.2", "epsilon = 1.5"),
+     "second_order.epsilon: requires epsilon in (0, 1), got epsilon=1.5"),
     # rate sizing refuses a rate above 300 nats before exp(2*r2) or n*r1 overflows
     ("simulate", RATES_SIM.replace("r1 = 0.55", "r1 = 0.55\nr2 = 400"),
      "requires r1, r2 <= 300 nats, got (0.55, 400.0)"),
@@ -395,6 +411,22 @@ def test_malformed_config_names_key(tmp_path, capsys, command, text, names):
     assert main([command, "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and names in err
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+@pytest.mark.parametrize("command, text", [
+    ("asymptotics", BASE + SMALL_AXES),
+    ("exponent-grid", BASE + SMALL_AXES),
+    ("simulate", SIM_SMALL),
+    ("simulate", PSI_SMALL),
+    ("compare", f"[compare]\nsimulation = {GOLDEN / 'simulate_psi_small.csv'}\n"),
+], ids=["asymptotics", "exponent-grid", "simulate-scheme", "simulate-psi", "compare"])
+def test_workers_below_one_refused_by_name(tmp_path, capsys, command, text, workers):
+    cfg = write_config(tmp_path, text)
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--config", cfg, "--workers", workers])
+    assert exit_.value.code == 2
+    assert f"argument --workers: requires workers >= 1, got {workers}" in capsys.readouterr().err
 
 
 def test_readme_lists_every_config_key():
@@ -717,8 +749,7 @@ def test_grid_commands_refuse_bad_rates(tmp_path, capsys, command, rates, messag
 def test_grid_commands_refuse_an_infinite_rate_before_computing(tmp_path, capsys, command,
                                                                 rates, pair):
     # an axis [0, 5e307, inf]: the whole grid is checked before any cell is
-    # computed, so the cells at 5e307 (where exp(2*r2) overflows, or the
-    # covering radius cannot be bracketed) are never reached
+    # computed, so the cells at 5e307 are never reached
     cfg = write_config(tmp_path, BASE + "\n[rates]\n" + rates)
     assert main([command, "--config", cfg]) == 2
     assert f"requires finite r1, r2 >= 0, got {pair}" in capsys.readouterr().err
@@ -726,8 +757,8 @@ def test_grid_commands_refuse_an_infinite_rate_before_computing(tmp_path, capsys
 
 @pytest.mark.parametrize("command", ["exponent-grid", "asymptotics"])
 @pytest.mark.parametrize("rates, pair", [
-    # exp(2*r2) in the split overflows above about 354.9 nats; a covering
-    # radius at r1 = 1e300 cannot be bracketed
+    # exp(2*r2) in the split overflows above about 354.9 nats; r1 takes the
+    # same bound
     ("r1 = 0.5\nr2 = 0.1 300 400\n", "(0.5, 400.0)"),
     ("r1 = 0.5 300 1e300\nr2 = 0.3\n", "(1e+300, 0.3)"),
 ], ids=["r2", "r1"])
@@ -802,13 +833,14 @@ def test_kernel_work_per_benchmark_grid(tmp_path, monkeypatch, grid, counts):
 
 
 # SHA-256 of the exponent-grid report of each benchmark grid, pinned when
-# the grid evaluator and the renderer went column by column; a change that
+# the grid evaluator and the renderer went column by column and updated when
+# the covering radius moved to Newton's method on the tilt; a change that
 # moves a printed digit on purpose updates them
 BENCH_GRID_SHA256 = {
-    ("gaussian", "csv"): "3c4b2598ae8273d74487fe7d9ad77fb4de7ba62002581c941b6581375691cd61",
-    ("gaussian", "json"): "7af436fe228a06c84992e1693690d3d7d30da2dd13b9ddb0e98cd734817302b8",
-    ("discrete", "csv"): "573e59af524c555cb887127fa4c8f413f1eb4d8cab2ebd0ac2bcb4d83cd1ec9d",
-    ("discrete", "json"): "b400bfd3724443ae224689fa2ad55d5f9aacc99c4c76d525cd02a30af577b412",
+    ("gaussian", "csv"): "3f271d85711d55506b3b3b9024275fdace7027c40b2660c5e968db248b7ce002",
+    ("gaussian", "json"): "19d7117709be2559878e5bdb5ac3db4e44111024d5beb3177d72e2f01d2881a8",
+    ("discrete", "csv"): "e0b456aed1d6fd9f82391d185ef1ec7a6e037c05ffb1d583660e9238de15b25f",
+    ("discrete", "json"): "d0d326c8e2fa09a92699c1d6dba2ae86435fba8bd2f8cf47cb066e69726a4116",
 }
 
 

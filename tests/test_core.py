@@ -11,15 +11,13 @@ import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import minimize_scalar
 from scipy.special import betainc, logsumexp
 
 from srgauss import asymptotics, core, sources
 from srgauss.core import (
     _bounded_brent_max,
     _bounded_brent_max_lockstep,
-    _brentq,
-    _brentq_lockstep,
     _iid_exponent,
     gaussian_rate_function_x2,
     iid_nonexcess_exponent,
@@ -420,6 +418,21 @@ class TestIidRatePrefactor:
             assert approx == pytest.approx(exact, rel=0.25)
 
 
+def _mp_radius(target, p, d):
+    """50-digit covering radius at rate ``target``: bisection in the tilt s
+    >= max(0, (p - d)/(2d)) on (1/2)log(1 + 2s) - s + 2ds^2/p, the exponent
+    at its optimal tilt, and w = (1 + 2s)(2ds + d - p)."""
+    with mp.workdps(50):
+        t, p, d = mp.mpf(target), mp.mpf(p), mp.mpf(d)
+        lo = max(mp.mpf(0), (p - d) / (2 * d))
+        hi = lo + 1
+        for _ in range(400):
+            mid = (lo + hi) / 2
+            below = mp.log(1 + 2 * mid) / 2 - mid + 2 * d * mid**2 / p < t
+            lo, hi = (mid, hi) if below else (lo, mid)
+        return (1 + 2 * lo) * (2 * d * lo + d - p)
+
+
 class TestInvertIidExponent:
     def test_layer_identities_inverted(self):
         assert invert_iid_exponent(0.5 * math.log(2.0), 0.5, 0.5) == pytest.approx(
@@ -462,9 +475,16 @@ class TestInvertIidExponent:
             invert_iid_exponent(0.5 * floor, 2.0, 1.0)
 
     def test_target_an_ulp_above_infimum_squeezed(self):
-        # the root lies below the lower bracket end w_min + 1e-12, which is returned
-        floor = iid_nonexcess_exponent(0.0, 2.0, 1.0)
-        assert invert_iid_exponent(math.nextafter(floor, math.inf), 2.0, 1.0) == 1e-12
+        # the root squeezed against w_min by a target an ulp above the float
+        # floor, whose own rounding, carried into the target, is the whole
+        # error: within 1e-15 of the 50-digit radius
+        for p, d in [(2.0, 1.0), (7.0, 0.01), (0.3, 0.2), (1.0, 2.0), (1e-3, 5.0), (0.5, 0.5)]:
+            w_min = max(d - p, 0.0)
+            floor = iid_nonexcess_exponent(w_min, p, d)
+            target = math.nextafter(floor, math.inf) if floor > 0.0 else 5e-324
+            w = invert_iid_exponent(target, p, d)
+            assert w >= w_min, (p, d)
+            assert w == pytest.approx(float(_mp_radius(target, p, d)), rel=1e-15, abs=1e-15), (p, d)
 
     @pytest.mark.parametrize("name, args", [
         ("target", (math.nan, 1.0, 0.5)),
@@ -475,7 +495,7 @@ class TestInvertIidExponent:
         ("d", (0.5, 1.0, math.inf)),
     ])
     def test_non_finite_argument_refused_by_name(self, name, args):
-        # refused up front, not after 200 doublings of the bracket
+        # refused up front, before a Newton step
         with pytest.raises(ConfigError, match=f"requires a finite {name} > 0, got"):
             invert_iid_exponent(*args)
 
@@ -734,36 +754,6 @@ class TestBoundedBrent:
         assert len(doublings) == len(set(doublings))
 
 
-def _scipy_invert(target, p, d):
-    """invert_iid_exponent on scipy's brentq: the same floor, bracket,
-    squeeze and tolerances, the oracle the transcribed loop must equal."""
-    w_min = max(d - p, 0.0)
-    if target <= iid_nonexcess_exponent(w_min, p, d):
-        raise ConfigError("target at or below the floor")
-    lo = w_min * (1.0 + 1e-9) + 1e-12
-
-    def f(w):
-        return iid_nonexcess_exponent(w, p, d) - target
-
-    hi = max(2.0 * lo, d + p, 1.0)
-    for _ in range(200):
-        if f(hi) >= 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise NumericError("no bracket")
-    if f(lo) > 0.0:
-        return lo
-    return float(brentq(f, lo, hi, xtol=1e-300, rtol=core._INVERT_RTOL))
-
-
-def _outcome(fn, *args):
-    try:
-        return fn(*args)
-    except (ConfigError, NumericError) as exc:
-        return type(exc)
-
-
 def _grid_inversions(monkeypatch, source, r1_stride=1, r2_stride=1):
     """(target, p, d) of every distinct inversion made by the 60x60
     exponent grid r1 in [0.05, 1.2], r2 in [0, 1.2] at (d1, d2) =
@@ -788,101 +778,6 @@ def _grid_inversions(monkeypatch, source, r1_stride=1, r2_stride=1):
     return list(seen)
 
 
-class TestBrentq:
-    @pytest.mark.parametrize("f, a, b", [
-        (lambda x: x - 1e-9, 0.0, 1.0),  # a root next to a
-        (lambda x: x - (1.0 - 1e-9), 0.0, 1.0),  # a root next to b
-        (lambda x: 0.3 - x, 0.0, 1.0),  # decreasing
-        (lambda x: x, 0.0, 1.0),  # f(a) == 0
-        (lambda x: x - 1.0, 0.0, 1.0),  # f(b) == 0
-        (lambda x: math.tanh(1e6 * (x - 0.3)), 0.0, 1.0),  # steep root
-        (lambda x: (x - 0.3) ** 3, 0.0, 1.0),  # flat root: xtol 1e-300 runs out of steps
-        (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0),
-        (lambda x: math.cos(x) - x, 0.0, 2.0),
-    ])
-    def test_equals_scipy_on_shapes(self, f, a, b):
-        for xtol in (1e-300, 2e-12):
-            for rtol in (1e-12, 4 * np.finfo(float).eps):
-                root, info = brentq(f, a, b, xtol=xtol, rtol=rtol, full_output=True, disp=False)
-                failure = None if info.converged else "no convergence after 100 iterations"
-                assert _brentq(f, a, b, xtol, rtol) == (root, failure)
-
-    @pytest.mark.parametrize("c, xtol", [(0.35, 0.05), (0.4, 0.1)])
-    def test_equals_scipy_at_a_coarse_tolerance(self, c, xtol):
-        # delta is a visible share of the bracket here, so the -delta in the
-        # bound on an interpolated step changes which step is taken
-        f = lambda x: x ** 2 - c  # noqa: E731
-        expected = brentq(f, 0.0, 1.0, xtol=xtol, rtol=1e-12)
-        assert _brentq(f, 0.0, 1.0, xtol, 1e-12) == (expected, None)
-
-    def test_refusals_where_scipy_raises(self):
-        nan_inside = lambda x: x - 0.5 if x in (0.0, 1.0) else math.nan  # noqa: E731
-        assert _brentq(nan_inside, 0.0, 1.0, 2e-12, 1e-12)[1] == "NaN value encountered"
-        with pytest.raises(ValueError, match="NaN"):
-            brentq(nan_inside, 0.0, 1.0)
-        same_sign = lambda x: x + 1.0  # noqa: E731
-        _, failure = _brentq(same_sign, 0.0, 1.0, 2e-12, 1e-12)
-        assert failure == "the bracket ends have the same sign"
-        with pytest.raises(ValueError, match="different signs"):
-            brentq(same_sign, 0.0, 1.0)
-        flat = lambda x: (x - 0.3) ** 5  # noqa: E731
-        last, failure = _brentq(flat, 0.0, 1.0, 1e-300, 1e-12, maxiter=5)
-        assert failure == "no convergence after 5 iterations"
-        with pytest.raises(RuntimeError, match="converge"):
-            brentq(flat, 0.0, 1.0, xtol=1e-300, rtol=1e-12, maxiter=5)
-        root, info = brentq(flat, 0.0, 1.0, xtol=1e-300, rtol=1e-12, maxiter=5,
-                            full_output=True, disp=False)
-        assert not info.converged and last == root
-
-    def test_invert_equals_scipy_on_the_exponent_grid(self, monkeypatch):
-        # covering radii depend on the rates and distortions, not the source,
-        # so these are also every inversion of the pmf grid and its subgrids
-        args = _grid_inversions(monkeypatch, sources.gaussian(1.0))
-        assert len(args) > 5000
-        for a in args:
-            assert invert_iid_exponent(*a) == _scipy_invert(*a), a
-
-    def test_invert_equals_scipy_on_random_triples(self):
-        rng = np.random.default_rng(31)
-        for k in range(2000):
-            p, d = np.exp(rng.uniform(-6.0, 4.0, 2)).tolist()
-            floor = iid_nonexcess_exponent(max(d - p, 0.0), p, d)
-            if k % 10 == 0:  # an ulp above the floor: the squeeze against w_min
-                target = math.nextafter(floor, math.inf) if floor > 0.0 else 5e-324
-            else:  # one in four below the floor, refused by both
-                sign = rng.choice([-1.0, 1.0, 1.0, 1.0])
-                target = floor + sign * math.exp(rng.uniform(-30.0, 3.0))
-            expected = _outcome(_scipy_invert, target, p, d)
-            assert _outcome(invert_iid_exponent, target, p, d) == expected, (target, p, d)
-
-    # The refusals below sit on paths no finite exponent reaches, so each
-    # test bends the exponent (or the iteration cap) to get there.  With
-    # (target, p, d) = (0.1, 0.25, 0.25) the bracket is [1e-12, 1].
-    def test_invert_refuses_a_nan_value(self, monkeypatch):
-        real = core._iid_exponent
-        monkeypatch.setattr(core, "_iid_exponent", lambda w, p, d: (
-            real(w, p, d) if w <= 1e-12 or w >= 1.0 else math.nan))
-        with pytest.raises(NumericError, match="failed at target=0.1: NaN value encountered"):
-            invert_iid_exponent(0.1, 0.25, 0.25)
-
-    def test_invert_refuses_a_same_sign_bracket(self, monkeypatch):
-        # the exponent rises by 1 after the floor, the bracket and the squeeze
-        # check, so both ends the root-finder sees are positive
-        real, calls = core._iid_exponent, iter(range(100))
-        monkeypatch.setattr(core, "_iid_exponent", lambda w, p, d: (
-            real(w, p, d) + (1.0 if next(calls) >= 3 else 0.0)))
-        with pytest.raises(NumericError, match="failed at target=0.1: the bracket ends"):
-            invert_iid_exponent(0.1, 0.25, 0.25)
-
-    def test_invert_refuses_no_convergence(self, monkeypatch):
-        monkeypatch.setattr(core._brentq, "__defaults__", (3,))
-        with pytest.raises(NumericError, match="failed at target=0.1: no convergence after 3"):
-            invert_iid_exponent(0.1, 0.25, 0.25)
-
-# (target, p, d) whose bracket ends a root exactly: f(hi) == 0 at hi = 1,
-# and f(lo) == 0 at lo = 1e-12 (w_min = 0)
-EXACT_ROOT_AT_HI = (0.3465735902799727, 0.5, 0.5)
-EXACT_ROOT_AT_LO = (0.09657359027997263, 0.39999999999999997, 0.2)
 FLOOR_AT_P1_D05 = iid_nonexcess_exponent(0.0, 1.0, 0.5)  # log(2)/2 - 1/4
 
 
@@ -897,12 +792,6 @@ def _refusal(fn, *args):
 
 def _batch_of_one(target, p, d):
     return invert_iid_exponents([target], [p], [d])
-
-
-def _vector_exponent(scalar):
-    """An exponent bent for a refusal test, lane by lane on arrays as
-    core._iid_exponents takes them."""
-    return lambda w, p, d: np.array([scalar(*a) for a in zip(w.tolist(), p.tolist(), d.tolist())])
 
 
 class TestInvertBatch:
@@ -924,28 +813,16 @@ class TestInvertBatch:
 
     def test_seeded_random_triples(self):
         rng = np.random.default_rng(2024)
-        triples, squeezed, his = [], [], []
+        triples = []
         for k in range(2400):
             p, d = sorted(np.exp(rng.uniform(-6.0, 4.0, 2)).tolist(), reverse=k % 2 == 0)
-            w_min = max(d - p, 0.0)
-            floor = iid_nonexcess_exponent(w_min, p, d)
-            if k % 20 == 0:  # an ulp above the floor: the squeeze against w_min
+            floor = iid_nonexcess_exponent(max(d - p, 0.0), p, d)
+            if k % 20 == 0:  # an ulp above the floor
                 target = math.nextafter(floor, math.inf) if floor > 0.0 else 5e-324
-                squeezed.append(w_min * (1.0 + 1e-9) + 1e-12)
-            else:  # 1e-8 above the floor up to 280 nats, many hi doublings
+            else:  # 1e-8 above the floor up to 280 nats
                 target = floor + math.exp(rng.uniform(math.log(1e-8), math.log(280.0 - floor)))
             triples.append((target, p, d))
-            his.append(max(2.0 * (w_min * (1.0 + 1e-9) + 1e-12), d + p, 1.0))
         self.assert_equal_to_scalar(triples)
-        roots = invert_iid_exponents(*zip(*triples))
-        assert roots[::20].tolist() == squeezed
-        # the root lies in (hi/2, hi]: some lane doubled its hi 9 times or more
-        assert (roots / his).max() > 2.0**8
-
-    def test_exact_roots_at_the_bracket_ends(self):
-        assert invert_iid_exponents(*zip(EXACT_ROOT_AT_HI, EXACT_ROOT_AT_LO)).tolist() == [1.0, 1e-12]
-        self.assert_equal_to_scalar([EXACT_ROOT_AT_HI, EXACT_ROOT_AT_LO])
-        self.assert_equal_to_scalar([EXACT_ROOT_AT_HI])  # every lane leaves before the loop
 
     def test_an_empty_batch(self):
         roots = invert_iid_exponents([], [], [])
@@ -977,78 +854,21 @@ class TestInvertBatch:
         assert _refusal(invert_iid_exponents, *zip(good, bad, good, later)) == want
 
     def test_numeric_refusal_parity(self, monkeypatch):
-        # the bends of TestBrentq's refusal tests, on both exponents; with
-        # (target, p, d) = (0.1, 0.25, 0.25) the bracket is [1e-12, 1]
-        real = _iid_exponent
-        good, bent = (1.0, 0.5, 0.25), (0.1, 0.25, 0.25)
-        for bend, message in [
-            (lambda w, p, d: real(w, p, d) if w <= 1e-12 or w >= 1.0 else math.nan,
-             "rate inversion failed at target=0.1: NaN value encountered"),
-            (lambda w, p, d: min(real(w, p, d), 0.05) if p == 0.25 else real(w, p, d),
-             "failed to bracket the rate inversion at target=0.1"),
-        ]:
-            monkeypatch.setattr(core, "_iid_exponent", bend)
-            monkeypatch.setattr(core, "_iid_exponents", _vector_exponent(bend))
-            want = _refusal(invert_iid_exponent, *bent)
-            assert want == (NumericError, message)
-            assert _refusal(invert_iid_exponents, *zip(good, bent, good)) == want
-            # ahead of a later config refusal, as a triple-by-triple loop meets it
-            assert _refusal(invert_iid_exponents, *zip(bent, (0.2, -1.0, 0.5))) == want
-        monkeypatch.undo()
-        monkeypatch.setattr(core._brentq, "__defaults__", (3,))
-        monkeypatch.setattr(core._brentq_lockstep, "__defaults__", (3,))
-        want = _refusal(invert_iid_exponent, *bent)
-        assert want == (NumericError, "rate inversion failed at target=0.1: no convergence after 3 iterations")
-        assert _refusal(invert_iid_exponents, *zip(EXACT_ROOT_AT_HI, bent)) == want
-
-
-class TestBrentqLockstep:
-    SHAPES = [
-        (lambda x: x - 1e-9, 0.0, 1.0),
-        (lambda x: x - (1.0 - 1e-9), 0.0, 1.0),
-        (lambda x: 0.3 - x, 0.0, 1.0),
-        (lambda x: x, 0.0, 1.0),  # f(a) == 0
-        (lambda x: x - 1.0, 0.0, 1.0),  # f(b) == 0
-        (lambda x: math.tanh(1e6 * (x - 0.3)), 0.0, 1.0),
-        (lambda x: (x - 0.3) ** 3, 0.0, 1.0),  # runs out of steps at xtol 1e-300
-        (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0),
-        (lambda x: math.cos(x) - x, 0.0, 2.0),
-        (lambda x: x + 1.0, 0.0, 1.0),  # ends of one sign
-        (lambda x: x - 0.5 if x in (0.0, 1.0) else math.nan, 0.0, 1.0),  # NaN inside
-        (lambda x: math.nan if x == 0.0 else x, 0.0, 1.0),  # NaN at an end
-    ]
-
-    @pytest.mark.parametrize("xtol, rtol", [(1e-300, 1e-12), (2e-12, 1e-12), (0.05, 1e-12),
-                                            (1e-300, 4 * np.finfo(float).eps)])
-    @pytest.mark.parametrize("maxiter", [100, 5])
-    def test_every_lane_takes_the_scalar_steps(self, xtol, rtol, maxiter):
-        fs, a, b = zip(*self.SHAPES)
-        a, b = np.array(a), np.array(b)
-
-        def f(lanes, x):
-            return np.array([fs[i](v) for i, v in zip(lanes.tolist(), x.tolist())])
-
-        lanes = np.arange(len(fs))
-        with np.errstate(all="ignore"):
-            roots, why = _brentq_lockstep(f, a, b, f(lanes, a), f(lanes, b), xtol, rtol, maxiter)
-        got = [(r, why.get(i)) for i, r in enumerate(roots.tolist())]
-        assert got == [_brentq(*shape, xtol, rtol, maxiter) for shape in self.SHAPES]
-
-    def test_no_evaluation_once_every_lane_has_left(self):
-        sizes = []
-
-        def f(lanes, x):
-            sizes.append(len(lanes))
-            return x - 0.25
-
-        a, b = np.zeros(2), np.array([1.0, 0.25])  # lane 1 ends on its root
-        with np.errstate(all="ignore"):
-            roots, why = _brentq_lockstep(f, a, b, a - 0.25, b - 0.25, 2e-12, 1e-12)
-        assert roots.tolist() == [0.25, 0.25] and why == {}
-        assert 0 < len(sizes) < 100 and 0 not in sizes
-        sizes.clear()
-        roots, why = _brentq_lockstep(f, a[1:], b[1:], a[1:] - 0.25, b[1:] - 0.25, 2e-12, 1e-12)
-        assert roots.tolist() == [0.25] and sizes == []
+        # a radius past the floats' range, and the Newton cap set below the
+        # steps (0.1, 0.25, 0.25) takes; the first failing triple in input
+        # order is named, ahead of a later config refusal
+        good, slow, huge = (1.0, 0.5, 0.25), (0.1, 0.25, 0.25), (1e308, 1.0, 1.0)
+        bad = (0.2, -1.0, 0.5)
+        want = _refusal(invert_iid_exponent, *huge)
+        assert want == (NumericError,
+                        "rate inversion failed at target=1e+308: the radius overflows")
+        assert _refusal(invert_iid_exponents, *zip(good, huge, slow, bad)) == want
+        monkeypatch.setattr(core, "_NEWTON_CAP", 1)
+        want = _refusal(invert_iid_exponent, *slow)
+        assert want == (NumericError,
+                        "rate inversion failed at target=0.1: still falling after 1 Newton steps")
+        assert _refusal(_batch_of_one, *slow) == want
+        assert _refusal(invert_iid_exponents, *zip(slow, huge, bad)) == want
 
 
 def _any_refusal(fn, *args):
@@ -1143,7 +963,7 @@ class TestRateBatch:
         # an empty batch evaluates no cgf, so one without a cgf refuses nothing
         assert rate_functions_x2(sources.custom(1.0, 3.0, None), []).shape == (0,)
 
-    def test_refuses_as_the_scalar_function(self):
+    def test_refuses_as_the_scalar_function(self, monkeypatch):
         source = RATE_BATCH_SOURCES["discrete"][0]
         # a negative threshold behind a valid one
         want = _any_refusal(rate_function_x2, source, -1.0)
@@ -1159,12 +979,20 @@ class TestRateBatch:
         assert _any_refusal(rate_functions_x2, nan_cgf, [0.5, -1.0, 2.0]) == (
             ConfigError, "requires threshold t >= 0, got -1.0")
         # a cgf's own refusal, whatever its type: none at all, and an
-        # overflow while the bracket doubles
+        # overflow while the bracket doubles; with no negative threshold the
+        # batch meets it in its lanes, and the scalar replay raises it
         for cgf in (None, lambda th: math.exp(800.0 * th)):
             spec = sources.custom(1.0, 3.0, None, log_mgf_x2=cgf)
             want = _any_refusal(rate_function_x2, spec, 2.0)
             assert want is not None
             assert _any_refusal(rate_functions_x2, spec, [0.5, 2.0, -1.0]) == want
+            assert _any_refusal(rate_functions_x2, spec, [0.5, 2.0, 3.0]) == want
+            assert _any_refusal(asymptotics.exponent_columns, spec, [0.5], [0.2, 0.6],
+                                0.5, 0.25) == want
+        # a batch failing where the scalar function does not is refused too
+        monkeypatch.setattr(core, "_rate_lanes", lambda source, t: (t, True))
+        assert _any_refusal(rate_functions_x2, source, [2.0]) == (
+            NumericError, "the rate batch failed where rate_function_x2 does not")
 
     @pytest.mark.parametrize("name", ["uniform", "custom-gaussian-cgf"])
     def test_array_cgf_of_a_mapped_family(self, name):
