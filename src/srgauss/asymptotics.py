@@ -11,7 +11,7 @@ differ only in that target.
 A point goes through the calculators (:func:`sep_exponents`,
 :func:`jep_exponent`, :func:`jep_exponent_lambda1`,
 :func:`region_contains`, and through them the simulator's prediction),
-each on the scalar kernels, :func:`_covering_radius` and
+each on the scalar kernels, :func:`core.invert_iid_exponent` and
 :func:`core.rate_function_x2`, and each returning the exponent values,
 the root-found auxiliary radii and the case that produced them.  A rate
 grid goes through :func:`exponent_columns`: one list per report column,
@@ -60,34 +60,6 @@ def _dispersion(source: SourceSpec) -> float:
         raise ConfigError(f"second-order terms need E[X^6] < inf, but source "
                           f"{source.family!r} has sixth_moment_finite=False")
     return source.dispersion
-
-
-def _covering_radius(rate: float, p: float, d: float) -> float:
-    """Radius w where covering at codeword power p and distortion d costs
-    exactly ``rate``.  When p > d the cost has a positive floor at w = 0;
-    rates at or below it get the threshold radius, on which the rate
-    function downstream vanishes anyway (the continuous extension).
-    """
-    w_min = max(d - p, 0.0)
-    if rate <= iid_nonexcess_exponent(w_min, p, d):
-        return w_min
-    return invert_iid_exponent(rate, p, d)
-
-
-def _covering_radii(rates: np.ndarray, pairs: np.ndarray, pair: np.ndarray) -> np.ndarray:
-    """:func:`_covering_radius` of every rate against its (p, d) row of
-    ``pairs`` (rates[k] against row pair[k]), the floor once per row some
-    rate uses and the inversions above it in one
-    :func:`invert_iid_exponents` batch."""
-    used = np.zeros(len(pairs), dtype=bool)
-    used[pair] = True
-    w_min = np.maximum(pairs[:, 1] - pairs[:, 0], 0.0)
-    floors = np.zeros(len(pairs))  # read only where used
-    floors[used] = [iid_nonexcess_exponent(w, p, d)
-                    for w, (p, d) in zip(w_min[used].tolist(), pairs[used].tolist())]
-    radii, above = w_min[pair], rates > floors[pair]
-    radii[above] = invert_iid_exponents(rates[above], *pairs[pair[above]].T)
-    return radii
 
 
 @dataclass(frozen=True)
@@ -186,10 +158,10 @@ class ExponentResult:
 
 
 def _excess(source: SourceSpec, r1: float, p_y: float, target: float) -> tuple[float, float]:
-    """Layer-1 excess exponent at rate r1 and codeword power p_y: the radius
-    where covering at distortion ``target`` costs r1, and the rate function
-    of X^2 there.  Every exponent below is this kernel at some target."""
-    alpha = _covering_radius(r1, p_y, target)
+    """Layer-1 excess exponent at rate r1 and codeword power p_y: the largest
+    radius covering at distortion ``target`` reaches at r1, and the rate
+    function of X^2 there.  Every exponent below is this kernel at some target."""
+    alpha = invert_iid_exponent(r1, p_y, target)
     return alpha, rate_function_x2(source, alpha)
 
 
@@ -199,7 +171,7 @@ def _sep_column(sigma2, d1, d2, r2, branch) -> tuple[float, float, float | None,
     layer 2's target, gamma or else lambda*d1 (a root-found gamma there
     would move the 12th digit)."""
     lam = lambda_for_rates(r2, d1, d2)
-    gamma = None if r2 <= branch else _covering_radius(r2, d1 - d2, d2)
+    gamma = None if r2 <= branch else invert_iid_exponent(r2, d1 - d2, d2)
     return lam, sigma2 - lam * d1, gamma, lam * d1 if gamma is None else gamma
 
 
@@ -216,9 +188,15 @@ def _fixed_column(sigma2, d1, d2, r2, branch, floor2) -> tuple[str, float, float
     if r2 >= branch:
         return "i", d1, 0.5 * math.log(sigma2 / d1)
     if r2 > floor2:
-        gamma2 = _covering_radius(r2, d1 - d2, d2)
+        gamma2 = invert_iid_exponent(r2, d1 - d2, d2)
         return "ii", gamma2, iid_nonexcess_exponent(sigma2, sigma2 - d1, gamma2)
     return "iii", math.nan, math.inf
+
+
+def _check_query_source(source: SourceSpec, q: RateQuery) -> None:
+    """Refuse a query whose sigma2, which sets the split powers, is not the source's."""
+    if abs(q.sigma2 - source.sigma2) > 1e-12 * source.sigma2:
+        raise ConfigError(f"RateQuery sigma2 {q.sigma2} differs from the source's {source.sigma2}")
 
 
 def sep_exponents(source: SourceSpec, q: RateQuery) -> ExponentResult:
@@ -228,6 +206,7 @@ def sep_exponents(source: SourceSpec, q: RateQuery) -> ExponentResult:
     0.5*log(d1/d2) (case ``low_r2``), or above it, where lambda is 1 (its
     float can round to 1 - 2**-53), at the largest residual power gamma
     that layer 2 still covers at r2 (case ``high_r2``)."""
+    _check_query_source(source, q)
     if q.r1 <= 0:
         raise ConfigError(f"requires r1 > 0, got {q.r1}")
     _, p_y, gamma, target2 = _sep_column(q.sigma2, q.d1, q.d2, q.r2, 0.5 * math.log(q.d1 / q.d2))
@@ -243,6 +222,7 @@ def jep_exponent(source: SourceSpec, q: RateQuery) -> ExponentResult:
     """Joint excess-distortion exponent of the rate-adaptive scheme: the
     binding layer's separate exponent, layer 2's at or below the branch
     rate and layer 1's above it."""
+    _check_query_source(source, q)
     if q.r1 <= 0:
         raise ConfigError(f"requires r1 > 0, got {q.r1}")
     _, p_y, gamma, target2 = _sep_column(q.sigma2, q.d1, q.d2, q.r2, 0.5 * math.log(q.d1 / q.d2))
@@ -256,6 +236,7 @@ def jep_exponent_lambda1(source: SourceSpec, q: RateQuery) -> ExponentResult:
     power layer 2 covers at r2 (cases ``i`` and ``ii``).  It is zero (case
     ``iii``) at or below layer 2's floor and wherever r1 covers no more than
     power sigma2 at the target, where the adaptive scheme's can be positive."""
+    _check_query_source(source, q)
     branch = 0.5 * math.log(q.d1 / q.d2)
     case, target, threshold = _fixed_column(
         q.sigma2, q.d1, q.d2, q.r2, branch, _layer2_floor(q.d1, q.d2))
@@ -295,7 +276,7 @@ def exponent_columns(source: SourceSpec, r1s, r2s, d1: float, d2: float) -> dict
     above its threshold, for the fixed split, held as (r1 index, column
     pair index) over the distinct r1s and the distinct (p, target) pairs of
     the r2 columns; the distinct keys take their radii from one
-    :func:`_covering_radii` batch and their rates from one
+    :func:`core.invert_iid_exponents` batch and their rates from one
     :func:`core.rate_functions_x2` batch, each distinct radius once."""
     _check_rates(r1s, r2s)
     sigma2 = source.sigma2
@@ -319,7 +300,7 @@ def exponent_columns(source: SourceSpec, r1s, r2s, d1: float, d2: float) -> dict
     key_row, key_pair, index = _distinct_pairs(  # the distinct keys and each valid cell's
         *(a[valid] for a in np.broadcast_arrays(row[:, None, None], pair.reshape(1, -1, 3))),
         (len(rates), len(pairs)))
-    key_alpha = _covering_radii(rates[key_row, 0], pairs, key_pair)
+    key_alpha = invert_iid_exponents(rates[key_row, 0], *pairs[key_pair].T)
     radii, at = _first_unique(key_alpha[:, None])
     key_rate = rate_functions_x2(source, radii[:, 0].tolist())[at]
     alpha, rate = np.full((2,) + valid.shape, np.nan)

@@ -211,12 +211,12 @@ def log_iid_nonexcess_asymptotic(n: int, l: float, p: float, d: float) -> float:
 
 
 def invert_iid_exponent(target: float, p: float, d: float) -> float:
-    """Unique w > max(d - p, 0) with iid_nonexcess_exponent(w, p, d) = target.
+    """Smallest w >= 0 with iid_nonexcess_exponent(w, p, d) >= target.
 
-    When p > d the exponent has a positive infimum (the center-covering
-    cost at w = 0); targets at or below it have no root and raise a domain
-    error.  The root is found in the tilt s, where the exponent at its
-    optimal tilt s >= s_min = max(0, (p - d)/(2d)) is
+    When p > d the exponent has a positive floor (the center-covering cost
+    at w = 0); targets at or below it give w_min = max(d - p, 0), any other
+    the unique root above w_min.  It is found in the tilt s, where the
+    exponent at its optimal tilt s >= s_min = max(0, (p - d)/(2d)) is
     (1/2)log(1 + 2s) - s + 2ds^2/p and the radius (1 + 2s)(2ds + d - p).
     In the offset u = s - s_min, with a = 1 + 2*s_min, the exponent above
     its floor is G(u) = (1/2)log1p(2u/a) + c1*u + c2*u^2, c1 = 4d*s_min/p - 1,
@@ -229,9 +229,11 @@ def invert_iid_exponent(target: float, p: float, d: float) -> float:
     step that would not lower u ends it (2 steps in the median, at most 6,
     on 20,000 seeded triples).
     """
-    tau = target - _check_inversion(target, p, d)
+    tau, w_min = target - _check_inversion(target, p, d), max(d - p, 0.0)
+    if tau <= 0.0:
+        return w_min
     s_min = max(0.0, (p - d) / (2.0 * d))
-    a, c1, c2, w_min = 1.0 + 2.0 * s_min, 4.0 * d * s_min / p - 1.0, 2.0 * d / p, max(d - p, 0.0)
+    a, c1, c2 = 1.0 + 2.0 * s_min, 4.0 * d * s_min / p - 1.0, 2.0 * d / p
     b = max(c1 + 1.0 / a, 0.0)  # G'(0), never below 0 in floats either
     u = 2.0 * tau / (b + math.sqrt(b * b + 4.0 * (c2 - 1.0 / (a * a)) * tau))
     if not (0.0 < u and (a + 2.0 * u) * (2.0 * d * u + w_min) < math.inf):
@@ -247,20 +249,12 @@ def invert_iid_exponent(target: float, p: float, d: float) -> float:
 
 
 def _check_inversion(target: float, p: float, d: float) -> float:
-    """Refuse a non-finite or non-positive argument of an inversion, and a
-    target at or below the exponent's infimum over w, its value at the
-    threshold w_min = max(d - p, 0); return that floor."""
+    """Refuse a non-finite or non-positive argument of an inversion; return
+    the exponent's floor, its value at the threshold w_min = max(d - p, 0)."""
     for name, value in (("target", target), ("p", p), ("d", d)):
         if not 0.0 < value < math.inf:
             raise ConfigError(f"requires a finite {name} > 0, got {value}")
-    w_min = max(d - p, 0.0)
-    floor = _iid_exponent(w_min, p, d)  # its arguments are checked above
-    if target <= floor:
-        raise ConfigError(
-            f"target rate {target} is not attained for any w > {w_min}; "
-            f"the infimum over w is {floor}"
-        )
-    return floor
+    return _iid_exponent(max(d - p, 0.0), p, d)  # its arguments are checked above
 
 
 def _iid_exponents(w, p, d):
@@ -274,34 +268,34 @@ def _iid_exponents(w, p, d):
 
 
 # numpy warns where Python floats stay silent (refused lanes holding nan, inf
-# or 0, an overflowing start)
+# or 0, the discarded start of a lane at its floor, an overflowing start)
 @np.errstate(all="ignore")
 def invert_iid_exponents(targets, ps, ds) -> np.ndarray:
     """:func:`invert_iid_exponent` of every (target, p, d) triple of three
     equal-length sequences, in one lockstep batch over numpy arrays.
 
-    The same checks, start and Newton steps, lane by lane, a lane leaving
-    the loop at the step the scalar function returns on, so each root is
-    the scalar function's float bit for bit.  A batch refuses as the scalar
-    function would on its first offending triple in input order, with the
-    same exception and message.
+    The same checks, start and Newton steps, lane by lane (a lane at or
+    below its floor takes u = 0, radius w_min as a = 1 where w_min > 0), so
+    each radius is the scalar function's float bit for bit.  A batch refuses
+    as the scalar function would on its first offending triple in input
+    order, with the same exception and message.
     """
     t, p, d = (np.asarray(a, dtype=float) for a in (targets, ps, ds))
     w_min = np.maximum(d - p, 0.0)
     floor = _iid_exponents(w_min, p, d)
     valid = (0.0 < t) & (t < math.inf) & (0.0 < p) & (p < math.inf) & (0.0 < d) & (d < math.inf)
-    refused = ~valid | (t <= floor)
-    if refused.any():
-        k = int(np.argmax(refused))
+    if not valid.all():
+        k = int(np.argmax(~valid))
         invert_iid_exponents(t[:k], p[:k], d[:k])  # a refusal before k comes first
         _check_inversion(targets[k], ps[k], ds[k])  # raises k's refusal
     tau = t - floor
+    floored = tau <= 0.0
     s_min = np.maximum((p - d) / (2.0 * d), 0.0)
     a, c1, c2 = 1.0 + 2.0 * s_min, 4.0 * d * s_min / p - 1.0, 2.0 * d / p
     b = np.maximum(c1 + 1.0 / a, 0.0)
-    u = 2.0 * tau / (b + np.sqrt(b * b + 4.0 * (c2 - 1.0 / (a * a)) * tau))
+    u = np.where(floored, 0.0, 2.0 * tau / (b + np.sqrt(b * b + 4.0 * (c2 - 1.0 / (a * a)) * tau)))
     fits = (0.0 < u) & ((a + 2.0 * u) * (2.0 * d * u + w_min) < math.inf)
-    failures = dict.fromkeys(np.flatnonzero(~fits).tolist(), "the radius overflows")
+    failures = dict.fromkeys(np.flatnonzero(~(fits | floored)).tolist(), "the radius overflows")
     run = np.flatnonzero(fits)
     for _ in range(_NEWTON_CAP):
         x, a_run, c2_run = u[run], a[run], c2[run]

@@ -25,10 +25,13 @@ from srgauss.asymptotics import (
 from srgauss.core import (
     gaussian_rate_function_x2,
     iid_nonexcess_exponent,
+    invert_iid_exponent,
     q_inv,
     rate_function_x2,
 )
 from srgauss.errors import ConfigError
+
+from scipy_rate import scipy_rate_function_x2
 
 GMS = sources.gaussian(1.0)
 # the Gaussian cgf on a custom source: its rate function takes the bounded
@@ -257,6 +260,36 @@ class TestJepExponent:
             assert jep_exponent(uni, rq(r1, r2)).value > 0.0
 
 
+class TestQuerySigma2:
+    """A point calculator takes the split powers from the query and the
+    rate function from the source, so their sigma2 must agree."""
+
+    UNI = sources.uniform(1.5)  # sigma2 = 0.75
+
+    @pytest.mark.parametrize("calc", [sep_exponents, jep_exponent, jep_exponent_lambda1])
+    @pytest.mark.parametrize("sigma2", [1.0, 2.0, 0.75 * (1.0 + 1e-11), 0.75 * (1.0 - 1e-11)])
+    def test_a_query_of_another_sigma2_is_refused(self, calc, sigma2):
+        # with sigma2 = 1 jep_exponent read 1.0570 where the grid prints
+        # 0.4789, and with sigma2 = 2 sep_e1 read inf
+        q = rq(0.8, 0.3, sigma2=sigma2)
+        with pytest.raises(ConfigError) as err:
+            calc(self.UNI, q)
+        assert str(err.value) == (
+            f"RateQuery sigma2 {sigma2} differs from the source's {self.UNI.sigma2}")
+
+    def test_within_1e_12_relative_is_the_source_sigma2(self):
+        src = self.UNI
+        grid = asymptotics.exponent_columns(src, [0.8], [0.3], 0.5, 0.25)
+        for sigma2 in (src.sigma2, src.sigma2 * (1.0 + 1e-13), src.sigma2 * (1.0 - 1e-13)):
+            q = rq(0.8, 0.3, sigma2=sigma2)
+            assert jep_exponent(src, q).value > 0.0
+            assert sep_exponents(src, q).values[0] < math.inf
+            jep_exponent_lambda1(src, q)
+        q = rq(0.8, 0.3, sigma2=src.sigma2)
+        assert [jep_exponent(src, q).value] == grid["jep_exponent"]
+        assert list(sep_exponents(src, q).values) == grid["sep_e1"] + grid["sep_e2"]
+
+
 class TestJepExponentLambda1:
     def test_case_iii_zero(self):
         res = jep_exponent_lambda1(GMS, rq(3.0, 0.0))
@@ -414,9 +447,7 @@ class TestBranchWindowInequalities:
             r2 = 0.5 * (edge + half_d1d2)
             if r2 <= edge:
                 continue
-            from srgauss.asymptotics import _covering_radius
-
-            gamma2 = _covering_radius(r2, p_z, d2)
+            gamma2 = invert_iid_exponent(r2, p_z, d2)
             thresh = iid_nonexcess_exponent(max(1.0, gamma2 - p_y), p_y, gamma2)
             assert thresh > 0.5 * math.log(1.0 / d1)
 
@@ -531,8 +562,18 @@ class TestMemos:
 # --- frozen oracle ----------------------------------------------------------
 # The per-point calculators as they were written before the grid evaluator
 # (one RateQuery, region, split and three ExponentResults per point), kept
-# verbatim apart from their names so the evaluator is checked against code
-# it does not share.  They reach the kernels through the same _excess.
+# verbatim apart from their names and kernels, so the evaluator is checked
+# against code it does not share.  The covering radius is
+# core.invert_iid_exponent; the rate function of X^2 is the closed form for a
+# gaussian source, as rate_function_x2 takes it, and scipy's own bounded
+# maximization for every other, so no bounded-Brent loop of src/ runs here.
+
+def _oracle_excess(source, r1, p_y, target):
+    alpha = invert_iid_exponent(r1, p_y, target)
+    if source.family == "gaussian":
+        return alpha, gaussian_rate_function_x2(alpha, source.sigma2)
+    return alpha, scipy_rate_function_x2(source, alpha)
+
 
 def _oracle_region(q):
     c1 = q.r1 - 0.5 * math.log(q.sigma2 / q.d1)
@@ -548,18 +589,17 @@ def _oracle_region(q):
 
 
 def _oracle_sep(source, q):
-    _excess, _covering_radius = asymptotics._excess, asymptotics._covering_radius
     if q.r1 <= 0:
         raise ConfigError(f"requires r1 > 0, got {q.r1}")
     lam = lambda_for_rates(q.r2, q.d1, q.d2)
     p_y = q.sigma2 - lam * q.d1
-    alpha1, e1 = _excess(source, q.r1, p_y, q.d1)
+    alpha1, e1 = _oracle_excess(source, q.r1, p_y, q.d1)
     if q.r2 <= 0.5 * math.log(q.d1 / q.d2):
-        alpha2, e2 = _excess(source, q.r1, p_y, lam * q.d1)
+        alpha2, e2 = _oracle_excess(source, q.r1, p_y, lam * q.d1)
         aux = {"alpha1_star": alpha1, "alpha2_star": alpha2}
         return ExponentResult(auxiliaries=aux, values=(e1, e2), case_tag="low_r2")
-    gamma = _covering_radius(q.r2, q.d1 - q.d2, q.d2)
-    alpha2, e2 = _excess(source, q.r1, p_y, gamma)
+    gamma = invert_iid_exponent(q.r2, q.d1 - q.d2, q.d2)
+    alpha2, e2 = _oracle_excess(source, q.r1, p_y, gamma)
     aux = {"alpha1_star": alpha1, "gamma_star": gamma, "alpha2_star": alpha2}
     return ExponentResult(auxiliaries=aux, values=(e1, e2), case_tag="high_r2")
 
@@ -571,16 +611,15 @@ def _oracle_binding(sep):
 
 
 def _oracle_lambda1(source, q):
-    _excess, _covering_radius = asymptotics._excess, asymptotics._covering_radius
     p_y, p_z = q.sigma2 - q.d1, q.d1 - q.d2
     if q.r2 >= 0.5 * math.log(q.d1 / q.d2):
         if q.r1 > 0.5 * math.log(q.sigma2 / q.d1):
-            alpha1, value = _excess(source, q.r1, p_y, q.d1)
+            alpha1, value = _oracle_excess(source, q.r1, p_y, q.d1)
             return ExponentResult({"alpha1": alpha1}, (value,), "i")
     elif q.r2 > iid_nonexcess_exponent(max(q.d2 - p_z, 0.0), p_z, q.d2):
-        gamma2 = _covering_radius(q.r2, p_z, q.d2)
+        gamma2 = invert_iid_exponent(q.r2, p_z, q.d2)
         if q.r1 > iid_nonexcess_exponent(q.sigma2, p_y, gamma2):
-            alpha2, value = _excess(source, q.r1, p_y, gamma2)
+            alpha2, value = _oracle_excess(source, q.r1, p_y, gamma2)
             return ExponentResult({"gamma2": gamma2, "alpha2": alpha2}, (value,), "ii")
     return ExponentResult({}, (0.0,), "iii")
 
@@ -795,12 +834,12 @@ def test_closed_form_grid_matches_the_brent_loop(monkeypatch):
     for src in (GMS, GAUSSIAN_CGF):
         seen.update(dict.fromkeys(kernels, 0))
         grids.append(asymptotics.exponent_columns(src, r1s, r2s, 0.5, 0.25))
-        # 59 column radii plus 5,182 batched cell radii: the 5,241 inversions
+        # 59 column radii plus 5,233 batched cell radii: the 5,292 inversions
         # (tests/test_cli.py::test_kernel_work_per_benchmark_grid); the
         # 5,183 distinct cell radii take their rate functions in one batch
-        assert seen == {"invert_iid_exponent": 59, "invert_iid_exponents": 5182,
+        assert seen == {"invert_iid_exponent": 59, "invert_iid_exponents": 5233,
                         "rate_function_x2": 0, "rate_functions_x2": 5183,
-                        "iid_nonexcess_exponent": 172}
+                        "iid_nonexcess_exponent": 18}
     exponents = ("jep_exponent", "l1_exponent", "sep_e1", "sep_e2")
     closed, brent = grids
     assert list(closed) == list(brent)

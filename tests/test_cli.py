@@ -794,21 +794,22 @@ BENCH_GRIDS = {
 @pytest.mark.parametrize("grid, counts", [
     # Every distinct covering radius is inverted once: the columns' gamma
     # and gamma2 by the scalar invert_iid_exponent (59 and 29), every cell's
-    # in the one invert_iid_exponents batch (counted per triple).  The iid
-    # exponent fell from 7,392 and 758 when the fixed split's floor and
+    # in the one invert_iid_exponents batch (counted per triple), those at
+    # or below their floor included, which take the threshold radius.  The
+    # iid exponent fell from 7,392 and 758 when the fixed split's floor and
     # case-ii threshold moved to once per grid and once per column, then
-    # from 5,310 and 563 when the cells' floors moved to once per distinct
-    # (p, d) pair of the batch (95 and 48 pairs); the rest is one floor per
-    # column radius, one threshold per case-ii column (17 and 8) and layer
-    # 2's floor.  Every distinct cell radius (5,183 and 518) takes its rate
-    # function once, in the one rate_functions_x2 batch (counted per
-    # threshold); no scalar rate function runs.
-    ("gaussian", {"invert_iid_exponent": 59, "invert_iid_exponents": 5182,
+    # to 5,310 and 563 and to 172 and 86 as the cells' floors moved to once
+    # per distinct (p, d) pair and into the inversion; the rest is one
+    # threshold per case-ii column (17 and 8) and layer 2's floor.  Every
+    # distinct cell radius (5,183 and 518) takes its rate function once, in
+    # the one rate_functions_x2 batch (counted per threshold); no scalar
+    # rate function runs.
+    ("gaussian", {"invert_iid_exponent": 59, "invert_iid_exponents": 5233,
                   "rate_function_x2": 0, "rate_functions_x2": 5183,
-                  "iid_nonexcess_exponent": 172}),
-    ("discrete", {"invert_iid_exponent": 29, "invert_iid_exponents": 517,
+                  "iid_nonexcess_exponent": 18}),
+    ("discrete", {"invert_iid_exponent": 29, "invert_iid_exponents": 525,
                   "rate_function_x2": 0, "rate_functions_x2": 518,
-                  "iid_nonexcess_exponent": 86}),
+                  "iid_nonexcess_exponent": 9}),
 ])
 def test_kernel_work_per_benchmark_grid(tmp_path, monkeypatch, grid, counts):
     """The benchmark grids make exactly these kernel calls, a batch counted
@@ -828,7 +829,7 @@ def test_kernel_work_per_benchmark_grid(tmp_path, monkeypatch, grid, counts):
     assert main(["exponent-grid", "--config", cfg, "--out", out]) == 0
     assert len(read_report(out)) == (3600 if grid == "gaussian" else 360)
     assert seen == counts
-    inversions = {"gaussian": 5241, "discrete": 546}[grid]
+    inversions = {"gaussian": 5292, "discrete": 554}[grid]
     assert seen["invert_iid_exponent"] + seen["invert_iid_exponents"] == inversions
 
 

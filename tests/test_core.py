@@ -11,7 +11,6 @@ import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.optimize import minimize_scalar
 from scipy.special import betainc, logsumexp
 
 from srgauss import asymptotics, core, sources
@@ -37,6 +36,8 @@ from srgauss.core import (
     spherical_nonexcess_upper,
 )
 from srgauss.errors import ConfigError, NumericError
+
+from scipy_rate import scipy_bounded_max, scipy_rate_function_x2
 
 mp.mp.dps = 40
 
@@ -468,11 +469,16 @@ class TestInvertIidExponent:
             w = invert_iid_exponent(target, p, d)
             assert iid_nonexcess_exponent(w, p, d) == pytest.approx(target, rel=1e-9)
 
-    def test_below_infimum_rejected(self):
-        # p > d: the exponent never drops below the center-covering cost
-        floor = iid_nonexcess_exponent(0.0, 2.0, 1.0)
-        with pytest.raises(ConfigError):
-            invert_iid_exponent(0.5 * floor, 2.0, 1.0)
+    def test_at_or_below_infimum_gives_w_min(self):
+        # p > d: the exponent never drops below the center-covering cost at
+        # w = 0, so a target at it, the float below it or half of it is
+        # reached at the threshold radius max(d - p, 0), by both inversions
+        for p, d in [(2.0, 1.0), (1.0, 0.5), (7.0, 0.01), (0.3, 0.2), (5.0, 1e-3)]:
+            floor = iid_nonexcess_exponent(0.0, p, d)
+            targets = [floor, math.nextafter(floor, 0.0), 0.5 * floor]
+            want = _bits([max(d - p, 0.0)] * 3)
+            assert _bits(invert_iid_exponent(t, p, d) for t in targets) == want, (p, d)
+            assert _bits(invert_iid_exponents(targets, [p] * 3, [d] * 3)) == want, (p, d)
 
     def test_target_an_ulp_above_infimum_squeezed(self):
         # the root squeezed against w_min by a target an ulp above the float
@@ -633,43 +639,6 @@ class TestRateFunction:
         assert rate_function_x2(spec, t) == pytest.approx(direct, abs=1e-5)
 
 
-def _scipy_bounded_max(g, b, xatol):
-    """scipy's bounded Brent on -g over [0, b]: the oracle the port of its
-    loop must equal bit for bit."""
-    res = minimize_scalar(
-        lambda x: -g(x), bounds=(0.0, b), method="bounded",
-        options={"xatol": xatol, "maxiter": 500},
-    )
-    return -float(res.fun), res.success
-
-
-def _scipy_rate_function_x2(source, t):
-    """rate_function_x2 with the maximization done by scipy's
-    minimize_scalar(method="bounded") on the same bracket."""
-    if t <= source.sigma2 or source.theta_max <= 0.0:
-        return 0.0
-    if math.isfinite(source.x2_max) and t >= source.x2_max:
-        if t > source.x2_max or source.x2_max_mass <= 0.0:
-            return math.inf
-        return -math.log(source.x2_max_mass)
-
-    def objective(theta):
-        return theta * t - source.log_mgf_x2(theta)
-
-    if math.isfinite(source.theta_max):
-        hi = source.theta_max * (1.0 - 1e-9)
-    else:
-        hi = 1.0
-        while objective(2.0 * hi) > objective(hi):
-            hi *= 2.0
-            if hi > 1e15:
-                return math.inf
-        hi *= 2.0
-    best, ok = _scipy_bounded_max(objective, hi, max(1e-14, 1e-12 * hi))
-    assert ok
-    return max(0.0, best)
-
-
 # X^2 = 0.5 * chi2_3: finite theta_max = 1
 _GAMMA_X2 = sources.custom(
     1.5, 3.75, lambda n, rng: 0.5 * rng.chisquare(3, n),
@@ -711,7 +680,7 @@ class TestBoundedBrent:
             [sigma2, math.nextafter(sigma2, math.inf), math.nextafter(top, 0.0), top],
         ])
         for t in ts.tolist():
-            assert rate_function_x2(source, t) == _scipy_rate_function_x2(source, t), t
+            assert rate_function_x2(source, t) == scipy_rate_function_x2(source, t), t
 
     @pytest.mark.parametrize("g, b", [
         (lambda x: -(x - 0.3) ** 2, 1.0),
@@ -724,7 +693,7 @@ class TestBoundedBrent:
         for xatol in (1e-14, 1e-12 * b, 1e-5):
             best, failure = _bounded_brent_max(g, b, xatol, 500)
             assert failure is None
-            assert (best, True) == _scipy_bounded_max(g, b, xatol)
+            assert (best, True) == scipy_bounded_max(g, b, xatol)
 
     def test_reports_exhausted_evaluations(self):
         best, failure = _bounded_brent_max(lambda x: -(x - 0.3) ** 2, 1.0, 1e-14, 3)
@@ -807,7 +776,7 @@ class TestInvertBatch:
         gaussian = _grid_inversions(monkeypatch, sources.gaussian(1.0))
         pmf = _grid_inversions(monkeypatch, sources.discrete(
             [-2.0, -0.5, 0.5, 2.0], [0.1, 0.4, 0.4, 0.1]), r1_stride=5, r2_stride=2)
-        assert (len(gaussian), len(pmf)) == (5241, 546)
+        assert (len(gaussian), len(pmf)) == (5292, 554)
         self.assert_equal_to_scalar(gaussian)
         self.assert_equal_to_scalar(pmf)
 
@@ -824,6 +793,30 @@ class TestInvertBatch:
             triples.append((target, p, d))
         self.assert_equal_to_scalar(triples)
 
+    def test_floor_lanes_in_a_mixed_batch(self):
+        # p > d: the floor, the float below it and half of it, among targets
+        # above a floor and p <= d triples, and a seeded mix of both; every
+        # lane is the scalar function's radius, w_min = 0 on the floor lanes
+        floor = FLOOR_AT_P1_D05
+        triples = [(1.0, 0.5, 0.25), (floor, 1.0, 0.5), (math.nextafter(floor, 0.0), 1.0, 0.5),
+                   (math.nextafter(floor, math.inf), 1.0, 0.5), (floor / 2, 1.0, 0.5),
+                   (0.3, 0.5, 1.0), (2.0, 1.0, 0.5)]
+        got = invert_iid_exponents(*zip(*triples))
+        assert _bits(got) == _bits(invert_iid_exponent(*a) for a in triples)
+        assert _bits(got[[1, 2, 4]]) == _bits([0.0] * 3) and (got[[0, 3, 5, 6]] > 0.0).all()
+        rng = np.random.default_rng(29)
+        triples = []
+        for k in range(1200):
+            p, d = sorted(np.exp(rng.uniform(-6.0, 4.0, 2)).tolist(), reverse=k % 4 != 3)
+            floor = iid_nonexcess_exponent(max(d - p, 0.0), p, d)
+            target = floor if k % 4 == 0 else floor * rng.uniform(1e-3, 2.0) or 0.5
+            triples.append((target, p, d))
+        got = invert_iid_exponents(*zip(*triples))
+        assert _bits(got) == _bits(invert_iid_exponent(*a) for a in triples)
+        floored = [a[0] <= iid_nonexcess_exponent(max(a[2] - a[1], 0.0), *a[1:]) for a in triples]
+        assert 500 < sum(floored) < 1000
+        assert _bits(got[floored]) == _bits([0.0] * sum(floored))
+
     def test_an_empty_batch(self):
         roots = invert_iid_exponents([], [], [])
         assert roots.dtype == np.float64 and roots.shape == (0,)
@@ -839,10 +832,8 @@ class TestInvertBatch:
     @pytest.mark.parametrize("bad", [
         *[tuple(v if k == i else 0.5 for k in range(3))
           for i in range(3) for v in (math.nan, math.inf, -math.inf, 0.0, -1.0)],
-        # p > d: the floor, the float below it, and half of it
-        (FLOOR_AT_P1_D05, 1.0, 0.5),
-        (math.nextafter(FLOOR_AT_P1_D05, 0.0), 1.0, 0.5),
-        (FLOOR_AT_P1_D05 / 2, 1.0, 0.5),
+        # a signed zero in each place, named with its sign
+        *[tuple(-0.0 if k == i else 0.5 for k in range(3)) for i in range(3)],
     ])
     def test_refuses_as_the_scalar_function(self, bad):
         want = _refusal(invert_iid_exponent, *bad)
