@@ -23,7 +23,7 @@ corner = (0.5 * math.log(1 / d1), 0.5 * math.log(d1 / d2))
 
 print("=== region membership (sigma2=1, d1=0.5, d2=0.25) ===")
 for r1, r2 in [corner, (1.0, 1.0), (0.1, 2.0), (0.5, 0.1)]:
-    res = region_contains(RateQuery(r1, r2, 1.0, d1, d2))
+    res = region_contains(gms, RateQuery(r1, r2, d1, d2))
     extra = f", split witness eta={res.eta:.4f}" if res.eta is not None else ""
     print(f"  (r1={r1:.4f}, r2={r2:.4f}) -> {res.location}{extra}")
 

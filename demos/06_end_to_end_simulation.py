@@ -21,8 +21,7 @@ for kind1, kind2 in [("spherical", "spherical"), ("iid", "iid")]:
     for n in (12, 16, 20):
         plan = second_order_plan(gms, d1, d2, 1.0, eps, n, c_log=0.0, kind2=kind2)
         cfg = SchemeConfig(
-            n=n, m1=plan.m1, m2=plan.m2, kind1=kind1, kind2=kind2,
-            d1=d1, d2=d2, lam=1.0, sigma2=1.0,
+            n=n, m1=plan.m1, m2=plan.m2, kind1=kind1, kind2=kind2, d1=d1, d2=d2, lam=1.0,
         )
         r = estimate(cfg, gms, trials=trials, seed=100 + n, workers=2, precision="single")
         lo, hi = r.jep_interval

@@ -16,9 +16,9 @@ each on the scalar kernels, :func:`core.invert_iid_exponent` and
 the root-found auxiliary radii and the case that produced them.  A rate
 grid goes through :func:`exponent_columns`: one list per report column,
 what depends on r2 alone computed once per column, the cells as numpy
-arrays, and their thousands of distinct radii inverted in one lockstep
-batch, :func:`core.invert_iid_exponents`, with the rate function of X^2
-at every distinct radius in another, :func:`core.rate_functions_x2`.
+arrays, and the radii of their thousands of distinct keys inverted in one
+lockstep batch, :func:`core.invert_iid_exponents`, with the rate function
+of X^2 at each of them in another, :func:`core.rate_functions_x2`.
 Both give the same floats; a batch has a fixed cost of many numpy calls
 per iteration, the price of dozens of scalar calls."""
 
@@ -68,13 +68,11 @@ class RateQuery:
 
     r1: float
     r2: float
-    sigma2: float
     d1: float
     d2: float
 
     def __post_init__(self):
         _check_rates((self.r1,), (self.r2,))
-        _check_distortions(self.sigma2, self.d1, self.d2)
 
 
 def _check_rates(r1s, r2s) -> None:
@@ -122,10 +120,11 @@ def _regions(r1s, r2s, lam, sigma2, d1, d2) -> tuple[np.ndarray, np.ndarray]:
     return region, ~(outside | boundary) & (lam >= lo) & (lam > d2 / d1)
 
 
-def region_contains(q: RateQuery) -> RegionResult:
+def region_contains(source: SourceSpec, q: RateQuery) -> RegionResult:
     """Classify a rate pair against the region's two half-planes."""
+    _check_distortions(source.sigma2, q.d1, q.d2)
     lam = lambda_for_rates(q.r2, q.d1, q.d2)
-    region, witness = _regions((q.r1,), (q.r2,), lam, q.sigma2, q.d1, q.d2)
+    region, witness = _regions((q.r1,), (q.r2,), lam, source.sigma2, q.d1, q.d2)
     return RegionResult(str(region[0, 0]), lam if witness[0, 0] else None)
 
 
@@ -165,13 +164,13 @@ def _excess(source: SourceSpec, r1: float, p_y: float, target: float) -> tuple[f
     return alpha, rate_function_x2(source, alpha)
 
 
-def _sep_column(sigma2, d1, d2, r2, branch) -> tuple[float, float, float | None, float]:
+def _sep_column(sigma2, d1, d2, r2) -> tuple[float, float, float | None, float]:
     """The adaptive split's part of an r2 column: lambda, layer 1's power
-    p_y (>= sigma2 - d1 > 0), gamma above the branch rate, else None, and
-    layer 2's target, gamma or else lambda*d1 (a root-found gamma there
-    would move the 12th digit)."""
+    p_y (>= sigma2 - d1 > 0), gamma above the branch rate 0.5*log(d1/d2),
+    else None, and layer 2's target, gamma or else lambda*d1 (a root-found
+    gamma there would move the 12th digit)."""
     lam = lambda_for_rates(r2, d1, d2)
-    gamma = None if r2 <= branch else invert_iid_exponent(r2, d1 - d2, d2)
+    gamma = None if r2 <= 0.5 * math.log(d1 / d2) else invert_iid_exponent(r2, d1 - d2, d2)
     return lam, sigma2 - lam * d1, gamma, lam * d1 if gamma is None else gamma
 
 
@@ -181,22 +180,16 @@ def _layer2_floor(d1: float, d2: float) -> float:
     return iid_nonexcess_exponent(max(d2 - p_z, 0.0), p_z, d2)
 
 
-def _fixed_column(sigma2, d1, d2, r2, branch, floor2) -> tuple[str, float, float]:
+def _fixed_column(sigma2, d1, d2, r2, floor2) -> tuple[str, float, float]:
     """The fixed split's part of an r2 column: (case, layer-1 target
     min(d1, gamma2), the rate r1 must exceed for it), case ``iii`` with nan
-    and inf; gamma2 >= d1 exactly at or above the branch rate."""
-    if r2 >= branch:
+    and inf; gamma2 >= d1 exactly at or above the branch rate 0.5*log(d1/d2)."""
+    if r2 >= 0.5 * math.log(d1 / d2):
         return "i", d1, 0.5 * math.log(sigma2 / d1)
     if r2 > floor2:
         gamma2 = invert_iid_exponent(r2, d1 - d2, d2)
         return "ii", gamma2, iid_nonexcess_exponent(sigma2, sigma2 - d1, gamma2)
     return "iii", math.nan, math.inf
-
-
-def _check_query_source(source: SourceSpec, q: RateQuery) -> None:
-    """Refuse a query whose sigma2, which sets the split powers, is not the source's."""
-    if abs(q.sigma2 - source.sigma2) > 1e-12 * source.sigma2:
-        raise ConfigError(f"RateQuery sigma2 {q.sigma2} differs from the source's {source.sigma2}")
 
 
 def sep_exponents(source: SourceSpec, q: RateQuery) -> ExponentResult:
@@ -206,10 +199,10 @@ def sep_exponents(source: SourceSpec, q: RateQuery) -> ExponentResult:
     0.5*log(d1/d2) (case ``low_r2``), or above it, where lambda is 1 (its
     float can round to 1 - 2**-53), at the largest residual power gamma
     that layer 2 still covers at r2 (case ``high_r2``)."""
-    _check_query_source(source, q)
+    _check_distortions(source.sigma2, q.d1, q.d2)
     if q.r1 <= 0:
         raise ConfigError(f"requires r1 > 0, got {q.r1}")
-    _, p_y, gamma, target2 = _sep_column(q.sigma2, q.d1, q.d2, q.r2, 0.5 * math.log(q.d1 / q.d2))
+    _, p_y, gamma, target2 = _sep_column(source.sigma2, q.d1, q.d2, q.r2)
     alpha1, e1 = _excess(source, q.r1, p_y, q.d1)
     alpha2, e2 = _excess(source, q.r1, p_y, target2)
     if gamma is None:
@@ -222,10 +215,10 @@ def jep_exponent(source: SourceSpec, q: RateQuery) -> ExponentResult:
     """Joint excess-distortion exponent of the rate-adaptive scheme: the
     binding layer's separate exponent, layer 2's at or below the branch
     rate and layer 1's above it."""
-    _check_query_source(source, q)
+    _check_distortions(source.sigma2, q.d1, q.d2)
     if q.r1 <= 0:
         raise ConfigError(f"requires r1 > 0, got {q.r1}")
-    _, p_y, gamma, target2 = _sep_column(q.sigma2, q.d1, q.d2, q.r2, 0.5 * math.log(q.d1 / q.d2))
+    _, p_y, gamma, target2 = _sep_column(source.sigma2, q.d1, q.d2, q.r2)
     alpha, value = _excess(source, q.r1, p_y, target2 if gamma is None else q.d1)
     return ExponentResult({"alpha_star": alpha}, (value,), "adaptive")
 
@@ -236,13 +229,12 @@ def jep_exponent_lambda1(source: SourceSpec, q: RateQuery) -> ExponentResult:
     power layer 2 covers at r2 (cases ``i`` and ``ii``).  It is zero (case
     ``iii``) at or below layer 2's floor and wherever r1 covers no more than
     power sigma2 at the target, where the adaptive scheme's can be positive."""
-    _check_query_source(source, q)
-    branch = 0.5 * math.log(q.d1 / q.d2)
+    _check_distortions(source.sigma2, q.d1, q.d2)
     case, target, threshold = _fixed_column(
-        q.sigma2, q.d1, q.d2, q.r2, branch, _layer2_floor(q.d1, q.d2))
+        source.sigma2, q.d1, q.d2, q.r2, _layer2_floor(q.d1, q.d2))
     if not q.r1 > threshold:
         return ExponentResult({}, (0.0,), "iii")
-    alpha, value = _excess(source, q.r1, q.sigma2 - q.d1, target)
+    alpha, value = _excess(source, q.r1, source.sigma2 - q.d1, target)
     aux = {"alpha1": alpha} if case == "i" else {"gamma2": target, "alpha2": alpha}
     return ExponentResult(aux, (value,), case)
 
@@ -274,17 +266,16 @@ def exponent_columns(source: SourceSpec, r1s, r2s, d1: float, d2: float) -> dict
     elsewhere), the joint, fixed-split and separate exponents.  Every cell
     with r1 > 0 has an (r1, p, target) key for layer 1, for layer 2 and,
     above its threshold, for the fixed split, held as (r1 index, column
-    pair index) over the distinct r1s and the distinct (p, target) pairs of
-    the r2 columns; the distinct keys take their radii from one
+    pair index) over the r1s and the distinct (p, target) pairs of the r2
+    columns; the distinct keys take their radii from one
     :func:`core.invert_iid_exponents` batch and their rates from one
-    :func:`core.rate_functions_x2` batch, each distinct radius once."""
+    :func:`core.rate_functions_x2` batch."""
     _check_rates(r1s, r2s)
     sigma2 = source.sigma2
     _check_distortions(sigma2, d1, d2)
-    branch = 0.5 * math.log(d1 / d2)
     floor2, p_y1 = _layer2_floor(d1, d2), sigma2 - d1
-    columns = np.array([(*_sep_column(sigma2, d1, d2, r2, branch),
-                         *_fixed_column(sigma2, d1, d2, r2, branch, floor2)) for r2 in r2s],
+    columns = np.array([(*_sep_column(sigma2, d1, d2, r2),
+                         *_fixed_column(sigma2, d1, d2, r2, floor2)) for r2 in r2s],
                        dtype=object).reshape(len(r2s), 7)
     lam, p_y, target2, target, threshold = columns[:, [0, 1, 3, 5, 6]].T.astype(float)
     low, l1_case = np.equal(columns[:, 2], None), columns[:, 4]  # low: no gamma
@@ -295,14 +286,12 @@ def exponent_columns(source: SourceSpec, r1s, r2s, d1: float, d2: float) -> dict
     pairs, pair = _first_unique(
         np.stack([np.stack(np.broadcast_arrays(p, t), axis=-1) for p, t in kinds], axis=1)
         .reshape(-1, 2))
-    rates, row = _first_unique(r1)
     valid = np.stack(np.broadcast_arrays(pos, pos, pos & above), axis=2)
+    row, col, kind = np.nonzero(valid)  # each valid cell's r1, r2 column and key kind
     key_row, key_pair, index = _distinct_pairs(  # the distinct keys and each valid cell's
-        *(a[valid] for a in np.broadcast_arrays(row[:, None, None], pair.reshape(1, -1, 3))),
-        (len(rates), len(pairs)))
-    key_alpha = invert_iid_exponents(rates[key_row, 0], *pairs[key_pair].T)
-    radii, at = _first_unique(key_alpha[:, None])
-    key_rate = rate_functions_x2(source, radii[:, 0].tolist())[at]
+        row, pair.reshape(-1, 3)[col, kind], (len(r1), len(pairs)))
+    key_alpha = invert_iid_exponents(r1[key_row, 0], *pairs[key_pair].T)
+    key_rate = rate_functions_x2(source, key_alpha)
     alpha, rate = np.full((2,) + valid.shape, np.nan)
     alpha[valid], rate[valid] = key_alpha[index], key_rate[index]
     # layer 2 binds the joint exponent at or below the branch rate, layer 1 above it
@@ -420,9 +409,9 @@ class ModerateQuery:
     """Deviation speeds for the moderate regime rho_n = n^{-rho_exponent}.
 
     rho_exponent in (0, 1/2) guarantees rho_n -> 0 and sqrt(n)*rho_n -> inf.
-    theta2 is accepted for interface completeness; the achievable constants
-    depend only on theta1 (the layer-2 deviation decays at first order in
-    rho_n and never dominates).
+    theta2 and rho_exponent are validated, but no constant depends on
+    either: :func:`moderate_constants` reads only theta1 (the layer-2
+    deviation decays at first order in rho_n and never dominates).
     """
 
     theta1: float

@@ -96,6 +96,17 @@ def _ints(raw: str) -> list[int]:
     return [int(tok) for tok in _items(raw)]
 
 
+# The [simulate] keys read in scheme mode only and in psi/phi mode only;
+# each mode refuses the other's
+SIMULATE_MODE_KEYS = {
+    "scheme": {
+        "kinds": _kind_pairs, "sizing": _choice("plan", "rates", "explicit"),
+        "method": _choice(*METHODS), "precision": _choice(*PRECISIONS),
+        "m1": int, "m2": int, "lambda": _number,
+    },
+    "psi/phi": {"kind": _kind, "norm_arg": _number, "power": _number, "distortion": _number},
+}
+
 # Every section and the union of the keys any command reads from it,
 # key -> parser.  [source] holds the family and every family constructor's
 # parameters (discrete's are number lists); _source refuses another
@@ -118,12 +129,7 @@ CONFIG_KEYS = {
     "moderate": {"theta1": _number, "theta2": _number, "rho_exponent": _number},
     "simulate": {
         "mode": _choice("scheme", "psi", "phi"), "n": _ints, "trials": int, "seed": int,
-        # scheme mode
-        "kinds": _kind_pairs, "sizing": _choice("plan", "rates", "explicit"),
-        "method": _choice(*METHODS), "precision": _choice(*PRECISIONS),
-        "m1": int, "m2": int, "lambda": _number,
-        # psi/phi mode
-        "kind": _kind, "norm_arg": _number, "power": _number, "distortion": _number,
+        **SIMULATE_MODE_KEYS["scheme"], **SIMULATE_MODE_KEYS["psi/phi"],
     },
     "compare": {"simulation": str, "quantity": _choice("jep", "sep1", "sep2", "estimate")},
 }
@@ -293,7 +299,7 @@ def _scheme_points(cp, source, ns: list[int], trials: int) -> list[tuple[SchemeC
             raise ConfigError("rate-based sizing needs one rates.r1 and one rates.r2")
         (r1,), (r2,) = r1s, r2s
         # refuses a rate above 300 nats before exp(2*r2) or n*r1 can overflow
-        q = RateQuery(r1, r2, source.sigma2, d1, d2)
+        q = RateQuery(r1, r2, d1, d2)
         # r2 = 0 puts the power split on d2/d1: no second-layer power
         for name, r in (("r2", r2), ("r1", r1)):
             if not r > 0:
@@ -318,10 +324,7 @@ def _scheme_points(cp, source, ns: list[int], trials: int) -> list[tuple[SchemeC
             elif sizing == "rates":
                 m1 = code_size(n * r1)
                 m2 = code_size(n * min(r2, 0.5 * math.log(lam * d1 / d2)))
-            cfg = SchemeConfig(
-                n=n, m1=m1, m2=m2, kind1=kind1, kind2=kind2,
-                d1=d1, d2=d2, lam=lam, sigma2=source.sigma2,
-            )
+            cfg = SchemeConfig(n=n, m1=m1, m2=m2, kind1=kind1, kind2=kind2, d1=d1, d2=d2, lam=lam)
             points.append((cfg, extra))
     return points
 
@@ -330,6 +333,10 @@ def cmd_simulate(cp, args) -> tuple[dict[str, list], list[str]]:
     source = _source(cp)
     sim = partial(_get, cp, "simulate")
     mode = sim("mode", "scheme")
+    other = "psi/phi" if mode == "scheme" else "scheme"
+    stray = [f"simulate.{k}" for k in SIMULATE_MODE_KEYS[other] if cp.has_option("simulate", k)]
+    if stray:
+        raise ConfigError(f"{', '.join(stray)}: {other}-mode keys, refused in mode = {mode}")
     seed = args.seed if args.seed is not None else sim("seed", 0)
     trials, ns = sim("trials"), sim("n")
 
@@ -463,6 +470,10 @@ def cmd_compare(cp, args) -> tuple[dict[str, list], list[str]]:
                      if all(r.get(c) is not None for r in sim_rows)), None)
     if rate_col is None and any(r.get("target_eps") is None for r in sim_rows):
         raise ConfigError("simulation report carries no prediction columns")
+    pairs = sorted({f"{r.get('kind1')},{r.get('kind2')}" for r in sim_rows})
+    if len(pairs) > 1:  # one slope is fitted across all rows
+        raise ConfigError(f"simulation report mixes kind1, kind2 pairs {' '.join(pairs)}; "
+                          "compare fits one pair per report")
 
     rows = []
     pts = []

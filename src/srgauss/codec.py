@@ -2,10 +2,10 @@
 minimum-distance encoding, and per-trial distortion evaluation.
 
 Layer 1 draws M1 codewords about the origin with per-letter power
-p_y = sigma2 - lam*d1; layer 2 draws M2 codewords about the selected
-first-layer codeword with power p_z = lam*d1 - d2.  Each codebook kind is
-either ``spherical`` (uniform on the radius-sqrt(n*p) sphere) or ``iid``
-(independent Gaussian components).
+p_y = sigma2 - lam*d1, sigma2 the source's second moment; layer 2 draws M2
+codewords about the selected first-layer codeword with power
+p_z = lam*d1 - d2.  Each codebook kind is either ``spherical`` (uniform on
+the radius-sqrt(n*p) sphere) or ``iid`` (independent Gaussian components).
 
 Only the second-layer bank of the selected first-layer index is ever
 materialized; the joint law is unchanged because the second layer reads
@@ -36,7 +36,6 @@ class SchemeConfig:
     d1: float
     d2: float
     lam: float
-    sigma2: float
 
     def __post_init__(self):
         if self.n < 2:
@@ -45,18 +44,19 @@ class SchemeConfig:
             raise ConfigError(f"requires M1, M2 >= 1, got ({self.m1}, {self.m2})")
         if self.kind1 not in KINDS or self.kind2 not in KINDS:
             raise ConfigError(f"codebook kinds must be in {KINDS}")
-        if not (self.sigma2 > self.d1 > self.d2 > 0):
-            raise ConfigError(
-                f"requires sigma2 > d1 > d2 > 0, got ({self.sigma2}, {self.d1}, {self.d2})"
-            )
+        if not (self.d1 > self.d2 > 0):
+            raise ConfigError(f"requires d1 > d2 > 0, got ({self.d1}, {self.d2})")
         if not (self.d2 / self.d1 < self.lam <= 1.0):
             raise ConfigError(
                 f"requires lambda in (d2/d1, 1] = ({self.d2 / self.d1}, 1], got {self.lam}"
             )
 
-    @property
-    def p_y(self) -> float:
-        return self.sigma2 - self.lam * self.d1
+    def p_y(self, sigma2: float) -> float:
+        """Layer 1's power for a source of second moment sigma2."""
+        if not sigma2 > self.d1:
+            raise ConfigError(
+                f"requires sigma2 > d1 > d2 > 0, got ({sigma2}, {self.d1}, {self.d2})")
+        return sigma2 - self.lam * self.d1
 
     @property
     def p_z(self) -> float:
@@ -129,7 +129,8 @@ def run_trial(
     x = source.sample(config.n, rng)
     xs = x.astype(dtype, copy=False)
     bank1 = gen_codebook(
-        config.kind1, config.m1, np.zeros(config.n, dtype=dtype), config.p_y, rng, dtype
+        config.kind1, config.m1, np.zeros(config.n, dtype=dtype), config.p_y(source.sigma2),
+        rng, dtype,
     )
     i1, dist1 = encode_layer(xs, bank1)
     bank2 = gen_codebook(config.kind2, config.m2, bank1[i1], config.p_z, rng, dtype)

@@ -305,11 +305,12 @@ def _count_blocks(sample, block: int, trials: int, seed: int, workers: int) -> n
         return sum(ex.map(count_range, edges[:-1], edges[1:]))
 
 
-def _radial_trial(config: SchemeConfig, c: np.ndarray,
+def _radial_trial(config: SchemeConfig, p_y: float, c: np.ndarray,
                   u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The two excess events of a block of radial trials, as bool arrays."""
+    """The two excess events of a block of radial trials, layer 1 of power
+    p_y, as bool arrays."""
     n = config.n
-    nl = _min_distance(config.kind1, n, c, config.p_y, config.m1, u[:, 0])
+    nl = _min_distance(config.kind1, n, c, p_y, config.m1, u[:, 0])
     e2 = _exceeds(config.kind2, n, nl, config.p_z, config.m2, u[:, 1], n * config.d2)
     return nl > n * config.d1, e2
 
@@ -359,12 +360,13 @@ def estimate(
         raise ConfigError(f"requires workers >= 1, got {workers}")
     _check_choice("method", method, METHODS)
     _check_choice("precision", precision, PRECISIONS)
+    p_y = config.p_y(source.sigma2)
 
     def sample(g: np.random.Generator, k: int) -> tuple:
         if method == "radial":
             # the block's letters in trial order, then its (u1, u2) pairs
             x = source.sample(k * config.n, g).reshape(k, -1)
-            e1, e2 = _radial_trial(config, np.einsum("ij,ij->i", x, x), g.random((k, 2)))
+            e1, e2 = _radial_trial(config, p_y, np.einsum("ij,ij->i", x, x), g.random((k, 2)))
         else:
             d1, d2 = run_trial(config, source, g, dtype=PRECISIONS[precision])
             e1, e2 = d1 > config.d1, d2 > config.d2

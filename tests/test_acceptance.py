@@ -87,7 +87,7 @@ def _rate_grid():
 
 
 def _query(r1, r2):
-    return RateQuery(r1, r2, 1.0, 0.5, 0.25)
+    return RateQuery(r1, r2, 0.5, 0.25)
 
 
 def _boundary_points():
@@ -111,7 +111,7 @@ def test_criterion_03_exponent_boundary_and_positivity():
     interior = 0
     for r1, r2 in _rate_grid():
         q = _query(r1, r2)
-        if region_contains(q).location == "inside":
+        if region_contains(GMS, q).location == "inside":
             interior += 1
             assert jep_exponent(GMS, q).value > 0.0
             assert sep_exponents(GMS, q).values[1] > 0.0
@@ -253,8 +253,7 @@ def test_criterion_07_end_to_end_jep_trend():
         for n in ns:
             plan = second_order_plan(GMS, d1, d2, 1.0, eps, n, c_log=0.0, kind2=kind2)
             cfg = SchemeConfig(
-                n=n, m1=plan.m1, m2=plan.m2, kind1=kind1, kind2=kind2,
-                d1=d1, d2=d2, lam=1.0, sigma2=1.0,
+                n=n, m1=plan.m1, m2=plan.m2, kind1=kind1, kind2=kind2, d1=d1, d2=d2, lam=1.0,
             )
             res = estimate(
                 cfg, GMS, trials=10_000, seed=70_000 + n, workers=2, precision="single"
@@ -272,15 +271,14 @@ def test_criterion_07_end_to_end_jep_trend():
 def test_criterion_08_empirical_exponent_trend():
     t0 = time.perf_counter()
     r1, r2, d1, d2 = 0.55, 0.8, 0.5, 0.25
-    pred = jep_exponent(GMS, RateQuery(r1, r2, 1.0, d1, d2)).value
+    pred = jep_exponent(GMS, RateQuery(r1, r2, d1, d2)).value
     ns = (8, 12, 16, 20)
     vs = []
     for n in ns:
         m1 = math.ceil(math.exp(n * r1))
         m2 = math.ceil(math.exp(n * min(r2, 0.5 * math.log(d1 / d2))))
         cfg = SchemeConfig(
-            n=n, m1=m1, m2=m2, kind1="iid", kind2="iid",
-            d1=d1, d2=d2, lam=1.0, sigma2=1.0,
+            n=n, m1=m1, m2=m2, kind1="iid", kind2="iid", d1=d1, d2=d2, lam=1.0,
         )
         res = estimate(cfg, GMS, trials=100_000, seed=80_000 + n, workers=2, method="radial")
         assert res.jep_hat > 0
@@ -347,7 +345,7 @@ def test_criterion_10_counting_identity():
             m2=int(rng.integers(4, 40)),
             kind1=COMBOS[trial % 4][0],
             kind2=COMBOS[trial % 4][1],
-            d1=0.5, d2=0.25, lam=float(rng.uniform(0.55, 1.0)), sigma2=1.0,
+            d1=0.5, d2=0.25, lam=float(rng.uniform(0.55, 1.0)),
         )
         res = estimate(cfg, GMS, trials=500, seed=int(rng.integers(0, 2**32)))
         assert max(res.count1, res.count2) <= res.count_joint <= res.count1 + res.count2

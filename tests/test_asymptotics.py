@@ -39,8 +39,8 @@ GMS = sources.gaussian(1.0)
 GAUSSIAN_CGF = sources.custom(1.0, 3.0, GMS.sample, theta_max=0.5, log_mgf_x2=GMS.log_mgf_x2)
 
 
-def rq(r1, r2, sigma2=1.0, d1=0.5, d2=0.25):
-    return RateQuery(r1, r2, sigma2, d1, d2)
+def rq(r1, r2, d1=0.5, d2=0.25):
+    return RateQuery(r1, r2, d1, d2)
 
 
 def grid_invert(target, p, d, lo, hi, step=1e-7):
@@ -56,11 +56,11 @@ def grid_invert(target, p, d, lo, hi, step=1e-7):
 
 class TestRegion:
     def test_corner_is_boundary(self):
-        res = region_contains(rq(0.5 * math.log(2), 0.5 * math.log(2)))
+        res = region_contains(GMS, rq(0.5 * math.log(2), 0.5 * math.log(2)))
         assert res.location == "boundary"
 
     def test_inside_with_witness(self):
-        res = region_contains(rq(1.0, 1.0))
+        res = region_contains(GMS, rq(1.0, 1.0))
         assert res.location == "inside"
         eta = res.eta
         assert eta is not None and 0.5 < eta <= 1.0
@@ -69,18 +69,18 @@ class TestRegion:
         assert 1.0 >= 0.5 * math.log(eta * 0.5 / 0.25) - 1e-12
 
     def test_outside_first_constraint(self):
-        assert region_contains(rq(0.1, 2.0)).location == "outside"
+        assert region_contains(GMS, rq(0.1, 2.0)).location == "outside"
 
     def test_outside_sum_constraint(self):
-        assert region_contains(rq(0.5, 0.1)).location == "outside"
+        assert region_contains(GMS, rq(0.5, 0.1)).location == "outside"
 
     def test_tolerance_band(self):
         r1 = 0.5 * math.log(2)
-        assert region_contains(rq(r1 + 1e-13, 2.0)).location == "boundary"
-        assert region_contains(rq(r1 - 1e-13, 2.0)).location == "boundary"
+        assert region_contains(GMS, rq(r1 + 1e-13, 2.0)).location == "boundary"
+        assert region_contains(GMS, rq(r1 - 1e-13, 2.0)).location == "boundary"
 
     def test_degenerate_r2_face_has_no_witness(self):
-        res = region_contains(rq(0.5 * math.log(4.0) + 0.2, 0.0))
+        res = region_contains(GMS, rq(0.5 * math.log(4.0) + 0.2, 0.0))
         assert res.location == "inside" and res.eta is None
 
 
@@ -242,7 +242,7 @@ class TestJepExponent:
 
     def test_positive_strictly_inside(self):
         for r1, r2 in [(0.45, 0.5), (0.8, 0.2), (1.2, 1.2)]:
-            assert region_contains(rq(r1, r2)).location == "inside"
+            assert region_contains(GMS, rq(r1, r2)).location == "inside"
             assert jep_exponent(GMS, rq(r1, r2)).value > 0.0
 
     def test_requires_positive_r1(self):
@@ -260,34 +260,34 @@ class TestJepExponent:
             assert jep_exponent(uni, rq(r1, r2)).value > 0.0
 
 
-class TestQuerySigma2:
-    """A point calculator takes the split powers from the query and the
-    rate function from the source, so their sigma2 must agree."""
+class TestSourceSigma2:
+    """The calculators take sigma2, which sets the split powers, from the
+    source alone, as the grid evaluator does."""
 
-    UNI = sources.uniform(1.5)  # sigma2 = 0.75
+    def test_uniform_sqrt3_matches_its_grid_cells(self):
+        # its sigma2 is one ulp below the 1.0 a query once had to repeat
+        src = sources.uniform(math.sqrt(3.0))
+        assert src.sigma2 == 0.9999999999999999
+        r1s, r2s = [0.4, 0.8], [0.1, 0.3, 0.5]
+        table = asymptotics.exponent_columns(src, r1s, r2s, 0.5, 0.25)
+        for k, (r1, r2) in enumerate([(a, b) for a in r1s for b in r2s]):
+            q, cell = rq(r1, r2), _cell(table, k)
+            reg, l1 = region_contains(src, q), jep_exponent_lambda1(src, q)
+            sep, jep = sep_exponents(src, q), jep_exponent(src, q)
+            assert (reg.location, reg.eta) == (cell["region"], cell["eta"])
+            assert (l1.value, l1.case_tag) == (cell["l1_exponent"], cell["l1_case"])
+            assert (sep.values, sep.case_tag) == (
+                (cell["sep_e1"], cell["sep_e2"]), cell["sep_case"])
+            assert (jep.value, jep.auxiliaries["alpha_star"]) == (
+                cell["jep_exponent"], cell["alpha_star"])
 
-    @pytest.mark.parametrize("calc", [sep_exponents, jep_exponent, jep_exponent_lambda1])
-    @pytest.mark.parametrize("sigma2", [1.0, 2.0, 0.75 * (1.0 + 1e-11), 0.75 * (1.0 - 1e-11)])
-    def test_a_query_of_another_sigma2_is_refused(self, calc, sigma2):
-        # with sigma2 = 1 jep_exponent read 1.0570 where the grid prints
-        # 0.4789, and with sigma2 = 2 sep_e1 read inf
-        q = rq(0.8, 0.3, sigma2=sigma2)
-        with pytest.raises(ConfigError) as err:
-            calc(self.UNI, q)
-        assert str(err.value) == (
-            f"RateQuery sigma2 {sigma2} differs from the source's {self.UNI.sigma2}")
-
-    def test_within_1e_12_relative_is_the_source_sigma2(self):
-        src = self.UNI
-        grid = asymptotics.exponent_columns(src, [0.8], [0.3], 0.5, 0.25)
-        for sigma2 in (src.sigma2, src.sigma2 * (1.0 + 1e-13), src.sigma2 * (1.0 - 1e-13)):
-            q = rq(0.8, 0.3, sigma2=sigma2)
-            assert jep_exponent(src, q).value > 0.0
-            assert sep_exponents(src, q).values[0] < math.inf
-            jep_exponent_lambda1(src, q)
-        q = rq(0.8, 0.3, sigma2=src.sigma2)
-        assert [jep_exponent(src, q).value] == grid["jep_exponent"]
-        assert list(sep_exponents(src, q).values) == grid["sep_e1"] + grid["sep_e2"]
+    @pytest.mark.parametrize("calc", [region_contains, sep_exponents, jep_exponent,
+                                      jep_exponent_lambda1])
+    def test_a_source_at_or_below_d1_is_refused(self, calc):
+        for sigma2 in (0.5, 0.4):
+            with pytest.raises(ConfigError) as err:
+                calc(sources.gaussian(sigma2), rq(0.8, 0.3))
+            assert str(err.value) == f"requires sigma2 > d1 > d2 > 0, got ({sigma2}, 0.5, 0.25)"
 
 
 class TestJepExponentLambda1:
@@ -320,7 +320,7 @@ class TestJepExponentLambda1:
     def test_case_iii_region_gap(self):
         # strictly inside the rate region, yet the fixed split gives zero
         q = rq(0.7, 0.11)
-        assert region_contains(q).location == "inside"
+        assert region_contains(GMS, q).location == "inside"
         res = jep_exponent_lambda1(GMS, q)
         assert res.case_tag == "iii" and res.value == 0.0
         assert jep_exponent(GMS, q).value > 0.0
@@ -399,7 +399,7 @@ class TestSepExponents:
         rng = np.random.default_rng(4)
         for _ in range(120):
             q = rq(rng.uniform(0.05, 1.4), rng.uniform(0.0, 1.4))
-            if region_contains(q).location != "inside":
+            if region_contains(GMS, q).location != "inside":
                 continue
             res = sep_exponents(GMS, q)
             if res.values[1] > 0:
@@ -410,7 +410,7 @@ class TestSepExponents:
         # positive layer-1 exponent, but a large r2 still buys decoder 2 a
         # positive exponent by covering through a relaxed first stage.
         q = rq(0.29, 0.85)
-        assert region_contains(q).location == "outside"
+        assert region_contains(GMS, q).location == "outside"
         res = sep_exponents(GMS, q)
         assert res.values[0] == 0.0
         assert res.values[1] > 0.0
@@ -421,7 +421,7 @@ class TestSepExponents:
         count = 0
         for _ in range(100):
             q = rq(rng.uniform(0.05, 1.4), rng.uniform(0.0, 1.4))
-            if region_contains(q).location == "inside":
+            if region_contains(GMS, q).location == "inside":
                 count += 1
                 res = sep_exponents(GMS, q)
                 assert res.values[0] > 0 and res.values[1] > 0
@@ -487,7 +487,7 @@ class TestExponentPoint:
         src = FAMILIES[family]
         axis = np.linspace(0.05, 1.2, 20).tolist()
         for r1, r2, point in _grid_cells(src, axis, axis):
-            jep = jep_exponent(src, rq(r1, r2, sigma2=src.sigma2))
+            jep = jep_exponent(src, rq(r1, r2))
             assert point["jep_exponent"] == jep.value, (r1, r2)
             assert point["alpha_star"] == jep.auxiliaries["alpha_star"], (r1, r2)
             assert point["jep_positive"] == jep.positive[0]
@@ -562,7 +562,8 @@ class TestMemos:
 # --- frozen oracle ----------------------------------------------------------
 # The per-point calculators as they were written before the grid evaluator
 # (one RateQuery, region, split and three ExponentResults per point), kept
-# verbatim apart from their names and kernels, so the evaluator is checked
+# verbatim apart from their names, their kernels and sigma2, which they take
+# from the source as the calculators do, so the evaluator is checked
 # against code it does not share.  The covering radius is
 # core.invert_iid_exponent; the rate function of X^2 is the closed form for a
 # gaussian source, as rate_function_x2 takes it, and scipy's own bounded
@@ -575,14 +576,14 @@ def _oracle_excess(source, r1, p_y, target):
     return alpha, scipy_rate_function_x2(source, alpha)
 
 
-def _oracle_region(q):
-    c1 = q.r1 - 0.5 * math.log(q.sigma2 / q.d1)
-    c2 = q.r1 + q.r2 - 0.5 * math.log(q.sigma2 / q.d2)
+def _oracle_region(source, q):
+    c1 = q.r1 - 0.5 * math.log(source.sigma2 / q.d1)
+    c2 = q.r1 + q.r2 - 0.5 * math.log(source.sigma2 / q.d2)
     if c1 < -asymptotics._REGION_TOL or c2 < -asymptotics._REGION_TOL:
         return RegionResult("outside", None)
     if min(c1, c2) <= asymptotics._REGION_TOL:
         return RegionResult("boundary", None)
-    lo = max(q.d2 / q.d1, q.sigma2 * math.exp(-2.0 * q.r1) / q.d1)
+    lo = max(q.d2 / q.d1, source.sigma2 * math.exp(-2.0 * q.r1) / q.d1)
     hi = min(q.d2 * math.exp(2.0 * q.r2) / q.d1, 1.0)
     eta = hi if hi >= lo and hi > q.d2 / q.d1 else None
     return RegionResult("inside", eta)
@@ -592,7 +593,7 @@ def _oracle_sep(source, q):
     if q.r1 <= 0:
         raise ConfigError(f"requires r1 > 0, got {q.r1}")
     lam = lambda_for_rates(q.r2, q.d1, q.d2)
-    p_y = q.sigma2 - lam * q.d1
+    p_y = source.sigma2 - lam * q.d1
     alpha1, e1 = _oracle_excess(source, q.r1, p_y, q.d1)
     if q.r2 <= 0.5 * math.log(q.d1 / q.d2):
         alpha2, e2 = _oracle_excess(source, q.r1, p_y, lam * q.d1)
@@ -611,21 +612,21 @@ def _oracle_binding(sep):
 
 
 def _oracle_lambda1(source, q):
-    p_y, p_z = q.sigma2 - q.d1, q.d1 - q.d2
+    p_y, p_z = source.sigma2 - q.d1, q.d1 - q.d2
     if q.r2 >= 0.5 * math.log(q.d1 / q.d2):
-        if q.r1 > 0.5 * math.log(q.sigma2 / q.d1):
+        if q.r1 > 0.5 * math.log(source.sigma2 / q.d1):
             alpha1, value = _oracle_excess(source, q.r1, p_y, q.d1)
             return ExponentResult({"alpha1": alpha1}, (value,), "i")
     elif q.r2 > iid_nonexcess_exponent(max(q.d2 - p_z, 0.0), p_z, q.d2):
         gamma2 = invert_iid_exponent(q.r2, p_z, q.d2)
-        if q.r1 > iid_nonexcess_exponent(q.sigma2, p_y, gamma2):
+        if q.r1 > iid_nonexcess_exponent(source.sigma2, p_y, gamma2):
             alpha2, value = _oracle_excess(source, q.r1, p_y, gamma2)
             return ExponentResult({"gamma2": gamma2, "alpha2": alpha2}, (value,), "ii")
     return ExponentResult({}, (0.0,), "iii")
 
 
 def _oracle_point(source, q):
-    reg = _oracle_region(q)
+    reg = _oracle_region(source, q)
     lam = lambda_for_rates(q.r2, q.d1, q.d2)
     point = {"r1": q.r1, "r2": q.r2, "region": reg.location, "eta": reg.eta, "lambda": lam}
     if q.r1 > 0:
@@ -692,11 +693,11 @@ class TestGridEvaluatorAgainstOracle:
         cases = set()
         for k, (r1, r2) in enumerate([(a, b) for a in r1s for b in r2s]):
             row = _cell(table, k)
-            q = rq(r1, r2, sigma2=src.sigma2, d1=d1, d2=d2)
+            q = rq(r1, r2, d1=d1, d2=d2)
             want = _oracle_point(src, q)
             assert row == want, (r1, r2)
             assert list(row) == list(want)
-            assert region_contains(q) == _oracle_region(q)
+            assert region_contains(src, q) == _oracle_region(src, q)
             l1, l1_want = jep_exponent_lambda1(src, q), _oracle_lambda1(src, q)
             assert (l1.values, l1.case_tag, l1.auxiliaries) == (
                 l1_want.values, l1_want.case_tag, l1_want.auxiliaries)
@@ -802,7 +803,7 @@ def test_exponent_columns_cell_types_match_the_oracle(family):
     table = asymptotics.exponent_columns(src, r1s, r2s, d1, d2)
     seen = set()
     for k, (r1, r2) in enumerate([(a, b) for a in r1s for b in r2s]):
-        point = _oracle_point(src, rq(r1, r2, sigma2=src.sigma2, d1=d1, d2=d2))
+        point = _oracle_point(src, rq(r1, r2, d1=d1, d2=d2))
         assert list(point) == list(table)[:len(point)] and len(point) == (16 if r1 else 5)
         for c, col in table.items():
             got, want = col[k], point.get(c)
@@ -836,9 +837,9 @@ def test_closed_form_grid_matches_the_brent_loop(monkeypatch):
         grids.append(asymptotics.exponent_columns(src, r1s, r2s, 0.5, 0.25))
         # 59 column radii plus 5,233 batched cell radii: the 5,292 inversions
         # (tests/test_cli.py::test_kernel_work_per_benchmark_grid); the
-        # 5,183 distinct cell radii take their rate functions in one batch
+        # 5,233 cell radii take their rate functions in one batch
         assert seen == {"invert_iid_exponent": 59, "invert_iid_exponents": 5233,
-                        "rate_function_x2": 0, "rate_functions_x2": 5183,
+                        "rate_function_x2": 0, "rate_functions_x2": 5233,
                         "iid_nonexcess_exponent": 18}
     exponents = ("jep_exponent", "l1_exponent", "sep_e1", "sep_e2")
     closed, brent = grids

@@ -575,7 +575,7 @@ class TestSimulateCommand:
 
     def test_rates_sizing_emits_prediction(self, tmp_path):
         rows = read_report(simulate_report(tmp_path, RATES_RADIAL))
-        pred = jep_exponent(sources.gaussian(1.0), RateQuery(0.55, 0.3, 1.0, 0.5, 0.25)).value
+        pred = jep_exponent(sources.gaussian(1.0), RateQuery(0.55, 0.3, 0.5, 0.25)).value
         assert [r["n"] for r in rows] == [8, 12, 16]
         for r in rows:
             assert r["m1"] == math.ceil(math.exp(r["n"] * 0.55))
@@ -596,7 +596,7 @@ class TestSimulateCommand:
                            name="cmp.ini")
         code = main(["compare", "--config", cfg, "--out", str(tmp_path / "cmp.csv")])
         if kinds == "iid,iid":
-            q = RateQuery(0.5, 0.4, 1.0, 0.5, 0.25)
+            q = RateQuery(0.5, 0.4, 0.5, 0.25)
             assert pred == float("%.12g" % jep_exponent(sources.gaussian(1.0), q).value)
             assert round(pred, 5) == 0.01811 and code == 0
         else:
@@ -612,6 +612,31 @@ class TestSimulateCommand:
                            name="cmp.ini")
         assert main(["compare", "--config", cfg]) == 2
         assert "carries no prediction columns" in capsys.readouterr().err
+
+    def test_compare_refuses_a_report_of_two_kind_pairs(self, tmp_path, capsys):
+        # one slope fitted across spherical and iid rows fits neither
+        sim = simulate_report(tmp_path, PLAN_SIM.replace("n = 12", "n = 10 12").replace(
+            "kinds = spherical,spherical", "kinds = spherical,spherical iid,iid"))
+        assert [(r["kind1"], r["kind2"]) for r in read_report(sim)] == [
+            ("spherical", "spherical"), ("iid", "iid")] * 2
+        cfg = write_config(tmp_path, f"[compare]\nsimulation = {sim}\nquantity = jep\n",
+                           name="cmp.ini")
+        assert main(["compare", "--config", cfg]) == 2
+        assert capsys.readouterr().err == (
+            "config error: simulation report mixes kind1, kind2 pairs iid,iid "
+            "spherical,spherical; compare fits one pair per report\n")
+
+    @pytest.mark.parametrize("text, mode, names", [
+        (PSI_SMALL + "method = radial\nkinds = spherical,spherical\nm1 = 5\n", "psi",
+         "simulate.kinds, simulate.method, simulate.m1: scheme-mode keys"),
+        (PHI_SPHERICAL + "norm_arg = 1.0\nlambda = 1.0\n", "phi",
+         "simulate.lambda: scheme-mode keys"),
+        (SIM_SMALL + "kind = iid\npower = 0.5\n", "scheme",
+         "simulate.kind, simulate.power: psi/phi-mode keys"),
+    ], ids=["psi", "phi", "scheme"])
+    def test_keys_of_the_other_mode_are_refused(self, tmp_path, capsys, text, mode, names):
+        assert main(["simulate", "--config", write_config(tmp_path, text)]) == 2
+        assert capsys.readouterr().err == f"config error: {names}, refused in mode = {mode}\n"
 
     @pytest.mark.parametrize("kinds", ["iid,iid", "spherical,spherical"])
     def test_rates_sizing_refuses_zero_r1(self, tmp_path, capsys, kinds):
@@ -801,14 +826,15 @@ BENCH_GRIDS = {
     # to 5,310 and 563 and to 172 and 86 as the cells' floors moved to once
     # per distinct (p, d) pair and into the inversion; the rest is one
     # threshold per case-ii column (17 and 8) and layer 2's floor.  Every
-    # distinct cell radius (5,183 and 518) takes its rate function once, in
-    # the one rate_functions_x2 batch (counted per threshold); no scalar
+    # batched radius takes its rate function once, in the one
+    # rate_functions_x2 batch (counted per threshold), repeated radii
+    # included (5,233 and 525, of them 5,183 and 518 distinct); no scalar
     # rate function runs.
     ("gaussian", {"invert_iid_exponent": 59, "invert_iid_exponents": 5233,
-                  "rate_function_x2": 0, "rate_functions_x2": 5183,
+                  "rate_function_x2": 0, "rate_functions_x2": 5233,
                   "iid_nonexcess_exponent": 18}),
     ("discrete", {"invert_iid_exponent": 29, "invert_iid_exponents": 525,
-                  "rate_function_x2": 0, "rate_functions_x2": 518,
+                  "rate_function_x2": 0, "rate_functions_x2": 525,
                   "iid_nonexcess_exponent": 9}),
 ])
 def test_kernel_work_per_benchmark_grid(tmp_path, monkeypatch, grid, counts):

@@ -15,7 +15,7 @@ from srgauss.montecarlo import trial_stream
 def make_config(**kw):
     base = dict(
         n=8, m1=16, m2=8, kind1="spherical", kind2="spherical",
-        d1=0.5, d2=0.25, lam=1.0, sigma2=1.0,
+        d1=0.5, d2=0.25, lam=1.0,
     )
     base.update(kw)
     return SchemeConfig(**base)
@@ -24,11 +24,19 @@ def make_config(**kw):
 class TestSchemeConfig:
     def test_power_split_identity(self):
         cfg = make_config(lam=0.8)
-        assert cfg.p_y + cfg.p_z + cfg.d2 == pytest.approx(cfg.sigma2, abs=1e-15)
+        assert cfg.p_y(1.0) + cfg.p_z + cfg.d2 == pytest.approx(1.0, abs=1e-15)
 
     def test_rejects_reversed_distortions(self):
-        with pytest.raises(ConfigError, match="sigma2 > d1 > d2"):
+        with pytest.raises(ConfigError, match=r"requires d1 > d2 > 0, got \(0.25, 0.5\)"):
             make_config(d1=0.25, d2=0.5)
+
+    def test_layer1_power_refuses_a_source_at_or_below_d1(self):
+        cfg = make_config(lam=0.8)
+        assert cfg.p_y(2.0) == 2.0 - 0.8 * 0.5
+        for sigma2 in (0.5, 0.25):
+            with pytest.raises(ConfigError) as err:
+                cfg.p_y(sigma2)
+            assert str(err.value) == f"requires sigma2 > d1 > d2 > 0, got ({sigma2}, 0.5, 0.25)"
 
     def test_rejects_lambda_outside_range(self):
         with pytest.raises(ConfigError):
@@ -135,7 +143,7 @@ class TestRunTrial:
             x = src.sample(cfg.n, trial_stream(5, i))  # replay the source draw
             d1, _ = run_trial(cfg, src, rng)
             w = float(x @ x) / cfg.n
-            gap = (math.sqrt(w) - math.sqrt(cfg.p_y)) ** 2
+            gap = (math.sqrt(w) - math.sqrt(cfg.p_y(src.sigma2))) ** 2
             assert d1 >= gap - 1e-12
 
     def test_deterministic_given_stream(self):
@@ -173,6 +181,25 @@ class TestRunTrial:
         i1, _ = encode_layer(x, bank1)
         assert np.array_equal(center2, bank1[i1])
 
+    def test_layer1_power_is_the_sources(self, monkeypatch):
+        # sigma2 = 2 calls for layer-1 power 2 - 0.5; a source at or below
+        # d1 is refused before any codebook is drawn
+        powers = []
+        real = codec.gen_codebook
+
+        def spy(kind, m, center, p, rng, dtype=np.float64):
+            powers.append(p)
+            return real(kind, m, center, p, rng, dtype)
+
+        monkeypatch.setattr(codec, "gen_codebook", spy)
+        cfg = make_config()
+        run_trial(cfg, sources.gaussian(2.0), trial_stream(3, 0))
+        assert powers == [1.5, cfg.p_z]
+        powers.clear()
+        with pytest.raises(ConfigError, match=r"requires sigma2 > d1 > d2 > 0, got \(0.5, "):
+            run_trial(cfg, sources.gaussian(0.5), trial_stream(3, 0))
+        assert powers == []
+
     def test_lazy_bank_equivalence(self):
         # lazy single-bank generation vs full materialization of all m1
         # second-layer banks: same ensemble JEP within 3 combined stderr
@@ -189,7 +216,7 @@ class TestRunTrial:
         for i in range(trials):
             rng = trial_stream(22, i)
             x = src.sample(cfg.n, rng)
-            bank1 = codec.gen_codebook("iid", cfg.m1, np.zeros(cfg.n), cfg.p_y, rng)
+            bank1 = codec.gen_codebook("iid", cfg.m1, np.zeros(cfg.n), cfg.p_y(src.sigma2), rng)
             banks2 = [
                 codec.gen_codebook("iid", cfg.m2, bank1[j], cfg.p_z, rng)
                 for j in range(cfg.m1)

@@ -741,7 +741,7 @@ def _grid_inversions(monkeypatch, source, r1_stride=1, r2_stride=1):
     monkeypatch.setattr(asymptotics, "invert_iid_exponent", record)
     for r1 in axis(0.05, 1.2)[::r1_stride]:
         for r2 in axis(0.0, 1.2)[::r2_stride]:
-            q = asymptotics.RateQuery(r1, r2, source.sigma2, 0.5, 0.25)
+            q = asymptotics.RateQuery(r1, r2, 0.5, 0.25)
             asymptotics.sep_exponents(source, q)
             asymptotics.jep_exponent_lambda1(source, q)
     return list(seen)
@@ -822,7 +822,8 @@ class TestInvertBatch:
         assert roots.dtype == np.float64 and roots.shape == (0,)
         # a grid whose r1s are all 0 inverts no cell radius
         table = asymptotics.exponent_columns(sources.gaussian(1.0), [0.0], [0.0, 0.5], 0.5, 0.25)
-        regions = [asymptotics.region_contains(asymptotics.RateQuery(0.0, r2, 1.0, 0.5, 0.25))
+        regions = [asymptotics.region_contains(sources.gaussian(1.0),
+                                               asymptotics.RateQuery(0.0, r2, 0.5, 0.25))
                    for r2 in (0.0, 0.5)]
         lams = [asymptotics.lambda_for_rates(r2, 0.5, 0.25) for r2 in (0.0, 0.5)]
         assert table == dict.fromkeys(table, [None, None]) | {

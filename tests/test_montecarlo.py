@@ -12,7 +12,7 @@ from scipy.integrate import quad
 from scipy.special import betainc, betaincinv, chndtr, chndtrix
 from scipy.stats import chi2
 
-from srgauss import montecarlo, sources
+from srgauss import codec, montecarlo, sources
 from srgauss.codec import KINDS, SchemeConfig
 from srgauss.core import (
     iid_nonexcess_exponent,
@@ -90,7 +90,7 @@ def _scalar_radial_counts(cfg: SchemeConfig, source, trials: int, seed: int):
         cs = np.einsum("ij,ij->i", x, x)
         us = [(rng.random(), rng.random()) for _ in range(k)]
         for c, (u1, u2) in zip(cs, us):
-            nl = nearest(cfg.kind1, float(c), cfg.p_y, cfg.m1, u1)
+            nl = nearest(cfg.kind1, float(c), cfg.p_y(source.sigma2), cfg.m1, u1)
             nd2 = nearest(cfg.kind2, nl, cfg.p_z, cfg.m2, u2)
             e1, e2 = nl > n * cfg.d1, nd2 > n * cfg.d2
             count1 += e1
@@ -119,7 +119,7 @@ def _scalar_nonexcess(kind: str, n: int, w: float, p: float, d: float, trials: i
 def small_config(**kw):
     base = dict(
         n=8, m1=32, m2=16, kind1="iid", kind2="iid",
-        d1=0.5, d2=0.25, lam=1.0, sigma2=1.0,
+        d1=0.5, d2=0.25, lam=1.0,
     )
     base.update(kw)
     return SchemeConfig(**base)
@@ -270,7 +270,7 @@ class TestEstimate:
         # probability is astronomically small, so 10^3 trials see none
         cfg = SchemeConfig(
             n=16, m1=4096, m2=512, kind1="spherical", kind2="spherical",
-            d1=0.04, d2=0.03, lam=0.9, sigma2=0.05,
+            d1=0.04, d2=0.03, lam=0.9,
         )
         src = sources.two_point(math.sqrt(0.05))
         r = estimate(cfg, src, trials=1000, seed=3, workers=2)
@@ -345,7 +345,7 @@ class TestEstimate:
         # finite-n SEP1 against the radial frequency, within 3.5 SE
         n, m1, d1 = 20, 59_875, 0.5
         cfg = small_config(n=n, m1=m1, m2=1, kind1=kind1)
-        exact = _exact_sep1(kind1, n, m1, cfg.p_y, d1)
+        exact = _exact_sep1(kind1, n, m1, cfg.p_y(1.0), d1)
         trials = 100_000
         r = estimate(cfg, sources.gaussian(1.0), trials=trials, seed=303, method="radial")
         se = math.sqrt(exact * (1 - exact) / trials)
@@ -380,7 +380,7 @@ class TestEstimate:
         # chndtrix misses for most source draws at noncentrality c/p_y of a
         # few hundred (tail 1.1e-90 at 396: chndtr of its answer is 9.9e-81)
         cfg = SchemeConfig(n=20, m1=10**90, m2=10, kind1="iid", kind2="iid",
-                           d1=0.96, d2=0.5, lam=1.0, sigma2=1.0)
+                           d1=0.96, d2=0.5, lam=1.0)
         with pytest.raises(NumericError, match="tail mass"):
             estimate(cfg, sources.gaussian(1.0), trials=200, seed=1, method="radial")
 
@@ -399,6 +399,31 @@ class TestEstimate:
     def test_unknown_choice_rejected(self, choice):
         with pytest.raises(ConfigError, match=next(iter(choice))):
             estimate(small_config(), sources.gaussian(1.0), trials=10, seed=0, **choice)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_layer1_power_is_the_sources(self, method, monkeypatch):
+        # sigma2 = 2 calls for layer-1 codewords of power 2 - 0.5 on both
+        # paths, and a source at or below d1 is refused before any block runs
+        powers = set()
+        gen, nearest = codec.gen_codebook, montecarlo._min_distance
+
+        def gen_spy(kind, m, center, p, rng, dtype=np.float64):
+            powers.add(p)
+            return gen(kind, m, center, p, rng, dtype)
+
+        def nearest_spy(kind, n, c, p, m, u):
+            powers.add(p)
+            return nearest(kind, n, c, p, m, u)
+
+        monkeypatch.setattr(codec, "gen_codebook", gen_spy)
+        monkeypatch.setattr(montecarlo, "_min_distance", nearest_spy)
+        cfg = small_config(lam=0.8)
+        estimate(cfg, sources.gaussian(2.0), trials=20, seed=1, method=method)
+        assert powers == ({1.6, cfg.p_z} if method == "direct" else {1.6})
+        monkeypatch.setattr(montecarlo, "trial_stream", None)  # no block may run
+        with pytest.raises(ConfigError) as err:
+            estimate(cfg, sources.gaussian(0.5), trials=10, seed=0, method=method)
+        assert str(err.value) == "requires sigma2 > d1 > d2 > 0, got (0.5, 0.5, 0.25)"
 
     def test_small_run_consistent_with_reference(self):
         # self-consistency: a short run agrees with a 10x reference within
