@@ -53,9 +53,11 @@ print()
 print("=== rate function of X^2 ===")
 print("numeric Fenchel-Legendre optimizer vs the Gaussian closed form:")
 # rate_function_x2 takes the closed form for a gaussian source, so the
-# optimizer runs on a custom source that carries the same cgf
+# optimizer runs on a custom source that carries the same cgf and its
+# derivative, the tilted mean of X^2
 gms = sources.gaussian(1.0)
-gms_cgf = sources.custom(1.0, 3.0, None, log_mgf_x2=gms.log_mgf_x2, theta_max=gms.theta_max)
+gms_cgf = sources.custom(1.0, 3.0, None, log_mgf_x2=gms.log_mgf_x2, theta_max=gms.theta_max,
+                         tilted_mean_x2=lambda th: 1.0 / (1.0 - 2.0 * th))
 for t in (1.0, 1.5, 2.0, 4.0):
     num = rate_function_x2(gms_cgf, t)
     closed = gaussian_rate_function_x2(t, 1.0)

@@ -424,7 +424,9 @@ def cmd_exponent_grid(cp, args) -> tuple[dict[str, list], list[str]]:
     source = _source(cp)
     d1, d2 = (_get(cp, "distortion", k) for k in ("d1", "d2"))
     r1s, r2s = _rate_axes(cp)
+    # only the printed columns: the others are freed before the render
     table, m = exponent_columns(source, r1s, r2s, d1, d2), len(r2s)
+    table = {c: table[c] for c in EXPONENT_GRID_COLUMNS[:-1]}
     for i in np.flatnonzero(np.array(r1s) == 0):
         for c, value in _GRID_AT_R1_ZERO.items():
             table[c][i * m:(i + 1) * m] = [value] * m

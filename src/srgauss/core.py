@@ -4,12 +4,9 @@ Everything here is a pure function of its arguments, scalars apart from
 two batches: :func:`invert_iid_exponents` inverts covering radii and
 :func:`rate_functions_x2` takes rate functions, in lockstep over numpy
 arrays, each lane the float of the scalar :func:`invert_iid_exponent` or
-:func:`rate_function_x2`.  They pay off on an exponent grid's thousands of
-radii, while a lone one is far cheaper through the scalar function, which
-the single-point calculators keep.  A covering radius is a few Newton steps
-on the i.i.d. exponent written in its tilt (:func:`invert_iid_exponent`);
-a rate function of a non-Gaussian source is Brent's bounded maximization,
-scipy's loop transcribed (:func:`_bounded_brent_max`).  Probabilities
+:func:`rate_function_x2` (the latter a batch of one).  Both are a few
+Newton steps in a tilt: on the i.i.d. exponent for a covering radius, on
+the tilted mean of X^2 for a rate function.  Probabilities
 that can underflow (cap areas, covering bounds) are computed in log space;
 ``log_*`` variants expose the log-scale value and the linear-scale variants
 exponentiate at the boundary.
@@ -34,8 +31,8 @@ from .errors import ConfigError, NumericError
 
 _LOG_SQRT_PI = 0.5 * math.log(math.pi)
 _NEWTON_CAP = 50  # Newton steps an inversion may take; 20,000 seeded ones took at most 6
-_SQRT_EPS = math.sqrt(2.2e-16)  # Brent's relative x tolerance, as scipy sets it
-_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+_TILT_STEPS = 200  # steps a rate function's tilt may take (doublings to 2**50 included)
+_TILT_XTOL = 2.0**-30  # relative step, or bracket width, at which a tilt is done
 # 1/(2k + 3) for k = 11, ..., 0: Horner coefficients of the atanh series in
 # _atanh_rate
 _ATANH_SERIES = tuple(1.0 / (2 * k + 3) for k in reversed(range(12)))
@@ -314,169 +311,55 @@ def invert_iid_exponents(targets, ps, ds) -> np.ndarray:
     return (a + 2.0 * u) * (2.0 * d * u + w_min)
 
 
-def _bounded_brent_max(g, b: float, xatol: float, maxfun: int) -> tuple[float, str | None]:
-    """Maximum of g over [0, b] by Brent's bounded method (golden-section
-    steps, parabolic where acceptable; Brent 1973), minimizing -g.
-
-    The loop of scipy's ``minimize_scalar(method="bounded")`` transcribed
-    into plain floats, step for step: the same tolerances, iterates and
-    result, bit for bit, without numpy's scalar calls and the per-call
-    option checks that cost more than the few evaluations themselves.
-    Returns (maximum found, None), or (maximum so far, why it failed) after
-    maxfun evaluations or on a NaN.
-    """
-    a, fulc = 0.0, _GOLDEN * b
-    nfc = xf = x = fulc
-    rat = e = 0.0
-    fx = -g(x)
-    num = 1
-    fu = math.inf
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    failure = None
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:  # try a parabolic fit
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
-                golden = False
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if x - a < tol2 or b - x < tol2:
-                    # numpy's sign with a tie to +1, as scipy writes it
-                    rat = -tol1 if xm - xf < 0.0 else tol1
-        if golden:
-            e = a - xf if xf >= xm else b - xf
-            rat = _GOLDEN * e
-        step = max(abs(rat), tol1)
-        x = xf - step if rat < 0.0 else xf + step
-        fu = -g(x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= maxfun:
-            failure = "maximum number of function calls reached"
-            break
-    if math.isnan(xf) or math.isnan(fx) or math.isnan(fu):
-        failure = "NaN result encountered"
-    return -fx, failure
-
-
 def rate_function_x2(source, t: float) -> float:
     """Large-deviations rate function of X^2: sup over theta >= 0 of
-    theta*t - log E[exp(theta X^2)] (``source.log_mgf_x2``).
+    theta*t - log E[exp(theta X^2)].
 
-    A ``gaussian`` source takes the closed form
-    (:func:`gaussian_rate_function_x2`).  Every other source, a ``custom``
-    one with the Gaussian cgf included, goes through Brent's bounded
-    maximization of the concave objective over [0, hi]: scipy's loop
-    transcribed into plain floats (:func:`_bounded_brent_max`), which
-    returns scipy's value bit for bit.  :func:`rate_functions_x2` takes
-    the same steps on a batch of thresholds; this function is its
-    reference.
+    :func:`rate_functions_x2` on the one threshold, so the same float: the
+    closed form for a ``gaussian`` source, else (a ``custom`` one with the
+    Gaussian cgf included) Newton's method on the tilt (:func:`_tilted_rates`).
 
     Zero for t <= E[X^2]; +inf beyond the essential supremum of X^2.
     """
     if t < 0:
         raise ConfigError(f"requires threshold t >= 0, got {t}")
-    sigma2 = source.sigma2
-    if t <= sigma2:
-        return 0.0
-    if source.family == "gaussian":
-        return gaussian_rate_function_x2(t, sigma2)
-    theta_max = source.theta_max
-    if theta_max <= 0.0:
-        # Heavy-tailed X^2: only theta = 0 is feasible, supremum is 0.
-        return 0.0
-    x2_max = source.x2_max
-    if math.isfinite(x2_max):
-        if t > x2_max:
-            return math.inf
-        if t == x2_max:
-            mass = source.x2_max_mass
-            return math.inf if mass <= 0.0 else -math.log(mass)
-
-    def objective(theta: float) -> float:
-        return theta * t - source.log_mgf_x2(theta)
-
-    if math.isfinite(theta_max):
-        hi = theta_max * (1.0 - 1e-9)
-    else:
-        hi, g_hi = 1.0, objective(1.0)
-        while (g_next := objective(2.0 * hi)) > g_hi:
-            hi, g_hi = 2.0 * hi, g_next
-            if hi > 1e15:
-                # Objective grows without bound: t beyond the support.
-                return math.inf
-        hi *= 2.0
-    best, failure = _bounded_brent_max(objective, hi, max(1e-14, 1e-12 * hi), 500)
-    if failure:
-        raise NumericError(f"rate function maximization failed at t={t}: {failure}")
-    return max(0.0, best)
+    rate, failures = _rate_lanes(source, np.array([t], dtype=float))
+    if failures:
+        raise NumericError(f"rate function failed at t={t}: {failures[0]}")
+    return float(rate[0])
 
 
-# numpy warns where Python floats stay silent (parabolic steps a lane does
-# not take, a NaN cgf, thresholds at +inf)
+# numpy warns where Python floats stay silent (thresholds at +inf, a NaN
+# cgf, the branch of a lane's where() it does not take)
 @np.errstate(all="ignore")
 def rate_functions_x2(source, ts) -> np.ndarray:
     """:func:`rate_function_x2` at every threshold of a sequence, in one
-    lockstep batch over numpy arrays, each the scalar function's float bit
-    for bit.
-
-    The same special cases, lane by lane; the bracket's doublings share
-    theta = 1, 2, 4, ..., so each takes one cgf value for every lane still
-    doubling; then :func:`_bounded_brent_max_lockstep` with the cgf on
-    arrays (``source.log_mgfs_x2``).  A batch refuses as the scalar function
-    would on its first offending threshold in input order, with the same
+    batch over numpy arrays.  A batch refuses as the scalar function would
+    on its first offending threshold in input order, with the same
     exception and message.
     """
     t = np.asarray(ts, dtype=float)
     error = None
     if not (t < 0).any():
         try:
-            rate, failed = _rate_lanes(source, t)
-            if not failed:
+            rate, failures = _rate_lanes(source, t)
+            if not failures:
                 return rate
-        except Exception as exc:  # the cgf's own refusal, whatever its type
+        except Exception as exc:  # the source's own refusal, whatever its type
             error = exc
     for x in ts:
         rate_function_x2(source, x)  # raises the first refusal in input order
     raise error or NumericError("the rate batch failed where rate_function_x2 does not")
 
 
-def _rate_lanes(source, t: np.ndarray) -> tuple[np.ndarray, bool]:
-    """(the rates of :func:`rate_functions_x2`, whether a maximization
-    failed) for thresholds t, none of them negative."""
-    sigma2, theta_max, x2_max = source.sigma2, source.theta_max, source.x2_max
+@np.errstate(all="ignore")
+def _rate_lanes(source, t: np.ndarray) -> tuple[np.ndarray, dict]:
+    """(the rates of :func:`rate_functions_x2`, {lane: why it failed}) for
+    thresholds t, none of them negative: 0 at or below the mean and for a
+    heavy-tailed X^2 (theta_max <= 0), the closed form for a Gaussian
+    source, +inf beyond a bounded support and -log P(X^2 = x2_max) at its
+    top, :func:`_tilted_rates` between."""
+    sigma2, x2_max = source.sigma2, source.x2_max
     rate = np.zeros(len(t))
     run = ~(t <= sigma2)
     if source.family == "gaussian":  # gaussian_rate_function_x2 on the lanes
@@ -484,9 +367,9 @@ def _rate_lanes(source, t: np.ndarray) -> tuple[np.ndarray, bool]:
         lanes, big = _atanh_rate(u), u >= 0.5
         lanes[big] = [_log1p_rate(x) for x in u[big].tolist()]
         rate[run] = lanes
-        return rate, False
-    if theta_max <= 0.0:
-        return rate, False
+        return rate, {}
+    if source.theta_max <= 0.0:
+        return rate, {}
     if math.isfinite(x2_max):
         mass = source.x2_max_mass
         rate[run & (t > x2_max)] = math.inf
@@ -494,103 +377,73 @@ def _rate_lanes(source, t: np.ndarray) -> tuple[np.ndarray, bool]:
         run &= ~(t >= x2_max)
     lanes = np.flatnonzero(run)
     if not len(lanes):
-        return rate, False
-    if math.isfinite(theta_max):
-        hi = np.full(len(lanes), theta_max * (1.0 - 1e-9))
-    else:
-        hi = _doubled_brackets(source, t[lanes])
-        rate[lanes[hi == math.inf]] = math.inf
-        lanes, hi = lanes[hi < math.inf], hi[hi < math.inf]
-    best, failed = _bounded_brent_max_lockstep(
-        lambda i, x: x * t[lanes[i]] - source.log_mgfs_x2(x),
-        hi, np.where(1e-12 * hi > 1e-14, 1e-12 * hi, 1e-14), 500)
-    rate[lanes] = np.where(best > 0.0, best, 0.0)
-    return rate, bool(failed.any())
+        return rate, {}
+    rate[lanes], failures = _tilted_rates(source, t[lanes])
+    return rate, {lanes[k]: why for k, why in failures.items()}
 
 
-def _doubled_brackets(source, t: np.ndarray) -> np.ndarray:
-    """:func:`rate_function_x2`'s bracket for an infinite theta_max, at
-    every threshold of t: hi doubles from 1 while the objective grows, and
-    is +inf where it passes 1e15 (the rate is then +inf)."""
-    hi = np.ones(len(t))
-    g_hi = 1.0 * t - source.log_mgf_x2(1.0)
-    grow = np.arange(len(t))
-    theta = 1.0
-    while len(grow) and theta <= 1e15:
-        theta *= 2.0
-        g_next = theta * t[grow] - source.log_mgf_x2(theta)
-        hi[grow] = theta
-        up = g_next > g_hi[grow]
-        g_hi[grow[up]] = g_next[up]
-        grow = grow[up]
-    hi[grow] = math.inf
-    return hi
+@np.errstate(all="ignore")
+def _tilted_rates(source, t: np.ndarray) -> tuple[np.ndarray, dict]:
+    """(theta* t - Lambda(theta*) at every threshold of t, {lane: why it
+    failed}), t above the mean and below any top of the support; Lambda is
+    the cgf of X^2 and theta* solves Lambda'(theta) = t.
 
+    Newton's method on the tilt, the lanes in lockstep, from the quadratic
+    model's theta0 = (t - sigma2)/Var[X^2], with the source's tilted mean
+    and variance (``source.tilt_x2``; a secant step without a variance),
+    inside a bracket of the sign of Lambda' - t, bisected (theta doubled
+    while it is open) where a step leaves it.  A lane is done when a step or
+    its bracket is within _TILT_XTOL of theta: the rate's error is of second
+    order in that.  theta (t - Lambda'(theta)) > 2**50, a lower bound of the
+    rate, makes it +inf.  The rate is the source's centred form
+    (``source.legendre_x2``)."""
+    sigma2, n = source.sigma2, len(t)
+    lo, hi = np.zeros(n), np.full(n, float(source.theta_max))
+    theta = (t - sigma2) / (source.zeta - sigma2 * sigma2)
+    theta = np.where((0.0 < theta) & (theta < hi), theta,
+                     np.where(hi < math.inf, 0.5 * hi, 1.0 / sigma2))
+    # nearer the top of the support than the mean, the root of
+    # log(gap) - log(x2_max - Lambda'), gap = x2_max - t: the deficit falls
+    # about exponentially (a pmf) or as 1/theta (the uniform), so a step
+    # on its log goes much further than one on Lambda' - t
+    gap = source.x2_max - t
+    logs = t - sigma2 > gap
 
-def _bounded_brent_max_lockstep(g, b: np.ndarray, xatol: np.ndarray,
-                                maxfun: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_bounded_brent_max` on arrays of upper bounds b and
-    tolerances xatol, every lane taking the scalar loop's steps, so the same
-    maximum bit for bit.  g(i, x) evaluates lanes i (an index array) at
-    points x.  Returns (maxima, whether each lane failed)."""
-    best, failed = np.empty(len(b)), np.zeros(len(b), dtype=bool)
-    lanes = np.arange(len(b))
-    a = np.zeros(len(b))
-    nfc = xf = fulc = _GOLDEN * b
-    rat = e = np.zeros(len(b))
-    fx = -g(lanes, xf)
-    fu = np.full(len(b), math.inf)
-    ffulc = fnfc = fx
-    num = 1
-    while len(lanes):
-        xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * np.abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        done = ~(np.abs(xf - xm) > tol2 - 0.5 * (b - a))
-        if num > 1 and num >= maxfun:  # the scalar loop checks after each step
-            failed[lanes] = True
-            done[:] = True
-        if done.any():
-            best[lanes[done]] = -fx[done]
-            failed[lanes[done]] |= np.isnan(xf[done]) | np.isnan(fx[done]) | np.isnan(fu[done])
-            keep = ~done
-            lanes, a, b, xatol, nfc, xf, fulc, rat, e, fx, fu, ffulc, fnfc, xm, tol1, tol2 = (
-                v[keep] for v in (lanes, a, b, xatol, nfc, xf, fulc, rat, e, fx, fu, ffulc,
-                                  fnfc, xm, tol1, tol2))
-            if not len(lanes):
-                break
-        # every lane computes the parabolic fit and the golden step, and
-        # keeps the one the scalar loop takes
-        fit = np.abs(e) > tol1
-        r = (xf - nfc) * (fx - ffulc)
-        q = (xf - fulc) * (fx - fnfc)
-        p = (xf - fulc) * q - (xf - nfc) * r
-        q = 2.0 * (q - r)
-        p = np.where(q > 0.0, -p, p)
-        q = np.abs(q)
-        r, e = e, np.where(fit, rat, e)  # r is read only where fit holds
-        fit &= (np.abs(p) < np.abs(0.5 * q * r)) & (p > q * (a - xf)) & (p < q * (b - xf))
-        rat_fit = (p + 0.0) / q
-        x = xf + rat_fit
-        edge = (x - a < tol2) | (b - x < tol2)
-        rat_fit = np.where(edge, np.where(xm - xf < 0.0, -tol1, tol1), rat_fit)
-        e = np.where(fit, e, np.where(xf >= xm, a - xf, b - xf))
-        rat = np.where(fit, rat_fit, _GOLDEN * e)
-        step = np.maximum(np.abs(rat), tol1)
-        x = np.where(rat < 0.0, xf - step, xf + step)
-        fu = -g(lanes, x)
-        num += 1
-        better, right, left = fu <= fx, x >= xf, x < xf
-        a = np.where(better, np.where(right, xf, a), np.where(left, x, a))
-        b = np.where(better, np.where(right, b, xf), np.where(left, b, x))
-        near = ~better & ((fu <= fnfc) | (nfc == xf))
-        far = ~better & ~near & ((fu <= ffulc) | (fulc == xf) | (fulc == nfc))
-        fulc, ffulc = (np.where(better | near, nfc, np.where(far, x, fulc)),
-                       np.where(better | near, fnfc, np.where(far, fu, ffulc)))
-        nfc, fnfc = (np.where(better, xf, np.where(near, x, nfc)),
-                     np.where(better, fx, np.where(near, fu, fnfc)))
-        xf, fx = np.where(better, x, xf), np.where(better, fu, fx)
-    return best, failed
+    def residual(res, gap, logs):  # and the factor of its derivative
+        deficit = gap - res
+        log = np.where(deficit > 0.0, -np.log1p(-res / gap), math.inf)
+        return np.where(logs, log, res), np.where(logs, 1.0 / deficit, 1.0)
+
+    last_theta, last_res = np.zeros(n), residual(sigma2 - t, gap, logs)[0]
+    rate, failures = np.full(n, math.inf), {}
+    run = np.arange(n)
+    for _ in range(_TILT_STEPS):
+        x = theta[run]
+        res, slope = source.tilt_x2(x, t[run])
+        failures.update(dict.fromkeys(run[np.isnan(res)].tolist(), "the tilted mean is NaN"))
+        res, factor = residual(res, gap[run], logs[run])
+        if slope is None:  # the secant through the last two points
+            slope, factor = (res - last_res[run]) / (x - last_theta[run]), 1.0
+            last_theta[run], last_res[run] = x, res
+        below = res < 0.0
+        lo[run] = l = np.where(below, x, lo[run])
+        hi[run] = h = np.where(below, hi[run], x)
+        new = x - res / (slope * factor)
+        new = np.where((l < new) & (new < h), new, np.where(h < math.inf, 0.5 * (l + h), 2.0 * x))
+        unbounded = below & (h == math.inf) & (x * -res > 2.0**50) & ~logs[run]
+        done = ((np.abs(new - x) <= _TILT_XTOL * x) | (l >= (1.0 - _TILT_XTOL) * h) | (res == 0.0)
+                | unbounded | np.isnan(res))
+        theta[run] = np.where(res == 0.0, x, new)
+        theta[run[unbounded]] = math.inf
+        run = run[~done]
+        if not len(run):
+            break
+    failures.update(dict.fromkeys(run.tolist(), f"no root after {_TILT_STEPS} Newton steps"))
+    finite = np.flatnonzero(theta < math.inf)
+    rate[finite] = np.maximum(source.legendre_x2(theta[finite], t[finite]), 0.0)
+    for lane in np.flatnonzero(np.isnan(rate)).tolist():
+        failures.setdefault(lane, "the rate is NaN")
+    return rate, {k: failures[k] for k in sorted(failures)}
 
 
 def gaussian_rate_function_x2(t: float, sigma2: float) -> float:

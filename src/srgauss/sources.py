@@ -13,16 +13,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import erf, erfcx, erfi
+from scipy.special import dawsn, erf, erfcx, erfi
 
+from .core import _atanh_rate
 from .errors import ConfigError
 
 Sampler = Callable[[int, np.random.Generator], np.ndarray]
 LogMgf = Callable[[float], float]
-LogMgfs = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,7 +50,8 @@ class SourceSpec:
     x2_max_mass: float = 0.0
     _sampler: Optional[Sampler] = field(repr=False, compare=False, default=None)
     _log_mgf_x2: Optional[LogMgf] = field(repr=False, compare=False, default=None)
-    _log_mgfs_x2: Optional[LogMgfs] = field(repr=False, compare=False, default=None)
+    _tilt_x2: Optional[Callable] = field(repr=False, compare=False, default=None)
+    _legendre_x2: Optional[Callable] = field(repr=False, compare=False, default=None)
 
     def __post_init__(self):
         if not self.sigma2 > 0:
@@ -77,20 +79,21 @@ class SourceSpec:
             )
         return self._log_mgf_x2(theta)
 
-    def log_mgfs_x2(self, thetas) -> np.ndarray:
-        """:meth:`log_mgf_x2` at every theta of a float array, each the
-        scalar method's float.  A family with an array routine runs it;
-        any other maps its scalar cgf over the distinct thetas (bit
-        patterns, so 0.0 and -0.0 stay apart).  Refuses as the scalar method
-        would on the first offending theta."""
-        thetas = np.asarray(thetas, dtype=float)
-        if self._log_mgf_x2 is None or ((thetas > 0) & (thetas >= self.theta_max)).any():
-            for theta in thetas.tolist():
-                self.log_mgf_x2(theta)  # raises at the first theta it refuses
-        if self._log_mgfs_x2 is not None:
-            return self._log_mgfs_x2(thetas)
-        bits, lane = np.unique(thetas.view(np.int64), return_inverse=True)
-        return np.array([self._log_mgf_x2(th) for th in bits.view(float).tolist()])[lane]
+    def tilt_x2(self, thetas: np.ndarray, ts: np.ndarray) -> tuple:
+        """(Lambda'(theta) - t, Lambda''(theta) or None) at each (theta, t)
+        lane, Lambda the cgf of X^2: the tilted mean of X^2 less t, and its variance."""
+        if self._tilt_x2 is None:
+            raise ConfigError(
+                f"source family {self.family!r} has no tilted mean of X^2; supply "
+                "tilted_mean_x2 when constructing a custom source"
+            )
+        return self._tilt_x2(thetas, ts)
+
+    def legendre_x2(self, thetas: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        """theta*t - Lambda(theta) per lane: the family's centred form, else by log_mgf_x2."""
+        if self._legendre_x2 is not None:
+            return self._legendre_x2(thetas, ts)
+        return thetas * ts - np.array([self.log_mgf_x2(th) for th in thetas.tolist()])
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """n i.i.d. draws, deterministic given the generator state."""
@@ -100,8 +103,45 @@ class SourceSpec:
 
 
 # |theta| a^2 below which the uniform cgf sums its power series: above it the
-# closed form is within a few ulps, and about 15 series terms suffice
+# closed form is within a few ulps
 _UNIFORM_SERIES_BELOW = 0.5
+# u = theta a^2 below which the uniform rate function sums power series in u
+# (centred at the mean), above it Dawson's integral F (centred at the top),
+# by its asymptotic series from u = 50, where 30 terms reach the last bit
+_UNIFORM_CENTRED_BELOW = 2.0
+_DAWSON_SERIES_FROM = 50.0
+# Horner coefficients (:func:`_horner`), U uniform on [-1, 1]: S(u) =
+# E[exp(u U^2)] - 1 = sum u^k/(k! (2k+1)) and T(u) = E[(U^2 - 1/3) exp(u U^2)]
+# = sum 4k u^k/(3 k! (2k+1)(2k+3)), k <= 24 (1e-18 relative below u = 2);
+# 2zF(z) - 1 = sum (2n-1)!! x^n, x = 1/(2z^2); expm1(y) - y = sum y^k/k!
+_UNIFORM_S = tuple(1.0 / (math.factorial(k) * (2 * k + 1)) for k in range(24, 0, -1))
+_UNIFORM_T = tuple(4.0 * k / (3.0 * math.factorial(k) * (2 * k + 1) * (2 * k + 3))
+                   for k in range(24, 0, -1))
+_DAWSON_TAIL = tuple(float(math.prod(range(1, 2 * n, 2))) for n in range(30, 0, -1))
+_EXPM1_TAIL = tuple(1.0 / math.factorial(k) for k in range(19, 1, -1)) + (0.0,)
+
+
+def _horner(coeffs, x):
+    """sum c_k x^k over k >= 1, the coefficients highest power first."""
+    acc = 0.0
+    for c in coeffs:
+        acc = acc * x + c
+    return acc * x
+
+
+def _by_lane(near: np.ndarray, f, g, *args) -> np.ndarray:
+    """f of the lanes of the arrays args where near holds, g of the others."""
+    out = np.empty(len(near))
+    if near.any():
+        out[near] = f(*(a[near] for a in args))
+    if not near.all():
+        out[~near] = g(*(a[~near] for a in args))
+    return out
+
+
+def _expm1_minus(y: np.ndarray) -> np.ndarray:
+    """expm1(y) - y, by its power series where |y| < 1, which cancels there."""
+    return np.where(np.abs(y) < 1.0, _horner(_EXPM1_TAIL, y), np.expm1(y) - y)
 
 
 def _log_erfi(z: float) -> float:
@@ -141,29 +181,63 @@ def uniform(half_width: float) -> SourceSpec:
     def _mgf(theta: float) -> float:
         u = theta * a * a
         if abs(u) < _UNIFORM_SERIES_BELOW:
-            # E[exp(u U^2)] = 1 + sum_k u^k / (k! (2k+1)) for U uniform on
-            # [-1, 1]; the closed forms below cancel to O(|log u| / u) ulps
-            s, term, k = 0.0, 1.0, 0
-            while True:
-                k += 1
-                term *= u / k
-                step = term / (2 * k + 1)
-                s += step
-                if abs(step) <= 1e-17 * abs(s):
-                    return math.log1p(s)
+            # E[exp(u U^2)] = 1 + S(u); the closed forms below cancel to
+            # O(|log u| / u) ulps
+            return math.log1p(_horner(_UNIFORM_S, u))
         if theta > 0.0:
             z = a * math.sqrt(theta)
             return 0.5 * math.log(math.pi / theta) - math.log(2.0 * a) + _log_erfi(z)
         z = a * math.sqrt(-theta)
         return 0.5 * math.log(-math.pi / theta) - math.log(2.0 * a) + math.log(erf(z))
 
+    # a^2 = p2 + e2 and its exact third, the mean of X^2, less sigma2
+    p2 = a * a
+    e2 = float(Fraction(a) ** 2 - Fraction(p2))
+    sigma2 = p2 / 3.0
+    delta = float(Fraction(a) ** 2 / 3 - Fraction(sigma2))
+
+    def _dawson_excess(u):  # 2zF(z) - 1, z^2 = u, F Dawson's integral
+        z, tail = np.sqrt(u), _horner(_DAWSON_TAIL, 0.5 / u)
+        return np.where(u < _DAWSON_SERIES_FROM, 2.0 * z * dawsn(z) - 1.0, tail)
+
+    # centred at the mean: E[X^2 - mu] tilted is a^2 T/(1 + S), u = theta a^2;
+    # at the top, a^2 - E[X^2] tilted is a^2 (g/(1 + g) + 1/(2u)), g = 2zF(z) - 1
+    def _tilt_near(u, t):
+        return p2 * _horner(_UNIFORM_T, u) / (1.0 + _horner(_UNIFORM_S, u)) - ((t - sigma2) - delta)
+
+    def _tilt_far(u, t):
+        g = _dawson_excess(u)
+        return ((p2 - t) + e2) - p2 * (g / (1.0 + g) + 0.5 / u)
+
+    def _tilt(theta, t):
+        u = theta * p2
+        return _by_lane(u < _UNIFORM_CENTRED_BELOW, _tilt_near, _tilt_far, u, t), None
+
+    # centred: theta (t - mu) - log E[exp(theta (X^2 - mu))], the log being
+    # R - (S - log1p(S)), R = S - u/3; at the top: -theta (a^2 - t)
+    # - log E[exp(theta (X^2 - a^2))], the log being log1p(g) - log(2u)
+    def _legendre_near(theta, u, t):
+        r = _horner(_UNIFORM_S[:-1], u) * u
+        s = r + u / 3.0
+        half = np.where(s < 0.5, _atanh_rate(s), 0.5 * (s - np.log1p(s)))  # (S - log1p(S))/2
+        return theta * ((t - sigma2) - delta) - (r - 2.0 * half)
+
+    def _legendre_far(theta, u, t):
+        return -theta * ((p2 - t) + e2) + np.log(2.0 * u) - np.log1p(_dawson_excess(u))
+
+    def _legendre(theta, t):
+        u = theta * p2
+        return _by_lane(u < _UNIFORM_CENTRED_BELOW, _legendre_near, _legendre_far, theta, u, t)
+
     return SourceSpec(
         family="uniform",
-        sigma2=a * a / 3.0,
+        sigma2=sigma2,
         zeta=a**4 / 5.0,
-        x2_max=a * a,
+        x2_max=p2,
         _sampler=lambda n, rng: rng.uniform(-a, a, size=n),
         _log_mgf_x2=_mgf,
+        _tilt_x2=_tilt,
+        _legendre_x2=_legendre,
     )
 
 
@@ -218,12 +292,15 @@ def discrete(values: Sequence[float], probs: Sequence[float]) -> SourceSpec:
     p / fsum(p) so that it is 0 at theta = 0: log1p of the weighted
     expm1(theta x^2) where |theta| x2_max <= 1, which keeps its relative
     accuracy as theta -> 0, else the max-shifted log-sum-exp; either is
-    within 2e-15 relative of a 50-digit oracle.  The array cgf
-    (:meth:`SourceSpec.log_mgfs_x2`) takes the same steps on a theta per
-    row and an atom per column: numpy's products, sums and maxima round as
-    Python's do, while its exp, expm1, log and log1p can differ from
-    ``math``'s in the last bit, so those, and ``math.fsum``, run element by
-    element.
+    within 2e-15 relative of a 50-digit oracle.
+
+    The rate function's routines work on numpy arrays, a theta per row and
+    a distinct x^2 per column, with the weights summed per distinct x^2
+    and the mean mu of X^2 under them taken exactly.  With d = x^2 - mu
+    (each rounded once) and y = theta d, the tilted mean of X^2 less mu is
+    sum w d expm1(y) / sum w exp(y), every term of one sign, and the rate
+    theta (t - mu) - log1p(sum w (expm1(y) - y)), or centred at the top
+    atom where t is nearer to it than to mu; no part cancels.
     """
     vals = np.asarray(values, dtype=np.float64)
     ps = np.asarray(probs, dtype=np.float64)
@@ -239,16 +316,20 @@ def discrete(values: Sequence[float], probs: Sequence[float]) -> SourceSpec:
     keep = ps > 0
     v2p = v2[keep]
     x2_max = float(v2p.max())
+    sigma2 = float(v2 @ ps)
     w = (ps[keep] / math.fsum(ps[keep].tolist())).tolist()
     logw = [math.log(q) for q in w]
     x2 = v2p.tolist()
-    w_row = np.array(w)
-    # the array cgf calls expm1 once per distinct x^2 and exp once per
-    # distinct (log w, x^2) pair, and gathers the terms back per atom
-    x2_ids, pair_ids = {}, {}
-    x2_of = np.array([x2_ids.setdefault(x, len(x2_ids)) for x in x2])
-    pair_of = np.array([pair_ids.setdefault(p, len(pair_ids)) for p in zip(logw, x2)])
-    x2_set, pairs = np.array(list(x2_ids)), np.array(list(pair_ids))
+    # the weight of each distinct x^2, and the exact mean under them
+    mass = {}
+    for q, x in zip(w, x2):
+        mass[x] = mass.get(x, 0) + Fraction(q)
+    total = sum(mass.values())
+    mu = sum(Fraction(x) * q for x, q in mass.items()) / total
+    om = np.array([float(q / total) for q in mass.values()])
+    dev = np.array([float(Fraction(x) - mu) for x in mass])
+    gap = np.array(list(mass)) - x2_max
+    delta, dev_max = float(mu - Fraction(sigma2)), float(dev.max())
 
     def _mgf(theta: float) -> float:
         if abs(theta) * x2_max <= 1.0:
@@ -257,37 +338,35 @@ def discrete(values: Sequence[float], probs: Sequence[float]) -> SourceSpec:
         a_max = max(a)
         return a_max + math.log(math.fsum([math.exp(b - a_max) for b in a]))
 
-    def _mgfs(thetas: np.ndarray) -> np.ndarray:
-        out = np.empty(len(thetas))
-        small = np.abs(thetas) * x2_max <= 1.0
-        expm1s = _elementwise(math.expm1, thetas[small, None] * x2_set)
-        out[small] = _elementwise(math.log1p, _row_fsums(w_row * expm1s[:, x2_of]))
-        a = pairs[:, 0] + thetas[~small, None] * pairs[:, 1]
-        a_max = a.max(axis=1)
-        sums = _row_fsums(_elementwise(math.exp, a - a_max[:, None])[:, pair_of])
-        out[~small] = a_max + _elementwise(math.log, sums)
-        return out
+    def _tilt(theta, t):
+        # exp(y) - 1, or where that overflows exp(y - s), the mean then near the top
+        y = theta[:, None] * dev
+        s = np.maximum(theta * dev_max - 700.0, 0.0)[:, None]
+        g = np.where(s > 0.0, np.exp(y - s), np.expm1(y))
+        e = g + (s == 0.0)
+        z = (om * e).sum(axis=1)
+        mean = (om * dev * g).sum(axis=1) / z
+        var = (om * e * (dev - mean[:, None]) ** 2).sum(axis=1) / z
+        return mean - ((t - sigma2) - delta), var
+
+    def _legendre(theta, t):
+        excess = (t - sigma2) - delta
+        centred = (excess <= x2_max - t) & (theta * dev_max <= 700.0)
+        near = theta * excess - np.log1p((om * _expm1_minus(theta[:, None] * dev)).sum(axis=1))
+        far = -theta * (x2_max - t) - np.log((om * np.exp(theta[:, None] * gap)).sum(axis=1))
+        return np.where(centred, near, far)
 
     return SourceSpec(
         family="discrete",
-        sigma2=float(v2 @ ps),
+        sigma2=sigma2,
         zeta=float(v2**2 @ ps),
         x2_max=x2_max,
         x2_max_mass=float(ps[keep][v2p == x2_max].sum()),
         _sampler=lambda n, rng: rng.choice(vals, size=n, p=ps),
         _log_mgf_x2=_mgf,
-        _log_mgfs_x2=_mgfs,
+        _tilt_x2=_tilt,
+        _legendre_x2=_legendre,
     )
-
-
-def _elementwise(f, m: np.ndarray) -> np.ndarray:
-    """The float function f at every element of a float array."""
-    return np.fromiter(map(f, m.ravel().tolist()), float, m.size).reshape(m.shape)
-
-
-def _row_fsums(m: np.ndarray) -> np.ndarray:
-    """math.fsum of every row of a 2-d float array."""
-    return np.fromiter(map(math.fsum, m.tolist()), float, len(m))
 
 
 def custom(
@@ -297,14 +376,19 @@ def custom(
     *,
     sixth_moment_finite: bool = True,
     log_mgf_x2: Optional[LogMgf] = None,
+    tilted_mean_x2: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     theta_max: float = math.inf,
     x2_max: float = math.inf,
     x2_max_mass: float = 0.0,
 ) -> SourceSpec:
     """User-defined source: explicit moments plus a sampler hook.  The
-    large-deviations calculators need ``log_mgf_x2``, log E[exp(theta X^2)];
-    without it they are unavailable for this source.
+    large-deviations calculators need ``log_mgf_x2``, log E[exp(theta X^2)]
+    at a float theta, and ``tilted_mean_x2``, its derivative
+    E[X^2 exp(theta X^2)] / E[exp(theta X^2)] at every theta of a float
+    array; without both they refuse this source.
     """
+    tilt = tilted_mean_x2 and (
+        lambda theta, t: (np.asarray(tilted_mean_x2(theta), dtype=float) - t, None))
     return SourceSpec(
         family="custom",
         sigma2=sigma2,
@@ -315,6 +399,7 @@ def custom(
         x2_max_mass=x2_max_mass,
         _sampler=sampler,
         _log_mgf_x2=log_mgf_x2,
+        _tilt_x2=tilt,
     )
 
 

@@ -1,7 +1,8 @@
-"""The rate function of X^2 maximized by scipy itself: the oracle that
-``core``'s transcription of the bounded Brent loop must equal bit for bit,
-shared by the tests that check the loop and by the frozen oracle of the
-exponent calculators, which must run no root-finder of ``src/``."""
+"""The rate function of X^2 maximized by scipy itself, the frozen oracle
+of the exponent calculators, which must run no root-finder of ``src/``:
+scipy's bounded Brent on the uncentred objective, independent of ``core``'s
+Newton loop in method as well as in code, and compared with it within its
+own accuracy (``tests/test_core.py::TestBoundedBrent``)."""
 
 import math
 

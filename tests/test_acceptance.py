@@ -38,7 +38,8 @@ from srgauss.montecarlo import EstimationResult, estimate, estimate_nonexcess
 GMS = sources.gaussian(1.0)
 # the Gaussian cgf on a custom source: rate_function_x2 takes the closed form
 # for GMS itself, and criterion 2 checks the numeric optimizer against it
-GMS_CGF = sources.custom(1.0, 3.0, None, theta_max=0.5, log_mgf_x2=GMS.log_mgf_x2)
+GMS_CGF = sources.custom(1.0, 3.0, None, theta_max=0.5, log_mgf_x2=GMS.log_mgf_x2,
+                         tilted_mean_x2=lambda th: 1.0 / (1.0 - 2.0 * th))
 HALF_LOG2 = 0.5 * math.log(2.0)
 
 

@@ -15,8 +15,6 @@ from scipy.special import betainc, logsumexp
 
 from srgauss import asymptotics, core, sources
 from srgauss.core import (
-    _bounded_brent_max,
-    _bounded_brent_max_lockstep,
     _iid_exponent,
     gaussian_rate_function_x2,
     iid_nonexcess_exponent,
@@ -37,7 +35,7 @@ from srgauss.core import (
 )
 from srgauss.errors import ConfigError, NumericError
 
-from scipy_rate import scipy_bounded_max, scipy_rate_function_x2
+from scipy_rate import scipy_rate_function_x2
 
 mp.mp.dps = 40
 
@@ -507,12 +505,14 @@ class TestInvertIidExponent:
 
 
 def _gaussian_cgf(sigma2):
-    """A custom source with the Gaussian cgf and theta_max = 1/(2 sigma2):
-    rate_function_x2 takes the closed form for a gaussian source, so the
-    bounded Brent loop meets the Gaussian cgf only through this one."""
+    """A custom source with the Gaussian cgf, its tilted mean and
+    theta_max = 1/(2 sigma2): rate_function_x2 takes the closed form for a
+    gaussian source, so the Newton loop meets the Gaussian cgf only through
+    this one."""
     return sources.custom(
         sigma2, 3.0 * sigma2**2, None, theta_max=1.0 / (2.0 * sigma2),
         log_mgf_x2=sources.gaussian(sigma2).log_mgf_x2,
+        tilted_mean_x2=lambda th: sigma2 / (1.0 - 2.0 * sigma2 * th),
     )
 
 
@@ -618,7 +618,8 @@ class TestRateFunction:
     def test_unbounded_objective_is_inf(self):
         # cgf theta -> theta (X^2 = 1 surely) declared without x2_max: at t = 2
         # the objective theta*t - theta grows without bound
-        spec = sources.custom(1.0, 1.0, lambda n, rng: np.ones(n), log_mgf_x2=lambda th: th)
+        spec = sources.custom(1.0, 1.0, lambda n, rng: np.ones(n), log_mgf_x2=lambda th: th,
+                              tilted_mean_x2=np.ones_like)
         assert rate_function_x2(spec, 2.0) == math.inf
 
     def test_convexity_midpoint(self):
@@ -639,17 +640,26 @@ class TestRateFunction:
         assert rate_function_x2(spec, t) == pytest.approx(direct, abs=1e-5)
 
 
+def _lattice_mean(theta):
+    """Tilted mean of X^2 in {0.25, 1, 4} w.p. (0.3, 0.5, 0.2), shifted at the top atom."""
+    x2, p = np.array([0.25, 1.0, 4.0]), np.array([0.3, 0.5, 0.2])
+    e = p * np.exp(np.multiply.outer(theta, x2 - 4.0))
+    return (e * x2).sum(axis=-1) / e.sum(axis=-1)
+
+
 # X^2 = 0.5 * chi2_3: finite theta_max = 1
 _GAMMA_X2 = sources.custom(
     1.5, 3.75, lambda n, rng: 0.5 * rng.chisquare(3, n),
     log_mgf_x2=lambda th: -1.5 * math.log1p(-th), theta_max=1.0,
+    tilted_mean_x2=lambda th: 1.5 / (1.0 - th),
 )
 # X^2 in {0.25, 1, 4} with x2_max left undeclared: theta_max = inf and
-# rate_function_x2 must find its bracket by doubling.  The cgf is the pmf
-# source's, within 2e-15 relative of a 50-digit oracle (test_sources)
+# rate_function_x2 must double theta while its bracket is open.  The cgf is
+# the pmf source's, within 2e-15 relative of a 50-digit oracle (test_sources)
 _LATTICE_X2 = sources.custom(
     1.425, 3.815625, lambda n, rng: rng.choice([0.5, 1.0, 2.0], n, p=[0.3, 0.5, 0.2]),
     log_mgf_x2=sources.discrete([0.5, 1.0, 2.0], [0.3, 0.5, 0.2]).log_mgf_x2,
+    tilted_mean_x2=_lattice_mean,
 )
 
 ORACLE_SOURCES = {
@@ -665,8 +675,19 @@ ORACLE_SOURCES = {
 
 
 class TestBoundedBrent:
+    """rate_function_x2 against scipy's bounded Brent (tests/scipy_rate.py),
+    within that oracle's own accuracy."""
+
     @pytest.mark.parametrize("name", ORACLE_SOURCES)
     def test_rate_function_equals_scipy_bounded(self, name):
+        # scipy maximizes theta*t - Lambda(theta) uncentred, to within its
+        # x tolerance max(1e-14, 1e-12*hi): next to the mean its rate loses
+        # digits (1e-10 relative on rates of 1e-11, ROADMAP direction 16), and
+        # at the top of the uniform's support, where the maximizer is large,
+        # its bracket's 1e-12*hi (1.1e-12 relative); an ulp below that top
+        # its bracket passes the 1e15 cap and it returns inf.  The uniform's
+        # scalar cgf, which scipy maximizes, is itself only within 1e-8
+        # relative where it sums its three-term asymptotic series of log erfi
         source = ORACLE_SOURCES[name]
         sigma2, x2_max = source.sigma2, source.x2_max
         rng = np.random.default_rng(23)
@@ -680,47 +701,158 @@ class TestBoundedBrent:
             [sigma2, math.nextafter(sigma2, math.inf), math.nextafter(top, 0.0), top],
         ])
         for t in ts.tolist():
-            assert rate_function_x2(source, t) == scipy_rate_function_x2(source, t), t
-
-    @pytest.mark.parametrize("g, b", [
-        (lambda x: -(x - 0.3) ** 2, 1.0),
-        (lambda x: x, 5.0),  # maximum on the upper bound
-        (lambda x: -x, 5.0),  # maximum on the lower bound
-        (lambda x: math.sin(x), 20.0),  # several local maxima
-        (lambda x: -abs(x - 1e-3), 1e6),
-    ])
-    def test_equals_scipy_bounded_on_shapes(self, g, b):
-        for xatol in (1e-14, 1e-12 * b, 1e-5):
-            best, failure = _bounded_brent_max(g, b, xatol, 500)
-            assert failure is None
-            assert (best, True) == scipy_bounded_max(g, b, xatol)
-
-    def test_reports_exhausted_evaluations(self):
-        best, failure = _bounded_brent_max(lambda x: -(x - 0.3) ** 2, 1.0, 1e-14, 3)
-        assert failure == "maximum number of function calls reached"
-        assert math.isfinite(best)
+            got, want = rate_function_x2(source, t), scipy_rate_function_x2(source, t)
+            if got == want:
+                continue
+            if want == math.inf:
+                assert name == "uniform" and t == math.nextafter(top, 0.0) and got < math.inf
+                continue
+            rel = 1e-8 if name == "uniform" else 1e-11
+            assert got == pytest.approx(want, rel=rel, abs=1e-14), t
 
     def test_nan_cgf_raises(self):
         spec = sources.custom(
             1.0, 3.0, lambda n, rng: rng.normal(size=n),
-            log_mgf_x2=lambda th: math.nan, theta_max=0.5,
+            log_mgf_x2=lambda th: math.nan, theta_max=0.5, tilted_mean_x2=lambda th: th * math.nan,
         )
-        with pytest.raises(NumericError, match="NaN result encountered"):
+        with pytest.raises(NumericError, match="the tilted mean is NaN"):
+            rate_function_x2(spec, 2.0)
+        spec = sources.custom(
+            1.0, 3.0, None, log_mgf_x2=lambda th: math.nan, theta_max=0.5,
+            tilted_mean_x2=lambda th: 1.0 / (1.0 - 2.0 * th),
+        )
+        with pytest.raises(NumericError, match="the rate is NaN"):
             rate_function_x2(spec, 2.0)
 
     def test_bracket_evaluates_each_doubling_once(self):
-        # theta = 1, 2, 4, ... each enter the cgf once while the bracket grows
+        # t beyond the undeclared top, 4: the tilted mean stays below t, so
+        # theta doubles while the bracket is open, and no theta enters the
+        # tilted mean twice before the rate is found +inf
         seen = []
 
-        def cgf(th):
-            seen.append(th)
-            return _LATTICE_X2.log_mgf_x2(th)
+        def mean(th):
+            seen.extend(th.tolist())
+            return _lattice_mean(th)
 
-        spec = sources.custom(1.425, 3.815625, None, log_mgf_x2=cgf)
-        rate_function_x2(spec, 3.9)
-        doublings = [th for th in seen if th >= 1.0 and math.log2(th).is_integer()]
-        assert doublings[:3] == [1.0, 2.0, 4.0]
-        assert len(doublings) == len(set(doublings))
+        spec = sources.custom(1.425, 3.815625, None, log_mgf_x2=_LATTICE_X2.log_mgf_x2,
+                              tilted_mean_x2=mean)
+        assert rate_function_x2(spec, 4.5) == math.inf
+        assert len(seen) == len(set(seen)) > 3
+
+    def test_tilted_mean_hook_is_required(self):
+        # a custom source without it is refused by name, by the point
+        # calculators and the grid evaluator alike
+        spec = sources.custom(1.0, 3.0, None, log_mgf_x2=sources.gaussian(1.0).log_mgf_x2,
+                              theta_max=0.5)
+        message = "supply tilted_mean_x2 when constructing a custom source"
+        with pytest.raises(ConfigError, match=message):
+            rate_function_x2(spec, 2.0)
+        q = asymptotics.RateQuery(0.8, 0.2, 0.5, 0.25)
+        with pytest.raises(ConfigError, match=message):
+            asymptotics.jep_exponent(spec, q)
+        with pytest.raises(ConfigError, match=message):
+            asymptotics.exponent_columns(spec, [0.8], [0.2], 0.5, 0.25)
+
+
+def _mp_pmf_rate(values, probs):
+    """The rate function of X^2 for a pmf, at 50 digits, from the exact float
+    values and probabilities (normalized exactly): theta*t - log M(theta)
+    at the theta where the tilted mean of X^2 is t, by bisection."""
+    atoms = [(mp.mpf(v) ** 2, mp.mpf(p)) for v, p in zip(values, probs)]
+    total = mp.fsum(p for _, p in atoms)
+    top = max(x2 for x2, _ in atoms)
+
+    def mean(th):
+        e = [p * mp.exp(th * (x2 - top)) for x2, p in atoms]
+        return mp.fsum(w * x2 for w, (x2, _) in zip(e, atoms)) / mp.fsum(e)
+
+    def log_m(th):
+        return mp.log(mp.fsum(p * mp.exp(th * x2) for x2, p in atoms) / total)
+
+    return mean, log_m
+
+
+def _mp_uniform_rate(a):
+    """The same for X uniform on [-a, a], a the exact float: with u = theta a^2
+    and z^2 = u, M(theta) = sqrt(pi) erfi(z)/(2z) and the tilted mean of X^2
+    is a^2 (e^u / (2u M) - 1/(2u)); by power series below u = 1e-6."""
+    a2 = mp.mpf(a) ** 2
+
+    def mean(th):
+        u = th * a2
+        if u < mp.mpf("1e-6"):
+            return a2 * (mp.fsum(u**k / (mp.factorial(k) * (2 * k + 3)) for k in range(30))
+                         / mp.fsum(u**k / (mp.factorial(k) * (2 * k + 1)) for k in range(30)))
+        z = mp.sqrt(u)
+        return a2 * (mp.exp(u) / (2 * u * mp.sqrt(mp.pi) * mp.erfi(z) / (2 * z)) - 1 / (2 * u))
+
+    def log_m(th):
+        u = th * a2
+        if u < mp.mpf("1e-6"):
+            return mp.log(mp.fsum(u**k / (mp.factorial(k) * (2 * k + 1)) for k in range(30)))
+        z = mp.sqrt(u)
+        return mp.log(mp.sqrt(mp.pi) * mp.erfi(z) / (2 * z))
+
+    return mean, log_m
+
+
+def _mp_rate(oracle, t):
+    mean, log_m = oracle
+    with mp.workdps(50):
+        t = mp.mpf(t)
+        lo, hi = mp.mpf(0), mp.mpf(1)
+        while mean(hi) < t:
+            lo, hi = hi, 2 * hi
+        for _ in range(120):  # theta to 2**-120 of its bracket: rates to 1e-40 relative
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if mean(mid) < t else (lo, mid)
+        theta = (lo + hi) / 2
+        return theta * t - log_m(theta)
+
+
+BENCHMARK_PMF = ([-2.0, -0.5, 0.5, 2.0], [0.1, 0.4, 0.4, 0.1])
+RATE_ORACLES = {
+    "benchmark-pmf": (sources.discrete(*BENCHMARK_PMF), _mp_pmf_rate(*BENCHMARK_PMF)),
+    "uniform-sqrt3": (sources.uniform(math.sqrt(3.0)), _mp_uniform_rate(math.sqrt(3.0))),
+}
+
+
+class TestRateOracle:
+    """Every rate of the Newton loop within 4e-15 relative of a 50-digit
+    oracle, from sigma2 (1 + 1e-12) up to 1e-12 below the top of the
+    support, and unchanged by the source's scale."""
+
+    RTOL = 4e-15
+
+    @pytest.mark.parametrize("name", RATE_ORACLES)
+    def test_rates_against_mpmath(self, name):
+        source, oracle = RATE_ORACLES[name]
+        sigma2, top = source.sigma2, source.x2_max
+        ts = ([sigma2 * (1.0 + 10.0**-k) for k in range(12, 0, -1)]
+              + np.linspace(sigma2, top, 26)[1:-1].tolist()
+              + [top - 10.0**-k for k in range(1, 13)])
+        got = rate_functions_x2(source, ts)
+        for t, rate in zip(ts, got.tolist()):
+            exact = _mp_rate(oracle, t)
+            assert abs(rate - exact) <= self.RTOL * exact, (t, rate, float(exact))
+            assert rate == rate_function_x2(source, t)
+
+    @pytest.mark.parametrize("k", [-100, -16, -8, 8, 12, 100])
+    def test_rates_are_scale_free(self, k):
+        # X scaled by sqrt(c), c = 10**k, and t by c: the same rate.  Both
+        # pmf atoms and t are scaled in floats (fl(c t), fl(sqrt(c) a)), an
+        # ulp each, which moves these mid-support rates by under 2e-15
+        c, s = 10.0**k, 10.0 ** (k / 2)
+        scaled = {"benchmark-pmf": (sources.discrete([v * s for v in BENCHMARK_PMF[0]],
+                                                     BENCHMARK_PMF[1]), [1.2, 1.5, 2.0, 3.0, 3.9]),
+                  "uniform-sqrt3": (sources.uniform(math.sqrt(3.0) * s), [1.2, 1.5, 2.0, 2.5, 2.9])}
+        for name, (source, ts) in scaled.items():
+            unit = RATE_ORACLES[name][0]
+            batch = rate_functions_x2(source, [c * t for t in ts]).tolist()
+            for t, rate in zip(ts, batch):
+                want = rate_function_x2(unit, t)
+                assert rate == rate_function_x2(source, c * t)
+                assert abs(rate - want) <= self.RTOL * want, (name, t, rate, want)
 
 
 def _grid_inversions(monkeypatch, source, r1_stride=1, r2_stride=1):
@@ -961,93 +1093,38 @@ class TestRateBatch:
         want = _any_refusal(rate_function_x2, source, -1.0)
         assert want == (ConfigError, "requires threshold t >= 0, got -1.0")
         assert _any_refusal(rate_functions_x2, source, [2.0, -1.0, 3.0]) == want
-        # a cgf that returns NaN: the first threshold above the mean is named,
-        # ahead of a later negative one and behind an earlier one
-        nan_cgf = sources.custom(1.0, 3.0, None, theta_max=0.5, log_mgf_x2=lambda th: math.nan)
+        # a tilted mean that returns NaN: the first threshold above the mean
+        # is named, ahead of a later negative one and behind an earlier one
+        nan_cgf = sources.custom(1.0, 3.0, None, theta_max=0.5, log_mgf_x2=lambda th: math.nan,
+                                 tilted_mean_x2=lambda th: th * math.nan)
         want = _any_refusal(rate_function_x2, nan_cgf, 2.0)
-        assert want == (NumericError,
-                        "rate function maximization failed at t=2.0: NaN result encountered")
+        assert want == (NumericError, "rate function failed at t=2.0: the tilted mean is NaN")
         assert _any_refusal(rate_functions_x2, nan_cgf, [0.5, 2.0, 3.0, -1.0]) == want
         assert _any_refusal(rate_functions_x2, nan_cgf, [0.5, -1.0, 2.0]) == (
             ConfigError, "requires threshold t >= 0, got -1.0")
-        # a cgf's own refusal, whatever its type: none at all, and an
-        # overflow while the bracket doubles; with no negative threshold the
+        # the source's own refusal, whatever its type: no tilted mean, no
+        # cgf, and a cgf raising a ValueError; with no negative threshold the
         # batch meets it in its lanes, and the scalar replay raises it
-        for cgf in (None, lambda th: math.exp(800.0 * th)):
-            spec = sources.custom(1.0, 3.0, None, log_mgf_x2=cgf)
+        for cgf, tilted in ((sources.gaussian(1.0).log_mgf_x2, None), (None, _lattice_mean),
+                            (lambda th: math.log(-th), _lattice_mean)):
+            spec = sources.custom(1.0, 3.0, None, log_mgf_x2=cgf, tilted_mean_x2=tilted)
             want = _any_refusal(rate_function_x2, spec, 2.0)
             assert want is not None
             assert _any_refusal(rate_functions_x2, spec, [0.5, 2.0, -1.0]) == want
             assert _any_refusal(rate_functions_x2, spec, [0.5, 2.0, 3.0]) == want
             assert _any_refusal(asymptotics.exponent_columns, spec, [0.5], [0.2, 0.6],
                                 0.5, 0.25) == want
+        # the Newton steps running out, in a batch as in the scalar function
+        monkeypatch.setattr(core, "_TILT_STEPS", 1)
+        want = _any_refusal(rate_function_x2, source, 2.0)
+        assert want == (NumericError, "rate function failed at t=2.0: no root after 1 Newton steps")
+        assert _any_refusal(rate_functions_x2, source, [0.5, 2.0, 3.0]) == want
+        monkeypatch.undo()
         # a batch failing where the scalar function does not is refused too
-        monkeypatch.setattr(core, "_rate_lanes", lambda source, t: (t, True))
-        assert _any_refusal(rate_functions_x2, source, [2.0]) == (
+        monkeypatch.setattr(core, "_rate_lanes",
+                            lambda source, t: (t, {0: "x"} if len(t) > 1 else {}))
+        assert _any_refusal(rate_functions_x2, source, [2.0, 3.0]) == (
             NumericError, "the rate batch failed where rate_function_x2 does not")
-
-    @pytest.mark.parametrize("name", ["uniform", "custom-gaussian-cgf"])
-    def test_array_cgf_of_a_mapped_family(self, name):
-        # repeats and signed zeros in, each theta's scalar float out
-        source = RATE_BATCH_SOURCES[name][0]
-        thetas = [0.0, -0.0, 0.3, -2.0, 0.3, 1e-300, 0.0, -0.0]
-        assert _bits(source.log_mgfs_x2(np.array(thetas))) == _bits(map(source.log_mgf_x2, thetas))
-        if math.isfinite(source.theta_max):  # beyond the boundary, behind a valid theta
-            want = _any_refusal(source.log_mgf_x2, 0.6)
-            assert want[0] is ConfigError
-            assert _any_refusal(source.log_mgfs_x2, np.array([0.1, 0.6, 0.7])) == want
-
-    @pytest.mark.parametrize("values, probs", [
-        ([-2.0, -0.5, 0.5, 2.0], [0.1, 0.4, 0.4, 0.1]),
-        (range(10), [0.1] * 10),
-        ([0.0, 1.0, 5.0], [0.5, 0.5, 0.0]),
-        ([3.0], [1.0]),
-        # shared x^2 with other weights, and a repeated (weight, x^2) atom
-        ([-1.0, 1.0, 2.0, -2.0], [0.1, 0.4, 0.2, 0.3]),
-        ([1.0, 1.0, -1.0, 0.5], [0.25, 0.25, 0.375, 0.125]),
-    ])
-    def test_discrete_array_cgf_equals_its_scalar_cgf(self, values, probs):
-        spec = sources.discrete(values, probs)
-        # the last theta of the log1p form and the first beyond it, each side
-        switch = []
-        for side in (1.0, -1.0):
-            below = side / spec.x2_max
-            while abs(math.nextafter(below, side * math.inf)) * spec.x2_max <= 1.0:
-                below = math.nextafter(below, side * math.inf)
-            while abs(below) * spec.x2_max > 1.0:
-                below = math.nextafter(below, 0.0)
-            switch += [below, math.nextafter(below, side * math.inf)]
-        thetas = [0.0, -0.0, 1e-300, -1e-12, *switch,
-                  *np.random.default_rng(3).uniform(-50.0, 50.0, 400).tolist()]
-        assert _bits(spec.log_mgfs_x2(np.array(thetas))) == _bits(map(spec.log_mgf_x2, thetas))
-        assert spec.log_mgfs_x2(np.array([])).shape == (0,)
-
-
-class TestBoundedBrentLockstep:
-    SHAPES = [
-        (lambda x: -(x - 0.3) ** 2, 1.0),
-        (lambda x: x, 5.0),  # maximum on the upper bound
-        (lambda x: -x, 5.0),  # maximum on the lower bound
-        (lambda x: math.sin(x), 20.0),  # several local maxima
-        (lambda x: -abs(x - 1e-3), 1e6),
-        (lambda x: math.nan, 1.0),  # NaN from the start
-        (lambda x: math.nan if 0.5 < x < 0.6 else -(x - 0.55) ** 2, 1.0),  # NaN on the way
-    ]
-
-    @pytest.mark.parametrize("xatol", [1e-14, 1e-8, 1e-5])
-    @pytest.mark.parametrize("maxfun", [500, 5, 2, 1])
-    def test_every_lane_takes_the_scalar_steps(self, xatol, maxfun):
-        gs, bs = zip(*self.SHAPES)
-
-        def g(lanes, x):
-            return np.array([gs[i](v) for i, v in zip(lanes.tolist(), x.tolist())])
-
-        with np.errstate(all="ignore"):
-            best, failed = _bounded_brent_max_lockstep(
-                g, np.array(bs), np.full(len(bs), xatol), maxfun)
-        want = [_bounded_brent_max(*shape, xatol, maxfun) for shape in self.SHAPES]
-        assert _bits(best) == _bits(v for v, _ in want)
-        assert failed.tolist() == [why is not None for _, why in want]
 
 
 class TestCgf:

@@ -127,9 +127,9 @@ def _mp_log_mgf(atoms, theta):
 @pytest.mark.parametrize("pmf", list(PMFS))
 def test_discrete_log_mgf_matches_mpmath(pmf):
     """The discrete cgf is within 2e-15 relative of a 50-digit oracle, from
-    theta = 1e-300 to the bracket's doublings, ties at the max included."""
+    theta = 1e-300 to 2**50, ties at the max included."""
     spec = sources.discrete(*PMFS[pmf])
-    # rate_function_x2 brackets a pmf's maximizer at theta = 1, 2, 4, ...
+    # large thetas, as a custom source carrying this cgf may be asked for
     doublings = [2.0**j for j in range(51)]
     with mp.workdps(50):
         atoms = _mp_pmf(*PMFS[pmf])
