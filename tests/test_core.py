@@ -5,6 +5,7 @@ values, mpmath high-precision evaluation, quadrature, dense grid scans and
 finite differences; never from the functions under test.
 """
 
+import dataclasses
 import math
 
 import mpmath as mp
@@ -1009,9 +1010,33 @@ def _bits(xs):
     return [float(x).hex() for x in xs]
 
 
+def _loop_lanes(source, ts):
+    """The (theta, t) lanes at which rate_functions_x2 reads the source's
+    array cgf, theta*t - Lambda(theta) (SourceSpec.legendre_x2)."""
+    lanes = []
+
+    def legendre(theta, t):
+        lanes.extend(zip(theta.tolist(), t.tolist()))
+        return source.legendre_x2(theta, t)
+
+    rate_functions_x2(dataclasses.replace(source, _legendre_x2=legendre), ts)
+    return lanes
+
+
+def _assert_array_cgf_is_scalar_cgf(source, lanes):
+    """legendre_x2 at each (theta, t) lane equals theta*t - log_mgf_x2(theta)
+    within 4e-15 of |theta t| + |Lambda(theta)|: the scalar cgf is within
+    2e-15 relative of a 50-digit oracle (test_sources), and theta*t adds an
+    ulp of its own."""
+    theta, t = (np.array([lane[k] for lane in lanes]) for k in (0, 1))
+    for (th, x), got in zip(lanes, source.legendre_x2(theta, t).tolist()):
+        cgf = source.log_mgf_x2(th)
+        assert abs(got - (th * x - cgf)) <= 4e-15 * (abs(th * x) + abs(cgf)), (th, x, got)
+
+
 # name: (source, the top of its thresholds).  Every family, a finite
-# theta_max on the Brent path (the Gaussian cgf on a custom source) and the
-# bracket's 1e15 cap (a pmf cgf declared without x2_max: above its top atom,
+# theta_max on the Newton path (the Gaussian cgf on a custom source) and a
+# bracket left open (a pmf cgf declared without x2_max: above its top atom,
 # 4, the objective grows without bound).
 RATE_BATCH_SOURCES = {
     "gaussian": (sources.gaussian(1.3), 15.6),
@@ -1125,6 +1150,58 @@ class TestRateBatch:
                             lambda source, t: (t, {0: "x"} if len(t) > 1 else {}))
         assert _any_refusal(rate_functions_x2, source, [2.0, 3.0]) == (
             NumericError, "the rate batch failed where rate_function_x2 does not")
+
+
+    @pytest.mark.parametrize("name", ["uniform", "custom-gaussian-cgf"])
+    def test_array_cgf_of_a_mapped_family(self, name):
+        # the array cgf, theta*t - Lambda(theta) per lane, at every theta the
+        # Newton loop ends on, against the scalar cgf within its accuracy;
+        # a custom source's is the scalar cgf itself, bit for bit, with
+        # repeats and signed zeros in
+        source, top = RATE_BATCH_SOURCES[name]
+        ts = np.linspace(source.sigma2, min(top, 4.0 * source.sigma2), 40)[1:-1]
+        _assert_array_cgf_is_scalar_cgf(source, _loop_lanes(source, ts))
+        if name.startswith("custom"):
+            thetas = [0.0, -0.0, 0.3, -2.0, 0.3, 1e-300, 0.0, -0.0]
+            got = source.legendre_x2(np.array(thetas), np.full(len(thetas), 2.0))
+            assert _bits(got) == _bits(th * 2.0 - source.log_mgf_x2(th) for th in thetas)
+        if math.isfinite(source.theta_max):  # beyond the boundary, behind a valid theta
+            want = _any_refusal(source.log_mgf_x2, 0.6)
+            assert want[0] is ConfigError
+            assert _any_refusal(source.legendre_x2, np.array([0.1, 0.6, 0.7]),
+                                np.full(3, 2.0)) == want
+
+    @pytest.mark.parametrize("values, probs", [
+        ([-2.0, -0.5, 0.5, 2.0], [0.1, 0.4, 0.4, 0.1]),
+        (range(10), [0.1] * 10),
+        ([0.0, 1.0, 5.0], [0.5, 0.5, 0.0]),
+        ([3.0], [1.0]),
+        # shared x^2 with other weights, and a repeated (weight, x^2) atom
+        ([-1.0, 1.0, 2.0, -2.0], [0.1, 0.4, 0.2, 0.3]),
+        ([1.0, 1.0, -1.0, 0.5], [0.25, 0.25, 0.375, 0.125]),
+    ])
+    def test_discrete_array_cgf_equals_its_scalar_cgf(self, values, probs):
+        # the array cgf (centred at the mean, or at the top atom) at every
+        # theta the Newton loop ends on, from next to the mean to next to
+        # the top, and at the thresholds whose theta straddles the scalar
+        # cgf's switch, |theta| x2_max = 1
+        spec = sources.discrete(values, probs)
+        sigma2, top = spec.sigma2, spec.x2_max
+        below = 1.0 / top
+        while math.nextafter(below, math.inf) * top <= 1.0:
+            below = math.nextafter(below, math.inf)
+        while below * top > 1.0:
+            below = math.nextafter(below, 0.0)
+        switch = np.array([0.5 * below, below, math.nextafter(below, math.inf), 2.0 * below])
+        ts = ([sigma2 * (1.0 + 10.0**-k) for k in range(12, 0, -1)]
+              + np.linspace(sigma2, top, 30)[1:-1].tolist()
+              + [top * (1.0 - 10.0**-k) for k in range(1, 13)]
+              + spec.tilt_x2(switch, np.zeros(len(switch)))[0].tolist())  # the tilted means
+        inside = [t for t in ts if sigma2 < t < top]  # none where X^2 is constant
+        lanes = _loop_lanes(spec, inside)
+        assert len(lanes) == len(inside)
+        _assert_array_cgf_is_scalar_cgf(spec, lanes)
+        assert spec.legendre_x2(np.array([]), np.array([])).shape == (0,)
 
 
 class TestCgf:
