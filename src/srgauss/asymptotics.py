@@ -6,7 +6,10 @@ power-split coding schemes.
 All rates are in nats.  Every large-deviations exponent is one kernel,
 :func:`_excess`: the rate function of X^2 at the radius where layer-1
 covering at a target distortion costs r1.  The schemes and their cases
-differ only in that target.
+differ only in that target, which depends on r2 only through layer 2's
+covering radius gamma: :func:`_column` inverts it once per r2, and the
+fixed split's case iii is gamma at its w_min, r2 at or below layer 2's
+floor.
 
 A point goes through the calculators (:func:`sep_exponents`,
 :func:`jep_exponent`, :func:`jep_exponent_lambda1`,
@@ -164,32 +167,26 @@ def _excess(source: SourceSpec, r1: float, p_y: float, target: float) -> tuple[f
     return alpha, rate_function_x2(source, alpha)
 
 
-def _sep_column(sigma2, d1, d2, r2) -> tuple[float, float, float | None, float]:
-    """The adaptive split's part of an r2 column: lambda, layer 1's power
-    p_y (>= sigma2 - d1 > 0), gamma above the branch rate 0.5*log(d1/d2),
-    else None, and layer 2's target, gamma or else lambda*d1 (a root-found
-    gamma there would move the 12th digit)."""
-    lam = lambda_for_rates(r2, d1, d2)
-    gamma = None if r2 <= 0.5 * math.log(d1 / d2) else invert_iid_exponent(r2, d1 - d2, d2)
-    return lam, sigma2 - lam * d1, gamma, lam * d1 if gamma is None else gamma
-
-
-def _layer2_floor(d1: float, d2: float) -> float:
-    """Layer 2's floor: the rate it needs to cover the weakest residual."""
-    p_z = d1 - d2
-    return iid_nonexcess_exponent(max(d2 - p_z, 0.0), p_z, d2)
-
-
-def _fixed_column(sigma2, d1, d2, r2, floor2) -> tuple[str, float, float]:
-    """The fixed split's part of an r2 column: (case, layer-1 target
-    min(d1, gamma2), the rate r1 must exceed for it), case ``iii`` with nan
-    and inf; gamma2 >= d1 exactly at or above the branch rate 0.5*log(d1/d2)."""
-    if r2 >= 0.5 * math.log(d1 / d2):
-        return "i", d1, 0.5 * math.log(sigma2 / d1)
-    if r2 > floor2:
-        gamma2 = invert_iid_exponent(r2, d1 - d2, d2)
-        return "ii", gamma2, iid_nonexcess_exponent(sigma2, sigma2 - d1, gamma2)
-    return "iii", math.nan, math.inf
+def _column(sigma2, d1, d2, r2) -> tuple:
+    """One r2 column of both power splits: lambda, layer 1's power p_y,
+    layer 2's covering radius gamma (w_min = max(d2 - p_z, 0) at r2 = 0),
+    r2 <= the branch rate 0.5*log(d1/d2), the adaptive split's layer-2
+    target (lambda*d1 there, as a root-found gamma would move the 12th
+    digit, else gamma), and the fixed split's case, target min(d1, gamma)
+    and the rate r1 must exceed for it: ``i`` at or above the branch rate,
+    ``iii`` (nan, inf) at or below layer 2's floor, where gamma is w_min
+    (the floor is positive only where w_min = 0; with a positive w_min any
+    r2 > 0 is above it, though gamma rounds to w_min below 1e-33), else ``ii``."""
+    lam, p_z, branch = lambda_for_rates(r2, d1, d2), d1 - d2, 0.5 * math.log(d1 / d2)
+    gamma = invert_iid_exponent(r2, p_z, d2) if r2 > 0 else max(d2 - p_z, 0.0)
+    if r2 >= branch:
+        fixed = "i", d1, 0.5 * math.log(sigma2 / d1)
+    elif r2 > 0.0 and gamma > 0.0:
+        fixed = "ii", gamma, iid_nonexcess_exponent(sigma2, sigma2 - d1, gamma)
+    else:
+        fixed = "iii", math.nan, math.inf
+    low = r2 <= branch
+    return lam, sigma2 - lam * d1, gamma, low, lam * d1 if low else gamma, *fixed
 
 
 def sep_exponents(source: SourceSpec, q: RateQuery) -> ExponentResult:
@@ -202,10 +199,10 @@ def sep_exponents(source: SourceSpec, q: RateQuery) -> ExponentResult:
     _check_distortions(source.sigma2, q.d1, q.d2)
     if q.r1 <= 0:
         raise ConfigError(f"requires r1 > 0, got {q.r1}")
-    _, p_y, gamma, target2 = _sep_column(source.sigma2, q.d1, q.d2, q.r2)
+    _, p_y, gamma, low, target2, *_ = _column(source.sigma2, q.d1, q.d2, q.r2)
     alpha1, e1 = _excess(source, q.r1, p_y, q.d1)
     alpha2, e2 = _excess(source, q.r1, p_y, target2)
-    if gamma is None:
+    if low:
         return ExponentResult({"alpha1_star": alpha1, "alpha2_star": alpha2}, (e1, e2), "low_r2")
     aux = {"alpha1_star": alpha1, "gamma_star": gamma, "alpha2_star": alpha2}
     return ExponentResult(aux, (e1, e2), "high_r2")
@@ -218,8 +215,8 @@ def jep_exponent(source: SourceSpec, q: RateQuery) -> ExponentResult:
     _check_distortions(source.sigma2, q.d1, q.d2)
     if q.r1 <= 0:
         raise ConfigError(f"requires r1 > 0, got {q.r1}")
-    _, p_y, gamma, target2 = _sep_column(source.sigma2, q.d1, q.d2, q.r2)
-    alpha, value = _excess(source, q.r1, p_y, target2 if gamma is None else q.d1)
+    _, p_y, _, low, target2, *_ = _column(source.sigma2, q.d1, q.d2, q.r2)
+    alpha, value = _excess(source, q.r1, p_y, target2 if low else q.d1)
     return ExponentResult({"alpha_star": alpha}, (value,), "adaptive")
 
 
@@ -230,8 +227,7 @@ def jep_exponent_lambda1(source: SourceSpec, q: RateQuery) -> ExponentResult:
     ``iii``) at or below layer 2's floor and wherever r1 covers no more than
     power sigma2 at the target, where the adaptive scheme's can be positive."""
     _check_distortions(source.sigma2, q.d1, q.d2)
-    case, target, threshold = _fixed_column(
-        source.sigma2, q.d1, q.d2, q.r2, _layer2_floor(q.d1, q.d2))
+    *_, case, target, threshold = _column(source.sigma2, q.d1, q.d2, q.r2)
     if not q.r1 > threshold:
         return ExponentResult({}, (0.0,), "iii")
     alpha, value = _excess(source, q.r1, source.sigma2 - q.d1, target)
@@ -273,12 +269,10 @@ def exponent_columns(source: SourceSpec, r1s, r2s, d1: float, d2: float) -> dict
     _check_rates(r1s, r2s)
     sigma2 = source.sigma2
     _check_distortions(sigma2, d1, d2)
-    floor2, p_y1 = _layer2_floor(d1, d2), sigma2 - d1
-    columns = np.array([(*_sep_column(sigma2, d1, d2, r2),
-                         *_fixed_column(sigma2, d1, d2, r2, floor2)) for r2 in r2s],
-                       dtype=object).reshape(len(r2s), 7)
-    lam, p_y, target2, target, threshold = columns[:, [0, 1, 3, 5, 6]].T.astype(float)
-    low, l1_case = np.equal(columns[:, 2], None), columns[:, 4]  # low: no gamma
+    columns = np.array([_column(sigma2, d1, d2, r2) for r2 in r2s],
+                       dtype=object).reshape(len(r2s), 8)
+    lam, p_y, target2, target, threshold = columns[:, [0, 1, 4, 6, 7]].T.astype(float)
+    low, l1_case, p_y1 = columns[:, 3].astype(bool), columns[:, 5], sigma2 - d1
     region, eta = _regions(r1s, r2s, lam, sigma2, d1, d2)
     shape, r1 = region.shape, np.array(r1s, dtype=float)[:, None]
     pos, above = r1 > 0, r1 > threshold  # above: else case iii

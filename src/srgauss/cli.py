@@ -178,11 +178,13 @@ def _source(cp) -> SourceSpec:
     for key in cp["source"]:
         if key != "family" and key not in params:
             raise ConfigError(f"unknown key source.{key} (family {family!r})")
-    return make(**{
-        key: _get(cp, "source", key)
-        for key, p in params.items()
-        if p.default is p.empty or cp.has_option("source", key)
-    })
+    given = {key: _get(cp, "source", key) for key, p in params.items()
+             if p.default is p.empty or cp.has_option("source", key)}
+    try:
+        return make(**given)
+    except ConfigError as exc:  # name the keys, as every other refusal does
+        keys = ', '.join(f'source.{key}' for key in given) or '[source]'
+        raise ConfigError(f"{keys}: {exc}") from None
 
 
 def _rate_axes(cp) -> tuple[list[float], list[float]]:

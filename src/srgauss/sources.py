@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import dawsn, erf, erfcx, erfi
+from scipy.special import dawsn, erf, erfcx
 
 from .core import _atanh_rate
 from .errors import ConfigError
@@ -56,7 +56,10 @@ class SourceSpec:
     def __post_init__(self):
         if not self.sigma2 > 0:
             raise ConfigError(f"requires sigma2 > 0, got {self.sigma2}")
-        if not self.zeta >= self.sigma2**2 - 1e-12 * self.sigma2**2:
+        if not (self.sigma2 < math.inf and abs(self.zeta) < math.inf):
+            raise ConfigError(f"{self.family} source: E[X^2] = {self.sigma2} and E[X^4] = "
+                              f"{self.zeta} must be finite floats: a parameter is too large")
+        if not self.zeta >= _power(self.sigma2, 2) - 1e-12 * _power(self.sigma2, 2):
             raise ConfigError(
                 f"fourth moment must satisfy zeta >= sigma2^2, got zeta={self.zeta}"
             )
@@ -102,11 +105,9 @@ class SourceSpec:
         return self._sampler(n, rng)
 
 
-# |theta| a^2 below which the uniform cgf sums its power series: above it the
-# closed form is within a few ulps
-_UNIFORM_SERIES_BELOW = 0.5
-# u = theta a^2 below which the uniform rate function sums power series in u
-# (centred at the mean), above it Dawson's integral F (centred at the top),
+# |u|, u = theta a^2, below which the uniform cgf and rate function sum power
+# series in u (centred at the mean), above it Dawson's integral F (centred at
+# the top; the cgf takes erf's closed form for u <= -2),
 # by its asymptotic series from u = 50, where 30 terms reach the last bit
 _UNIFORM_CENTRED_BELOW = 2.0
 _DAWSON_SERIES_FROM = 50.0
@@ -119,6 +120,12 @@ _UNIFORM_T = tuple(4.0 * k / (3.0 * math.factorial(k) * (2 * k + 1) * (2 * k + 3
                    for k in range(24, 0, -1))
 _DAWSON_TAIL = tuple(float(math.prod(range(1, 2 * n, 2))) for n in range(30, 0, -1))
 _EXPM1_TAIL = tuple(1.0 / math.factorial(k) for k in range(19, 1, -1)) + (0.0,)
+
+
+def _power(x: float, k: int) -> float:
+    """x**k as Python's ** rounds it, but inf, for SourceSpec to refuse, where ** raises."""
+    with np.errstate(over="ignore"):
+        return float(np.float64(x) ** k)
 
 
 def _horner(coeffs, x):
@@ -144,15 +151,6 @@ def _expm1_minus(y: np.ndarray) -> np.ndarray:
     return np.where(np.abs(y) < 1.0, _horner(_EXPM1_TAIL, y), np.expm1(y) - y)
 
 
-def _log_erfi(z: float) -> float:
-    """log erfi(z) for z >= 0, switching to the asymptotic series before
-    erfi overflows (around z ~ 26.6)."""
-    if z < 25.0:
-        return math.log(erfi(z))
-    z2 = z * z
-    return z2 - math.log(z * math.sqrt(math.pi)) + math.log1p(0.5 / z2 + 0.75 / z2**2)
-
-
 def gaussian(sigma2: float = 1.0) -> SourceSpec:
     """Zero-mean Gaussian source with variance sigma2."""
     if not 0 < sigma2 < math.inf:
@@ -165,7 +163,7 @@ def gaussian(sigma2: float = 1.0) -> SourceSpec:
     return SourceSpec(
         family="gaussian",
         sigma2=sigma2,
-        zeta=3.0 * sigma2**2,
+        zeta=3.0 * _power(sigma2, 2),
         theta_max=1.0 / (2.0 * sigma2),
         _sampler=lambda n, rng: rng.normal(0.0, sd, size=n),
         _log_mgf_x2=_mgf,
@@ -178,27 +176,23 @@ def uniform(half_width: float) -> SourceSpec:
     if not 0 < a < math.inf:
         raise ConfigError(f"requires finite half_width > 0, got {a}")
 
-    def _mgf(theta: float) -> float:
-        u = theta * a * a
-        if abs(u) < _UNIFORM_SERIES_BELOW:
-            # E[exp(u U^2)] = 1 + S(u); the closed forms below cancel to
-            # O(|log u| / u) ulps
-            return math.log1p(_horner(_UNIFORM_S, u))
-        if theta > 0.0:
-            z = a * math.sqrt(theta)
-            return 0.5 * math.log(math.pi / theta) - math.log(2.0 * a) + _log_erfi(z)
-        z = a * math.sqrt(-theta)
-        return 0.5 * math.log(-math.pi / theta) - math.log(2.0 * a) + math.log(erf(z))
-
-    # a^2 = p2 + e2 and its exact third, the mean of X^2, less sigma2
     p2 = a * a
-    e2 = float(Fraction(a) ** 2 - Fraction(p2))
     sigma2 = p2 / 3.0
-    delta = float(Fraction(a) ** 2 / 3 - Fraction(sigma2))
 
     def _dawson_excess(u):  # 2zF(z) - 1, z^2 = u, F Dawson's integral
         z, tail = np.sqrt(u), _horner(_DAWSON_TAIL, 0.5 / u)
         return np.where(u < _DAWSON_SERIES_FROM, 2.0 * z * dawsn(z) - 1.0, tail)
+
+    # E[exp(theta X^2)] is 1 + S(u), or at the top exp(theta a^2) (1 + g)/(2u),
+    # g = 2zF(z) - 1
+    def _mgf(theta: float) -> float:
+        u = theta * p2
+        if abs(u) < _UNIFORM_CENTRED_BELOW:
+            return math.log1p(_horner(_UNIFORM_S, u))
+        if u > 0.0:
+            return (u + theta * e2) + math.log1p(float(_dawson_excess(u))) - math.log(2.0 * u)
+        z = a * math.sqrt(-theta)
+        return 0.5 * math.log(-math.pi / theta) - math.log(2.0 * a) + math.log(erf(z))
 
     # centred at the mean: E[X^2 - mu] tilted is a^2 T/(1 + S), u = theta a^2;
     # at the top, a^2 - E[X^2] tilted is a^2 (g/(1 + g) + 1/(2u)), g = 2zF(z) - 1
@@ -229,16 +223,21 @@ def uniform(half_width: float) -> SourceSpec:
         u = theta * p2
         return _by_lane(u < _UNIFORM_CENTRED_BELOW, _legendre_near, _legendre_far, theta, u, t)
 
-    return SourceSpec(
+    spec = SourceSpec(
         family="uniform",
         sigma2=sigma2,
-        zeta=a**4 / 5.0,
+        zeta=_power(a, 4) / 5.0,
         x2_max=p2,
         _sampler=lambda n, rng: rng.uniform(-a, a, size=n),
         _log_mgf_x2=_mgf,
         _tilt_x2=_tilt,
         _legendre_x2=_legendre,
     )
+    # for the closures above, once the spec has refused moments that overflow:
+    # a^2 = p2 + e2 and its exact third, the mean of X^2, less sigma2
+    e2 = float(Fraction(a) ** 2 - Fraction(p2))
+    delta = float(Fraction(a) ** 2 / 3 - Fraction(sigma2))
+    return spec
 
 
 def laplace(scale: float) -> SourceSpec:
@@ -257,7 +256,7 @@ def laplace(scale: float) -> SourceSpec:
     return SourceSpec(
         family="laplace",
         sigma2=2.0 * b * b,
-        zeta=24.0 * b**4,
+        zeta=24.0 * _power(b, 4),
         theta_max=0.0,
         _sampler=lambda n, rng: rng.laplace(0.0, b, size=n),
         _log_mgf_x2=_mgf,
@@ -312,24 +311,15 @@ def discrete(values: Sequence[float], probs: Sequence[float]) -> SourceSpec:
         raise ConfigError("pmf probabilities must be nonnegative")
     if abs(float(ps.sum()) - 1.0) > 1e-12:
         raise ConfigError(f"pmf must sum to 1 within 1e-12, got {float(ps.sum())}")
-    v2 = vals**2
+    with np.errstate(over="ignore"):  # a moment that overflows is the spec's to refuse
+        v2 = vals**2
+        sigma2, zeta = float(v2 @ ps), float(v2**2 @ ps)
     keep = ps > 0
     v2p = v2[keep]
     x2_max = float(v2p.max())
-    sigma2 = float(v2 @ ps)
     w = (ps[keep] / math.fsum(ps[keep].tolist())).tolist()
     logw = [math.log(q) for q in w]
     x2 = v2p.tolist()
-    # the weight of each distinct x^2, and the exact mean under them
-    mass = {}
-    for q, x in zip(w, x2):
-        mass[x] = mass.get(x, 0) + Fraction(q)
-    total = sum(mass.values())
-    mu = sum(Fraction(x) * q for x, q in mass.items()) / total
-    om = np.array([float(q / total) for q in mass.values()])
-    dev = np.array([float(Fraction(x) - mu) for x in mass])
-    gap = np.array(list(mass)) - x2_max
-    delta, dev_max = float(mu - Fraction(sigma2)), float(dev.max())
 
     def _mgf(theta: float) -> float:
         if abs(theta) * x2_max <= 1.0:
@@ -356,10 +346,10 @@ def discrete(values: Sequence[float], probs: Sequence[float]) -> SourceSpec:
         far = -theta * (x2_max - t) - np.log((om * np.exp(theta[:, None] * gap)).sum(axis=1))
         return np.where(centred, near, far)
 
-    return SourceSpec(
+    spec = SourceSpec(
         family="discrete",
         sigma2=sigma2,
-        zeta=float(v2**2 @ ps),
+        zeta=zeta,
         x2_max=x2_max,
         x2_max_mass=float(ps[keep][v2p == x2_max].sum()),
         _sampler=lambda n, rng: rng.choice(vals, size=n, p=ps),
@@ -367,6 +357,18 @@ def discrete(values: Sequence[float], probs: Sequence[float]) -> SourceSpec:
         _tilt_x2=_tilt,
         _legendre_x2=_legendre,
     )
+    # for the closures above, once the spec has refused moments that overflow:
+    # the weight of each distinct x^2, and the exact mean under them
+    mass = {}
+    for q, x in zip(w, x2):
+        mass[x] = mass.get(x, 0) + Fraction(q)
+    total = sum(mass.values())
+    mu = sum(Fraction(x) * q for x, q in mass.items()) / total
+    om = np.array([float(q / total) for q in mass.values()])
+    dev = np.array([float(Fraction(x) - mu) for x in mass])
+    gap = np.array(list(mass)) - x2_max
+    delta, dev_max = float(mu - Fraction(sigma2)), float(dev.max())
+    return spec
 
 
 def custom(

@@ -653,11 +653,8 @@ FLAGGED = {"jep_positive": "jep_exponent", "l1_positive": "l1_exponent",
 def _oracle_rel(source):
     """How far the frozen oracle's exponents may sit from the calculators':
     0 where both take the Gaussian closed form, else scipy's bounded Brent
-    accuracy (tests/test_core.py::TestBoundedBrent), 1e-8 on the uniform,
-    whose scalar cgf scipy maximizes is that far off at large theta."""
-    if source.family == "gaussian":
-        return 0.0
-    return 1e-8 if source.family == "uniform" else 1e-11
+    accuracy (tests/test_core.py::TestBoundedBrent)."""
+    return 0.0 if source.family == "gaussian" else 1e-11
 
 
 def _near(got, want, rel):
@@ -838,25 +835,33 @@ class TestGridEvaluatorAgainstOracle:
 def test_exponent_columns_cell_types_match_the_oracle(family):
     """Every cell of exponent_columns equals the frozen oracle's point at its
     pair, in value and in exact Python type: a numpy scalar in a column (an
-    np.bool_ prints True, not true) fails here."""
+    np.bool_ prints True, not true) fails here.  Layer 2's floor is 0 at
+    d = (0.5, 0.25), 0.0361 at (0.5, 0.2), whose r2 axis holds it and its
+    neighbours 2**-40 apart, and 0 with w_min = 0.1 at (0.5, 0.3), where
+    r2 = 1e-40 is above it although gamma rounds to w_min."""
     src = FAMILIES[family]
-    d1, d2 = 0.5, 0.25
-    edge1, branch = 0.5 * math.log(src.sigma2 / d1), 0.5 * math.log(d1 / d2)
-    floor2 = asymptotics._layer2_floor(d1, d2)
-    r1s = [0.0, 0.2, edge1, 0.6, 1.1]
-    r2s = [0.0, floor2 / 2, (floor2 + branch) / 2, branch, 0.6, 1.0]
-    table = asymptotics.exponent_columns(src, r1s, r2s, d1, d2)
     seen = set()
-    for k, (r1, r2) in enumerate([(a, b) for a in r1s for b in r2s]):
-        point = _oracle_point(src, rq(r1, r2, d1=d1, d2=d2))
-        assert list(point) == list(table)[:len(point)] and len(point) == (16 if r1 else 5)
-        row = _cell(table, k)
-        for c, col in table.items():
-            got, want = col[k], point.get(c)
-            same = _matches(row, point, c, _oracle_rel(src)) if c in row else got == want
-            assert type(got) is type(want) and same, (r1, r2, c)
-            assert type(got) in (float, bool, str, type(None)), (r1, r2, c)
-        seen |= {point["region"], point.get("l1_case"), point.get("sep_case")}
+    for d1, d2 in ((0.5, 0.25), (0.5, 0.2), (0.5, 0.3)):
+        edge1, branch = 0.5 * math.log(src.sigma2 / d1), 0.5 * math.log(d1 / d2)
+        p_z = d1 - d2
+        floor2 = iid_nonexcess_exponent(max(d2 - p_z, 0.0), p_z, d2)
+        r1s = [0.0, 0.2, edge1, 0.6, 1.1]
+        r2s = [0.0, 1e-40, floor2 / 2, (floor2 + branch) / 2, branch, 0.6, 1.0]
+        r2s += [floor2 * (1.0 - 2.0**-40), floor2, floor2 * (1.0 + 2.0**-40)]
+        table = asymptotics.exponent_columns(src, r1s, r2s, d1, d2)
+        for k, (r1, r2) in enumerate([(a, b) for a in r1s for b in r2s]):
+            point = _oracle_point(src, rq(r1, r2, d1=d1, d2=d2))
+            assert list(point) == list(table)[:len(point)] and len(point) == (16 if r1 else 5)
+            row = _cell(table, k)
+            for c, col in table.items():
+                got, want = col[k], point.get(c)
+                same = _matches(row, point, c, _oracle_rel(src)) if c in row else got == want
+                assert type(got) is type(want) and same, (d1, d2, r1, r2, c)
+                assert type(got) in (float, bool, str, type(None)), (d1, d2, r1, r2, c)
+            seen |= {point["region"], point.get("l1_case"), point.get("sep_case")}
+        for r2 in r2s:  # the column's case, before r1's threshold, by the oracle's floor test
+            want = "i" if r2 >= branch else "ii" if r2 > floor2 else "iii"
+            assert asymptotics._column(src.sigma2, d1, d2, r2)[5] == want, (d1, d2, r2)
     assert seen == {"outside", "boundary", "inside", "i", "ii", "iii", "low_r2", "high_r2", None}
 
 
@@ -887,7 +892,7 @@ def test_closed_form_grid_matches_the_brent_loop(monkeypatch):
         # 5,233 cell radii take their rate functions in one batch
         assert seen == {"invert_iid_exponent": 59, "invert_iid_exponents": 5233,
                         "rate_function_x2": 0, "rate_functions_x2": 5233,
-                        "iid_nonexcess_exponent": 18}
+                        "iid_nonexcess_exponent": 17}
     exponents = ("jep_exponent", "l1_exponent", "sep_e1", "sep_e2")
     closed, brent = grids
     assert list(closed) == list(brent)

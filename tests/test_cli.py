@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -411,6 +412,27 @@ def test_malformed_config_names_key(tmp_path, capsys, command, text, names):
     assert main([command, "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and names in err
+
+
+@pytest.mark.parametrize("family, params, key", [
+    ("gaussian", "sigma2 = 1e200", "source.sigma2"),
+    ("uniform", "half_width = 1e80", "source.half_width"),
+    ("uniform", "half_width = 1e160", "source.half_width"),
+    ("laplace", "scale = 1e160", "source.scale"),
+    ("two_point", "magnitude = 1e160", "source.magnitude"),
+    ("discrete", "values = -1e80 1e80\nprobs = 0.5 0.5", "source.values"),
+], ids=["gaussian", "uniform-a4", "uniform-a2", "laplace", "two_point", "discrete"])
+def test_source_moments_that_overflow_refused_by_key(tmp_path, capsys, family, params, key):
+    """A parameter whose E[X^2] or E[X^4] overflows a float is a config
+    error naming its key, not a numeric error or an uncaught OverflowError,
+    and no overflow warning is printed on the way."""
+    text = BASE.replace("family = gaussian\nsigma2 = 1.0", f"family = {family}\n{params}")
+    cfg = write_config(tmp_path, text + SMALL_AXES)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["exponent-grid", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key}") and "must be finite floats" in err, err
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
@@ -818,25 +840,25 @@ BENCH_GRIDS = {
 
 
 @pytest.mark.parametrize("grid, counts", [
-    # Every distinct covering radius is inverted once: the columns' gamma
-    # and gamma2 by the scalar invert_iid_exponent (59 and 29), every cell's
+    # Every distinct covering radius is inverted once: each column's gamma
+    # at r2 > 0 by the scalar invert_iid_exponent (59 and 29), every cell's
     # in the one invert_iid_exponents batch (counted per triple), those at
     # or below their floor included, which take the threshold radius.  The
     # iid exponent fell from 7,392 and 758 when the fixed split's floor and
     # case-ii threshold moved to once per grid and once per column, then
     # to 5,310 and 563 and to 172 and 86 as the cells' floors moved to once
     # per distinct (p, d) pair and into the inversion; the rest is one
-    # threshold per case-ii column (17 and 8) and layer 2's floor.  Every
+    # threshold per case-ii column (17 and 8).  Every
     # batched radius takes its rate function once, in the one
     # rate_functions_x2 batch (counted per threshold), repeated radii
     # included (5,233 and 525, of them 5,183 and 518 distinct); no scalar
     # rate function runs.
     ("gaussian", {"invert_iid_exponent": 59, "invert_iid_exponents": 5233,
                   "rate_function_x2": 0, "rate_functions_x2": 5233,
-                  "iid_nonexcess_exponent": 18}),
+                  "iid_nonexcess_exponent": 17}),
     ("discrete", {"invert_iid_exponent": 29, "invert_iid_exponents": 525,
                   "rate_function_x2": 0, "rate_functions_x2": 525,
-                  "iid_nonexcess_exponent": 9}),
+                  "iid_nonexcess_exponent": 8}),
 ])
 def test_kernel_work_per_benchmark_grid(tmp_path, monkeypatch, grid, counts):
     """The benchmark grids make exactly these kernel calls, a batch counted

@@ -686,9 +686,7 @@ class TestBoundedBrent:
         # digits (1e-10 relative on rates of 1e-11, ROADMAP direction 16), and
         # at the top of the uniform's support, where the maximizer is large,
         # its bracket's 1e-12*hi (1.1e-12 relative); an ulp below that top
-        # its bracket passes the 1e15 cap and it returns inf.  The uniform's
-        # scalar cgf, which scipy maximizes, is itself only within 1e-8
-        # relative where it sums its three-term asymptotic series of log erfi
+        # its bracket passes the 1e15 cap and it returns inf
         source = ORACLE_SOURCES[name]
         sigma2, x2_max = source.sigma2, source.x2_max
         rng = np.random.default_rng(23)
@@ -708,8 +706,7 @@ class TestBoundedBrent:
             if want == math.inf:
                 assert name == "uniform" and t == math.nextafter(top, 0.0) and got < math.inf
                 continue
-            rel = 1e-8 if name == "uniform" else 1e-11
-            assert got == pytest.approx(want, rel=rel, abs=1e-14), t
+            assert got == pytest.approx(want, rel=1e-11, abs=1e-14), t
 
     def test_nan_cgf_raises(self):
         spec = sources.custom(
@@ -1223,12 +1220,18 @@ class TestCgf:
         assert sources.uniform(1.0).log_mgf_x2(0.0) == 0.0
 
     def test_uniform_asymptotic_branch(self):
-        # straddle the log-erfi series switch with an mpmath oracle
-        a = 1.0
-        uni = sources.uniform(a)
-        for th in [600.0, 626.0, 700.0, 900.0]:
-            exact = mp.log(mp.sqrt(mp.pi / th) * mp.erfi(a * mp.sqrt(th)) / (2 * a))
-            assert uni.log_mgf_x2(th) == pytest.approx(float(exact), rel=1e-10)
+        # log E[exp(theta X^2)] = log(sqrt(pi) erfi(z) / (2z)), z = a sqrt(theta),
+        # erf for theta < 0, at 40 digits: across the power series, Dawson's
+        # integral, its asymptotic series from u = theta a^2 = 50 and the erf form
+        for a in (0.3, 1.0, 1.7, 3.1, 25.0):
+            uni = sources.uniform(a)
+            us = np.concatenate([np.geomspace(1e-3, 3e4, 80), -np.geomspace(1e-3, 2e3, 50),
+                                 [2.0, 50.0, -2.0], np.nextafter([2.0, 50.0, -2.0], 0.0)])
+            for u in us.tolist():
+                th = u / (a * a)
+                z = mp.mpf(a) * mp.sqrt(abs(mp.mpf(th)))
+                exact = mp.log(mp.sqrt(mp.pi) * (mp.erfi if th > 0 else mp.erf)(z) / (2 * z))
+                assert uni.log_mgf_x2(th) == pytest.approx(float(exact), rel=1e-15, abs=0.0), (a, u)
 
     @staticmethod
     def _mp_uniform_mgf(a, th, k=0):
@@ -1237,11 +1240,11 @@ class TestCgf:
         return mp.quad(lambda x: x ** (2 * k) * mp.exp(mp.mpf(th) * x * x), [0, a]) / a
 
     def test_uniform_small_theta_vs_mpmath(self):
-        # near 0, 0.5 log(pi/theta) and log erfi(a sqrt(theta)) cancel; the
-        # power series holds the relative accuracy, also across its switch
+        # near 0 the closed forms cancel; the power series holds the
+        # relative accuracy, also across its switch to Dawson's and erf's forms
         a = 1.7
         uni = sources.uniform(a)
-        switch = sources._UNIFORM_SERIES_BELOW / (a * a)
+        switch = sources._UNIFORM_CENTRED_BELOW / (a * a)
         thetas = [1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6, 1e-3]
         for side in (1.0, -1.0):
             thetas += [side * switch * (1.0 - 1e-6), side * switch * (1.0 + 1e-6)]
